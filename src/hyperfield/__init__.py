@@ -7,7 +7,7 @@ calculus. See the CLI (`python -m hyperfield ...` or the `hyperfield`
 script) for the batch surface.
 """
 from ._kernels import BACKEND as KERNEL_BACKEND
-from .intpoly import IntPolynomial, RatPolynomial, format_poly, parse_poly
+from .intpoly import IntPolynomial, format_poly, parse_poly
 from .family import FamilyShape, HyperellipticCurve, Recipe, Specialization
 
 __version__ = "0.1.0"
@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 __all__ = [
     "KERNEL_BACKEND",
     "IntPolynomial",
-    "RatPolynomial",
     "format_poly",
     "parse_poly",
     "FamilyShape",

@@ -1,7 +1,8 @@
 """Kernel backend selection: compiled extension when available, pure fallback.
 
-Set HYPERFIELD_PURE=1 to force the pure-Python backend (used by the
-benchmark and the fallback tests).
+Set HYPERFIELD_PURE=1 to force the pure-Python backend (the fallback
+tests do; the perfbench harness removes the variable from its jobs, so
+they run whichever backend is importable).
 """
 import os
 

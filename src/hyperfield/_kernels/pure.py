@@ -4,6 +4,11 @@ Same contract as the compiled backend in ``_speed.pyx``; polynomials are
 lists of ints ascending in degree, primes fit a machine word. These
 routines are the hot path of the census (irreducibility screening and
 splitting-type fingerprints), so they stay allocation-light.
+
+The private helpers are also the package's one mod-m polynomial toolkit:
+``_reduce``, ``_mul_mod`` and ``_divmod_mod`` take any modulus m >= 2
+(Hensel lifting works mod q^k), and ``_ddf_blocks`` is the
+distinct-degree stage that Cantor-Zassenhaus in ``factor`` splits further.
 """
 from __future__ import annotations
 
@@ -92,14 +97,24 @@ def ddf_degrees(coeffs, p: int) -> list[int]:
 
     Requires p prime, p not dividing the leading coefficient, and the
     reduction squarefree mod p (checked; raises ValueError otherwise).
-    Distinct-degree factorization: iterated gcd(x^(p^k) - x, f).
     """
     f = _prep(coeffs, p)
     if len(f) == 1:
         raise ValueError("constant polynomial mod p")
     if _gcd_mod(f, _deriv_mod(f, p), p) != [1]:
         raise ValueError("not squarefree mod p")
-    degs: list[int] = []
+    degs = [k for block, k in _ddf_blocks(f, p) for _ in range((len(block) - 1) // k)]
+    degs.sort(reverse=True)
+    return degs
+
+
+def _ddf_blocks(f: list[int], p: int) -> list[tuple[list[int], int]]:
+    """Distinct-degree factorization of monic f, squarefree mod p.
+
+    Pairs (block, k): block is the monic product of all irreducible
+    factors of degree k, found by iterated gcd(x^(p^k) - x, f).
+    """
+    blocks: list[tuple[list[int], int]] = []
     h = _rem_mod([0, 1], f, p)
     k = 0
     while len(f) - 1 >= 2 * (k + 1):
@@ -109,33 +124,29 @@ def ddf_degrees(coeffs, p: int) -> list[int]:
         hx[1] = (hx[1] - 1) % p
         g = _gcd_mod(_trim(hx), f, p)
         if len(g) > 1:
-            d = len(g) - 1
-            degs.extend([k] * (d // k))
-            f = _exact_div_mod(f, g, p)
+            blocks.append((g, k))
+            f = _divmod_mod(f, g, p)[0]
             h = _rem_mod(h, f, p)
     if len(f) > 1:
-        degs.append(len(f) - 1)
-    degs.sort(reverse=True)
-    return degs
+        blocks.append((f, len(f) - 1))
+    return blocks
 
 
-def _exact_div_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    """a / b mod p for monic b dividing a exactly."""
+def _divmod_mod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
+    """(q, r) with a = q*b + r mod m, for monic b and a reduced mod m."""
     r = list(a)
     db = len(b) - 1
-    q = [0] * (len(a) - db)
+    q = [0] * max(0, len(a) - db)
     while len(r) - 1 >= db:
         t = r[-1]
         shift = len(r) - 1 - db
         q[shift] = t
         if t:
             for i in range(db):
-                r[shift + i] = (r[shift + i] - t * b[i]) % p
+                r[shift + i] = (r[shift + i] - t * b[i]) % m
         r.pop()
         _trim(r)
-        if not r:
-            break
-    return q
+    return _trim(q), r
 
 
 def irreducible_mod_p(coeffs, p: int) -> bool:

@@ -30,12 +30,29 @@ import hashlib
 import itertools
 import math
 import os
-from dataclasses import dataclass, field, replace
+import random
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import _kernels as kernels
-from .errors import BoxTooLarge, DegreeCapExceeded, HypothesisViolated, NonMonic, SearchWindowExceeded
-from .factor import DEFAULT_DEGREE_CAP, factor_over_q, next_prime
+from ._kernels.pure import _mul_mod
+from .errors import (
+    BoxTooLarge,
+    DegreeCapExceeded,
+    HypothesisViolated,
+    NonMonic,
+    SearchExhausted,
+    SearchWindowExceeded,
+)
+from .factor import (
+    DEFAULT_DEGREE_CAP,
+    _center,
+    _factor_mod_full,
+    _mignotte_modulus,
+    factor_over_q,
+    next_prime,
+    primes_from,
+)
 from .family import (
     EVEN_D_EVEN_N,
     ODD_D_EVEN_N,
@@ -194,25 +211,21 @@ class FieldFingerprint:
         return True
 
 
+def _good_pool_primes(bad: int, pool: list[int], count: int) -> list[int]:
+    """The first `count` primes not dividing `bad` (nonzero): the shared
+    pool in order, extended past its end with the following primes."""
+    extension = primes_from(pool[-1] + 1 if pool else 2)
+    return list(itertools.islice((p for p in itertools.chain(pool, extension) if bad % p), count))
+
+
 def fingerprint(F: IntPolynomial, pool: list[int], count: int = 50) -> FieldFingerprint:
     """Splitting types at the first `count` primes from the shared pool
     that are good for F (bad ones skipped, pool extended as needed)."""
     bad = abs(F.lc) * abs(discriminant(F))
     if bad == 0:
         raise ValueError("fingerprint requires a squarefree polynomial")
-    entries = []
-    i = 0
-    p = None
-    while len(entries) < count:
-        if i < len(pool):
-            p = pool[i]
-        else:
-            p = next_prime(p if p is not None else 1)
-        i += 1
-        if bad % p == 0:
-            continue
-        entries.append((p, tuple(kernels.ddf_degrees(F.coeffs, p))))
-    return FieldFingerprint(degree=F.degree, entries=tuple(entries))
+    entries = tuple((p, tuple(kernels.ddf_degrees(F.coeffs, p))) for p in _good_pool_primes(bad, pool, count))
+    return FieldFingerprint(degree=F.degree, entries=entries)
 
 
 # -- census records and classification ----------------------------------------
@@ -271,19 +284,7 @@ def classify_record(
     disc_F = discriminant(F)
     if disc_F == 0:
         return CensusRecord(s, F, 0, REDUCIBLE)
-    bad = abs(F.lc) * abs(disc_F)
-
-    good: list[int] = []
-    i = 0
-    p = None
-    while len(good) < cfg.fingerprint_primes:
-        if i < len(pool):
-            p = pool[i]
-        else:
-            p = next_prime(p if p is not None else 1)
-        i += 1
-        if bad % p:
-            good.append(p)
+    good = _good_pool_primes(abs(F.lc) * abs(disc_F), pool, cfg.fingerprint_primes)
 
     partitions: dict[int, tuple[int, ...]] = {}
     irreducible = False
@@ -321,12 +322,37 @@ def enumerate_box(
     cfg: CensusConfig = CensusConfig(),
 ):
     """Stream of classified CensusRecords in deterministic odometer order."""
+    return _classify_box(curve, _capped_box(shape, Y, cfg), cfg, workers=1)
+
+
+def _capped_box(shape: FamilyShape, Y, cfg: CensusConfig) -> CoefficientBox:
     box = CoefficientBox.build(shape, Y)
     if box.cardinality > cfg.box_cap:
         raise BoxTooLarge(f"box cardinality {box.cardinality} exceeds cap {cfg.box_cap}")
+    return box
+
+
+def _classify_box(curve: HyperellipticCurve, box: CoefficientBox, cfg: CensusConfig, workers: int):
+    """Classified records of the whole box, in odometer order: streamed in
+    this process, or classified in chunks by a pool of `workers` processes."""
     pool = shared_prime_pool(cfg.fingerprint_primes + 10)
-    for s in box.specializations():
-        yield classify_record(curve, shape, s, pool, cfg)
+    specs = box.specializations()
+    if workers <= 1:
+        for s in specs:
+            yield classify_record(curve, box.shape, s, pool, cfg)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    size = max(64, box.cardinality // (workers * 8) + 1)
+    chunks = iter(lambda: list(itertools.islice(specs, size)), [])
+    with ProcessPoolExecutor(max_workers=workers) as ex:
+        for part in ex.map(_classify_chunk, ((curve, box.shape, c, pool, cfg) for c in chunks)):
+            yield from part
+
+
+def _classify_chunk(args):
+    curve, shape, specs, pool, cfg = args
+    return [classify_record(curve, shape, s, pool, cfg) for s in specs]
 
 
 # -- (g, h) collision multiplicities ------------------------------------------
@@ -345,38 +371,30 @@ def dedupe_gh(records) -> tuple[dict[tuple[int, ...], list[CensusRecord]], int]:
 
 
 def _resultant_in_x(F1: IntPolynomial, F2: IntPolynomial, t: int) -> IntPolynomial:
-    """R_t(x) = Res_y(F1(y), F2(x + t*y)), by exact interpolation."""
-    from .intpoly import resultant
+    """R_t(x) = Res_y(F1(y), F2(x + t*y)), interpolated at deg + 1
+    consecutive integers. R_t has integer coefficients, so its Newton
+    divided differences there are integers and each division is exact."""
+    from .intpoly import resultant  # looked up per call, so wrappers on intpoly see it
 
     deg = F1.degree * F2.degree
     xs = range(-(deg // 2), deg - deg // 2 + 1)
-    ys = []
-    for x0 in xs:
-        shifted = scale_x(translate(F2, x0), t)  # F2(t*y + x0) as a polynomial in y
-        ys.append(resultant(F1, shifted))
-    # Lagrange interpolation, exact.
-    coeffs = [Fraction(0)] * (deg + 1)
-    for i, x0 in enumerate(xs):
-        num = [Fraction(1)]
-        denom = Fraction(1)
-        for j, x1 in enumerate(xs):
-            if i == j:
-                continue
-            num = _poly_mul_frac(num, [Fraction(-x1), Fraction(1)])
-            denom *= Fraction(x0 - x1)
-        scale = Fraction(ys[i]) / denom
-        for k, c in enumerate(num):
-            coeffs[k] += c * scale
-    assert all(c.denominator == 1 for c in coeffs)
-    return IntPolynomial(int(c) for c in coeffs)
-
-
-def _poly_mul_frac(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return out
+    # F2(t*y + x0) as a polynomial in y, at each node x0.
+    dd = [resultant(F1, scale_x(translate(F2, x0), t)) for x0 in xs]
+    # In place: dd[k] becomes the divided difference R_t[x_0, ..., x_k].
+    for k in range(1, deg + 1):
+        for i in range(deg, k - 1, -1):
+            dd[i], rem = divmod(dd[i] - dd[i - 1], k)  # x_i - x_{i-k} = k
+            if rem:
+                raise ArithmeticError("R_t divided differences must be integers")
+    # Horner on the Newton form: R_t = dd[0] + (x - x_0)(dd[1] + (x - x_1)(...)).
+    coeffs = [dd[deg]]
+    for k in range(deg - 1, -1, -1):
+        shifted = [0] + coeffs
+        for j, c in enumerate(coeffs):
+            shifted[j] -= xs[k] * c
+        shifted[0] += dd[k]
+        coeffs = shifted
+    return IntPolynomial(coeffs)
 
 
 def _squarefree_mod_witness(R: IntPolynomial, tries: int = 8) -> int | None:
@@ -417,10 +435,7 @@ def _has_degree_n_factor(R: IntPolynomial, n: int) -> bool:
     Mod-q degree partitions give a sound early no; candidate subsets of
     lifted modular factors are verified by exact division.
     """
-    import random as _random
-
-    from .factor import _factor_mod_full, _mignotte_modulus, _center, hensel_lift_factors
-    from ._kernels.pure import _mul_mod as _mulq
+    from .factor import hensel_lift_factors  # looked up per call, so wrappers on factor see it
 
     disc = discriminant(R)
     primes = []
@@ -438,7 +453,7 @@ def _has_degree_n_factor(R: IntPolynomial, n: int) -> bool:
         if best_parts is None or count < best_parts[1]:
             best_q, best_parts = q, (parts, count)
     q = best_q
-    rng = _random.Random(hash(R.coeffs) & 0xFFFFFFFF)
+    rng = random.Random(hash(R.coeffs) & 0xFFFFFFFF)
     factors = _factor_mod_full(R.coeffs, q, rng)
     target = _mignotte_modulus(R, q)
     lifted = hensel_lift_factors(list(R.coeffs), factors, q, target)
@@ -450,7 +465,7 @@ def _has_degree_n_factor(R: IntPolynomial, n: int) -> bool:
             raise DegreeCapExceeded("degree-n factor search exploded; raise caps or pick another shift")
         prod = [R.lc % target]
         for i in combo:
-            prod = _mulq(prod, lifted[i], target)
+            prod = _mul_mod(prod, lifted[i], target)
         cand = IntPolynomial([_center(c, target) for c in prod]).primitive()
         if cand.degree == n and cand.divides(R):
             return True
@@ -480,7 +495,7 @@ def isomorphic_exact(F1: IntPolynomial, F2: IntPolynomial, cap: int = 6) -> bool
         if _squarefree_mod_witness(R) is None:
             continue
         return _has_degree_n_factor(R, n)
-    raise AssertionError("no squarefree shift t found below 40")
+    raise SearchExhausted("no shift t below 40 gives a squarefree R_t of degree n^2")
 
 
 # -- root and discriminant bounds ---------------------------------------------
@@ -763,14 +778,12 @@ def _class_groups(records: list[CensusRecord], cfg: CensusConfig):
 def run_census(curve: HyperellipticCurve, n: int, Y, cfg: CensusConfig = CensusConfig()) -> CensusResult:
     shape = FamilyShape.census_shape(curve.d, n)
     Y = Fraction(Y)
-    box = CoefficientBox.build(shape, Y)
-    if box.cardinality > cfg.box_cap:
-        raise BoxTooLarge(f"box cardinality {box.cardinality} exceeds cap {cfg.box_cap}")
+    box = _capped_box(shape, Y, cfg)
     workers = cfg.workers
     env_threads = os.environ.get("HYPERFIELD_THREADS")
     if env_threads:
         workers = max(1, min(workers, int(env_threads)))
-    records = _collect_records(curve, shape, Y, cfg, workers)
+    records = list(_classify_box(curve, box, cfg, workers))
 
     groups, max_mult = dedupe_gh(records)
     irreducible = [r for r in records if r.status in (IRREDUCIBLE_UNCERTIFIED, SN_CERTIFIED)]
@@ -839,28 +852,6 @@ def run_census(curve: HyperellipticCurve, n: int, Y, cfg: CensusConfig = CensusC
     }
     csv_lines = [_csv_line(r) for r in records]
     return CensusResult(curve=curve, shape=shape, Y=Y, records=records, summary=summary, csv_lines=csv_lines)
-
-
-def _collect_records(curve, shape, Y, cfg, workers) -> list[CensusRecord]:
-    box = CoefficientBox.build(shape, Y)
-    pool = shared_prime_pool(cfg.fingerprint_primes + 10)
-    specs = list(box.specializations())
-    if workers <= 1:
-        return [classify_record(curve, shape, s, pool, cfg) for s in specs]
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunk = max(64, len(specs) // (workers * 8) + 1)
-    chunks = [specs[i : i + chunk] for i in range(0, len(specs), chunk)]
-    out: list[CensusRecord] = []
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        for part in ex.map(_classify_chunk, [(curve, shape, c, pool, cfg) for c in chunks]):
-            out.extend(part)
-    return out
-
-
-def _classify_chunk(args):
-    curve, shape, specs, pool, cfg = args
-    return [classify_record(curve, shape, s, pool, cfg) for s in specs]
 
 
 def _count_disc_slope(class_min_disc) -> float:

@@ -54,7 +54,8 @@ class WitnessFailed(HyperfieldError):
 
 
 class SearchExhausted(HyperfieldError):
-    """normalize_even found no (k, p) below its bounds."""
+    """A bounded search found nothing: normalize_even no (k, p), or
+    isomorphic_exact no squarefree shift t."""
 
 
 class BoxTooLarge(HyperfieldError):

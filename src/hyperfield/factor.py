@@ -8,10 +8,12 @@ keeps subset recombination at <= 2^11 subsets.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
 from . import _kernels as kernels
+from ._kernels.pure import _ddf_blocks, _divmod_mod, _gcd_mod, _mul_mod, _pow_mod, _prep, _reduce, _trim
 from .errors import BadPrime, DegreeCapExceeded, ZeroInput
 from .intpoly import IntPolynomial, discriminant, poly_gcd
 
@@ -23,7 +25,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
@@ -83,9 +85,14 @@ def factor_mod_p(p: IntPolynomial, q: int) -> tuple[int, ...]:
         raise ValueError("factor_mod_p requires degree >= 1")
     if p.lc % q == 0:
         raise BadPrime(f"{q} divides the leading coefficient")
-    if discriminant(p) % q == 0:
-        raise BadPrime(f"{q} divides the discriminant")
-    return tuple(kernels.ddf_degrees(p.coeffs, q))
+    try:
+        return tuple(kernels.ddf_degrees(p.coeffs, q))
+    except ValueError:
+        # With q prime and q not dividing lc, the kernel's squarefree check
+        # fails exactly when q | Disc(p); other refusals pass through.
+        if discriminant(p) % q:
+            raise
+        raise BadPrime(f"{q} divides the discriminant") from None
 
 
 # -- squarefree decomposition (Yun) ----------------------------------------
@@ -120,38 +127,9 @@ def squarefree_decomposition(f: IntPolynomial) -> list[tuple[IntPolynomial, int]
 
 def _factor_mod_full(coeffs, q: int, rng: random.Random) -> list[list[int]]:
     """Monic irreducible factors of coeffs mod q (squarefree mod q, q odd)."""
-    from ._kernels.pure import (
-        _exact_div_mod,
-        _gcd_mod,
-        _monic,
-        _pow_mod,
-        _prep,
-        _rem_mod,
-        _trim,
-    )
-
-    f = _prep(coeffs, q)
-    n = len(f) - 1
     factors: list[list[int]] = []
-    # Distinct-degree stage.
-    stages: list[tuple[list[int], int]] = []
-    h = _rem_mod([0, 1], f, q)
-    k = 0
-    fs = f
-    while len(fs) - 1 >= 2 * (k + 1):
-        k += 1
-        h = _pow_mod(h, q, fs, q)
-        hx = list(h) + [0] * max(0, 2 - len(h))
-        hx[1] = (hx[1] - 1) % q
-        g = _gcd_mod(_trim(hx), fs, q)
-        if len(g) > 1:
-            stages.append((g, k))
-            fs = _exact_div_mod(fs, g, q)
-            h = _rem_mod(h, fs, q)
-    if len(fs) > 1:
-        stages.append((fs, len(fs) - 1))
-    # Equal-degree (Cantor-Zassenhaus) stage.
-    for block, d in stages:
+    # Equal-degree (Cantor-Zassenhaus) splitting of each distinct-degree block.
+    for block, d in _ddf_blocks(_prep(coeffs, q), q):
         work = [block]
         while work:
             w = work.pop()
@@ -174,32 +152,12 @@ def _factor_mod_full(coeffs, q: int, rng: random.Random) -> list[list[int]]:
                 if 0 < len(g) - 1 < len(w) - 1:
                     break
             work.append(g)
-            work.append(_exact_div_mod(w, _monic(g, q), q))
+            work.append(_divmod_mod(w, g, q)[0])
     factors.sort(key=lambda v: (len(v), v))
     return factors
 
 
 # -- Hensel lifting -----------------------------------------------------------
-
-
-def _poly_mod(a: list[int], m: int) -> list[int]:
-    out = [c % m for c in a]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _mul_m(a, b, m):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % m
-    while out and out[-1] == 0:
-        out.pop()
-    return out
 
 
 def _add_m(a, b, m):
@@ -224,41 +182,19 @@ def _sub_m(a, b, m):
     return out
 
 
-def _divmod_monic_m(a, h, m):
-    """divmod by monic h, coefficients mod m."""
-    r = list(a)
-    dh = len(h) - 1
-    q = [0] * max(0, len(r) - dh)
-    while len(r) - 1 >= dh:
-        t = r[-1]
-        shift = len(r) - 1 - dh
-        q[shift] = t
-        if t:
-            for i in range(dh):
-                r[shift + i] = (r[shift + i] - t * h[i]) % m
-        r.pop()
-        while r and r[-1] == 0:
-            r.pop()
-    while q and q[-1] == 0:
-        q.pop()
-    return q, r
-
-
 def _bezout_mod(g, h, q):
     """s, t with s*g + t*h = 1 mod q, deg s < deg h, deg t < deg g."""
-    from ._kernels.pure import _monic, _trim
-
     r0, r1 = list(g), list(h)
     s0, s1 = [1], []
     t0, t1 = [], [1]
     while r1:
         lead = pow(r1[-1], -1, q)
         r1m = [(c * lead) % q for c in r1]
-        qq, rr = _divmod_monic_m(r0, r1m, q)
+        qq, rr = _divmod_mod(r0, r1m, q)
         qq = [(c * lead) % q for c in qq]
         r0, r1 = r1, _trim(rr)
-        s0, s1 = s1, _sub_m(s0, _mul_m(qq, s1, q), q)
-        t0, t1 = t1, _sub_m(t0, _mul_m(qq, t1, q), q)
+        s0, s1 = s1, _sub_m(s0, _mul_mod(qq, s1, q), q)
+        t0, t1 = t1, _sub_m(t0, _mul_mod(qq, t1, q), q)
     if len(r0) != 1:
         raise ValueError("factors not coprime mod q")
     inv = pow(r0[-1], -1, q)
@@ -275,15 +211,15 @@ def _hensel_step(f, g, h, s, t, m, cap):
     deg s < deg h, deg t < deg g. Returns (g, h, s, t, new_modulus).
     """
     m2 = min(m * m, cap)
-    fm = _poly_mod(f, m2)
-    e = _sub_m(fm, _mul_m(g, h, m2), m2)
-    qq, r = _divmod_monic_m(_mul_m(s, e, m2), h, m2)
-    g1 = _add_m(g, _add_m(_mul_m(t, e, m2), _mul_m(qq, g, m2), m2), m2)
+    fm = _reduce(f, m2)
+    e = _sub_m(fm, _mul_mod(g, h, m2), m2)
+    qq, r = _divmod_mod(_mul_mod(s, e, m2), h, m2)
+    g1 = _add_m(g, _add_m(_mul_mod(t, e, m2), _mul_mod(qq, g, m2), m2), m2)
     h1 = _add_m(h, r, m2)
-    b = _sub_m(_add_m(_mul_m(s, g1, m2), _mul_m(t, h1, m2), m2), [1], m2)
-    cc, d = _divmod_monic_m(_mul_m(s, b, m2), h1, m2)
+    b = _sub_m(_add_m(_mul_mod(s, g1, m2), _mul_mod(t, h1, m2), m2), [1], m2)
+    cc, d = _divmod_mod(_mul_mod(s, b, m2), h1, m2)
     s1 = _sub_m(s, d, m2)
-    t1 = _sub_m(t, _add_m(_mul_m(t, b, m2), _mul_m(cc, g1, m2), m2), m2)
+    t1 = _sub_m(t, _add_m(_mul_mod(t, b, m2), _mul_mod(cc, g1, m2), m2), m2)
     return g1, h1, s1, t1, m2
 
 
@@ -296,12 +232,12 @@ def hensel_lift_factors(f_coeffs: list[int], mod_factors: list[list[int]], q: in
     lc = f_coeffs[-1]
     if len(mod_factors) == 1:
         inv = pow(lc % target, -1, target)
-        out = _poly_mod([c * inv for c in f_coeffs], target)
+        out = _reduce([c * inv for c in f_coeffs], target)
         return [out]
     h = mod_factors[0]
     g = [lc % q]
     for u in mod_factors[1:]:
-        g = _mul_m(g, u, q)
+        g = _mul_mod(g, u, q)
     s, t = _bezout_mod(g, h, q)
     m = q
     while m < target:
@@ -357,14 +293,12 @@ def _factor_squarefree(g: IntPolynomial) -> list[IntPolynomial]:
     remaining = list(range(len(lifted)))
     cur = g
     size = 1
-    import itertools
-
     while 2 * size <= len(remaining):
         found = False
         for combo in itertools.combinations(remaining, size):
             prod = [cur.lc % target]
             for i in combo:
-                prod = _mul_m(prod, lifted[i], target)
+                prod = _mul_mod(prod, lifted[i], target)
             cand = IntPolynomial([_center(c, target) for c in prod]).primitive()
             if cand.degree < 1:
                 continue
@@ -453,11 +387,11 @@ def rational_roots(p: IntPolynomial):
         # Lift the pair (sf/(x-r), x-r) and test the centered linear factor.
         h = [(-r) % q, 1]
         fs = [h]
-        gg = _divmod_monic_m([c % q for c in sf.coeffs], h, q)[0]
-        gg = _mul_m(gg, [pow(sf.lc, -1, q)], q)  # monic cofactor mod q
+        gg = _divmod_mod([c % q for c in sf.coeffs], h, q)[0]
+        gg = _mul_mod(gg, [pow(sf.lc, -1, q)], q)  # monic cofactor mod q
         lifted = hensel_lift_factors(list(sf.coeffs), [h, gg], q, target)
         lin = lifted[0]
-        cand = IntPolynomial([_center(c, target) for c in _mul_m([sf.lc % target], lin, target)]).primitive()
+        cand = IntPolynomial([_center(c, target) for c in _mul_mod([sf.lc % target], lin, target)]).primitive()
         if cand.degree == 1 and cand.divides(sf):
             roots.append(Fraction(-cand[0], cand[1]))
     roots.sort()

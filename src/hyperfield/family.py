@@ -33,7 +33,7 @@ from .errors import (
     WitnessFailed,
 )
 from .factor import is_prime, primes_from
-from .intpoly import IntPolynomial, RatPolynomial, discriminant, rat_gcd, scale_x, squarefree, translate
+from .intpoly import IntPolynomial, discriminant, resultant, scale_x, squarefree, translate
 from .newton import (
     CycleCertificate,
     NewtonPolygon,
@@ -143,17 +143,16 @@ def build_family_member(curve: HyperellipticCurve, shape: FamilyShape, s: Specia
     return F
 
 
-def point_residue(curve: HyperellipticCurve, shape: FamilyShape, s: Specialization) -> RatPolynomial:
-    """(g^2 - f h^2) reduced mod F over Q: identically zero, the symbolic
-    check that (alpha, g(alpha)/h(alpha)) lies on the curve."""
+def check_point_map(curve: HyperellipticCurve, shape: FamilyShape, s: Specialization) -> IntPolynomial:
+    """F for s, once x -> (x, g(x)/h(x)) is shown to be defined at every
+    root of F: Res(F, h) != 0. At a root alpha, F(alpha) = 0 then gives
+    g(alpha)^2 = f(alpha) h(alpha)^2 with h(alpha) != 0, so the point
+    (alpha, g(alpha)/h(alpha)) lies on the curve."""
     F = build_family_member(curve, shape, s)
     h = s.h_poly(shape)
-    if rat_gcd(RatPolynomial.from_int(F), RatPolynomial.from_int(h)).degree != 0:
-        raise NonCoprimeH("gcd(F, h) is nonconstant; the point map is undefined")
-    g = s.g_poly(shape)
-    raw = RatPolynomial.from_int(g.square() - curve.f * h.square())
-    _, r = divmod(raw, RatPolynomial.from_int(F))
-    return r
+    if h.is_zero() or resultant(F, h) == 0:
+        raise NonCoprimeH("h vanishes at a root of F; the point map is undefined there")
+    return F
 
 
 # -- recipes ------------------------------------------------------------------

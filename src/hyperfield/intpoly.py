@@ -1,4 +1,4 @@
-"""Dense exact univariate polynomial arithmetic over Z and Q.
+"""Dense exact univariate polynomial arithmetic over Z.
 
 Polynomials are immutable tuples of coefficients in ascending degree:
 ``(1, 1, 0, 1)`` is x^3 + x + 1, and the zero polynomial is the empty
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import PolyParseError, ZeroInput, ZeroScale
@@ -356,97 +355,6 @@ def squarefree(p: IntPolynomial) -> bool:
     if p.degree < 1:
         raise ValueError("squarefree check requires degree >= 1")
     return poly_gcd(p, p.derivative()).degree == 0
-
-
-# -- rational polynomials --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RatPolynomial:
-    """Polynomial over Q; coefficients are normalized Fractions."""
-
-    coeffs: tuple[Fraction, ...]
-
-    def __init__(self, coeffs: Iterable = ()):
-        object.__setattr__(self, "coeffs", _trim(Fraction(c) for c in coeffs))
-
-    @classmethod
-    def from_int(cls, p: IntPolynomial) -> "RatPolynomial":
-        return cls(p.coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def lc(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
-
-    def __add__(self, other: "RatPolynomial") -> "RatPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RatPolynomial(out)
-
-    def __sub__(self, other: "RatPolynomial") -> "RatPolynomial":
-        out = list(self.coeffs) + [Fraction(0)] * max(0, len(other.coeffs) - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            out[i] -= c
-        return RatPolynomial(out)
-
-    def __mul__(self, other) -> "RatPolynomial":
-        if not isinstance(other, RatPolynomial):
-            return RatPolynomial(c * Fraction(other) for c in self.coeffs)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return RatPolynomial()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return RatPolynomial(out)
-
-    __rmul__ = __mul__
-
-    def __divmod__(self, other: "RatPolynomial") -> tuple["RatPolynomial", "RatPolynomial"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        r = list(self.coeffs)
-        d = other.coeffs
-        q = [Fraction(0)] * max(0, len(r) - len(d) + 1)
-        while len(r) >= len(d):
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) < len(d):
-                break
-            t = r[-1] / d[-1]
-            shift = len(r) - len(d)
-            q[shift] = t
-            for i, c in enumerate(d):
-                r[shift + i] -= t * c
-            r.pop()
-        return RatPolynomial(q), RatPolynomial(r)
-
-    def monic(self) -> "RatPolynomial":
-        if self.is_zero():
-            return self
-        inv = 1 / self.lc
-        return RatPolynomial(c * inv for c in self.coeffs)
-
-
-def rat_gcd(a: RatPolynomial, b: RatPolynomial) -> RatPolynomial:
-    """Monic gcd over Q."""
-    while not b.is_zero():
-        _, r = divmod(a, b)
-        a, b = b, r
-    return a.monic() if not a.is_zero() else a
 
 
 # -- text format -----------------------------------------------------------

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
+from hyperfield import census
 from hyperfield.census import (
     IRREDUCIBLE_UNCERTIFIED,
     REDUCIBLE,
@@ -25,7 +27,7 @@ from hyperfield.census import (
     run_census,
     shared_prime_pool,
 )
-from hyperfield.errors import BoxTooLarge, DegreeCapExceeded, HypothesisViolated, NonMonic
+from hyperfield.errors import BoxTooLarge, DegreeCapExceeded, HypothesisViolated, NonMonic, SearchExhausted
 from hyperfield.family import FamilyShape, HyperellipticCurve
 from hyperfield.intpoly import IntPolynomial, translate
 
@@ -33,6 +35,21 @@ P = IntPolynomial
 C3 = HyperellipticCurve(P((1, 1, 0, 1)))
 C5 = HyperellipticCurve(P((1, -1, 0, 0, 0, 1)))
 C6 = HyperellipticCurve(P((3, 1, 0, 0, 0, 0, 1)))
+X, Yv = sympy.symbols("x y")
+
+
+def _sym(coeffs, var=X):
+    return sum(c * var**i for i, c in enumerate(coeffs))
+
+
+def f_from_spec(curve, shape, csv_line):
+    """g^2 - f*h^2 expanded by sympy from a CSV row's spec_a and spec_b
+    columns, in the CSV's F_coeffs format."""
+    spec_a, spec_b = csv_line.split(";")[:2]
+    g = [int(c) for c in spec_a.split(",") if c] + ([1] if shape.monic_g else [])
+    h = [int(c) for c in spec_b.split(",") if c] + ([1] if shape.monic_h else [])
+    F = sympy.Poly(_sym(g) ** 2 - _sym(curve.f.coeffs) * _sym(h) ** 2, X)
+    return ",".join(str(int(c)) for c in reversed(F.all_coeffs()))
 
 
 class TestFloorPow:
@@ -211,6 +228,26 @@ class TestIsomorphicExact:
     def test_cap(self):
         with pytest.raises(DegreeCapExceeded):
             isomorphic_exact(P([1] * 8 + [1]), P([2] * 8 + [1]), cap=6)
+
+    @pytest.mark.parametrize(
+        "F1, F2, t",
+        [
+            ((-2, 0, 1), (-8, 0, 1), 1),
+            ((1, 1, 0, 1), (5, 4, 3, 1), 2),
+            ((1, 0, 0, 0, 1), (2, -1, 0, 3, 1), 3),
+            ((1, 1, 0, 1), (-7, 0, 0, 0, 0, 0, 1), 1),
+        ],
+    )
+    def test_resultant_in_x_matches_sympy(self, F1, F2, t):
+        want = sympy.Poly(sympy.resultant(_sym(F1, Yv), _sym(F2, X + t * Yv), Yv), X)
+        got = census._resultant_in_x(P(F1), P(F2), t)
+        assert list(got.coeffs) == [int(c) for c in reversed(want.all_coeffs())]
+
+    def test_no_squarefree_shift_is_search_exhausted(self, monkeypatch):
+        # R_t of the wrong degree at every shift: the search gives up typed.
+        monkeypatch.setattr(census, "_resultant_in_x", lambda F1, F2, t: P((1, 1)))
+        with pytest.raises(SearchExhausted):
+            isomorphic_exact(P((1, 1, 0, 1)), P((1, 2, 0, 1)))
 
     def test_consistent_with_fingerprints(self):
         pool = shared_prime_pool(60)
@@ -391,12 +428,15 @@ class TestRunCensus:
         assert base.summary == multi.summary
 
     def test_all_sn_have_zero_residue(self):
-        from hyperfield.family import point_residue
+        # The CSV's F minus g^2 - f h^2 rebuilt from its spec is zero, and
+        # the point map is defined on every S_n-certified member.
+        from hyperfield.family import check_point_map
 
         res = run_census(C3, 3, 4)
-        for r in res.records:
+        for r, line in zip(res.records, res.csv_lines):
+            assert line.split(";")[2] == f_from_spec(C3, res.shape, line)
             if r.status == SN_CERTIFIED:
-                assert point_residue(C3, res.shape, r.spec).is_zero()
+                assert check_point_map(C3, res.shape, r.spec) == r.F
 
     def test_class_ids_assigned(self):
         res = run_census(C3, 3, 4)
@@ -407,16 +447,17 @@ class TestRunCensus:
                 assert r.class_id is None
 
     def test_even_degree_census(self):
-        from hyperfield.family import point_residue
+        from hyperfield.family import check_point_map
 
         res = run_census(C6, 8, 1)
         s = res.summary
         assert s["diagnostics"]["box_cardinality"] == 3**5 == len(res.records)
         assert s["counts"]["sn_certified"] > 0
         assert s["diagnostics"]["h_zero_members"] == 3**4
-        for r in res.records[:40]:
+        for r, line in zip(res.records[:40], res.csv_lines):
+            assert line.split(";")[2] == f_from_spec(C6, res.shape, line)
             if r.status == SN_CERTIFIED:
-                assert point_residue(C6, res.shape, r.spec).is_zero()
+                assert check_point_map(C6, res.shape, r.spec) == r.F
 
     def test_quartic_curve_census(self):
         c4 = HyperellipticCurve(P((1, 0, 0, 0, 1)))

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from hyperfield.errors import (
     DegreeDrop,
@@ -29,8 +30,8 @@ from hyperfield.family import (
     build_family_member,
     check_admissible,
     find_admissible_prime,
+    check_point_map,
     normalize_even,
-    point_residue,
     select_bertrand_prime,
     verify_witness,
     witness,
@@ -43,6 +44,12 @@ P = IntPolynomial
 C3 = HyperellipticCurve(P((1, 1, 0, 1)))       # y^2 = x^3 + x + 1
 C5 = HyperellipticCurve(P((1, -1, 0, 0, 0, 1)))  # y^2 = x^5 - x + 1
 C6 = HyperellipticCurve(P((3, 1, 0, 0, 0, 0, 1)))  # y^2 = x^6 + x + 3
+
+X = sympy.Symbol("x")
+
+
+def _sym(coeffs):
+    return sum(c * X**i for i, c in enumerate(coeffs))
 
 
 class TestCurve:
@@ -100,18 +107,36 @@ class TestBuildMember:
 
 class TestPointResidue:
     def test_zero_for_valid_members(self):
+        # F - (g^2 - f h^2) is zero, with the right side expanded by sympy,
+        # and the point map is refused exactly when sympy finds gcd(F, h) != 1.
         rng = random.Random(0)
-        sh = FamilyShape.census_shape(3, 4)
-        for _ in range(100):
-            s = Specialization(
-                (rng.randint(-4, 4), rng.randint(-4, 4)), (rng.choice([-2, -1, 1, 2]),)
-            )
-            assert point_residue(C3, sh, s).is_zero()
+        refused = 0
+        for n in (4, 5):
+            sh = FamilyShape.census_shape(3, n)
+            for _ in range(100):
+                s = Specialization(
+                    tuple(rng.randint(-4, 4) for _ in range(sh.a_len)),
+                    tuple(rng.choice([-2, -1, 1, 2]) for _ in range(sh.b_len)),
+                )
+                g, h = _sym(s.g_poly(sh).coeffs), _sym(s.h_poly(sh).coeffs)
+                want = sympy.Poly(g**2 - _sym(C3.f.coeffs) * h**2, X)
+                shared = sympy.degree(sympy.gcd(want.as_expr(), h), X) > 0
+                try:
+                    F = check_point_map(C3, sh, s)
+                except NonCoprimeH:
+                    assert shared, s
+                    refused += 1
+                    continue
+                assert not shared, s
+                assert list(F.coeffs) == [int(c) for c in reversed(want.all_coeffs())]
+        assert refused > 0
 
     def test_noncoprime_raises(self):
         sh = FamilyShape.proof_shape(3, 5)
         with pytest.raises(NonCoprimeH):
-            point_residue(C3, sh, Specialization((0, 0, 1), (0, 1)))
+            check_point_map(C3, sh, Specialization((0, 0, 1), (0, 1)))
+        with pytest.raises(NonCoprimeH):  # h = 0: no point at all
+            check_point_map(C3, FamilyShape.census_shape(3, 4), Specialization((1, 1), (0,)))
 
 
 class TestBertrand:
