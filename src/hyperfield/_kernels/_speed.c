@@ -1,0 +1,337 @@
+/* Compiled mod-p polynomial kernels; the same contract as pure.py.
+ *
+ * Polynomials are arrays of residues in [0, p), ascending in degree, with
+ * a nonzero top coefficient (length 0 is the zero polynomial). Any
+ * modulus p < 2^63 is accepted: residues and their sums fit 64 bits and
+ * products are reduced in 128 bits. A larger p raises OverflowError,
+ * which the loader in __init__.py answers by calling pure.py. Each step
+ * mirrors pure.py, so results and ValueError messages agree with it even
+ * for composite moduli, where a leading coefficient may not be invertible.
+ *
+ * __init__.py compiles this file on first import:
+ *     cc -O2 -shared -fPIC -I<Python include> _speed.c -o <cache file>
+ */
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#include <stdint.h>
+#include <string.h>
+
+typedef uint64_t u64;
+typedef unsigned __int128 u128;
+
+static const char NOT_INVERTIBLE[] = "base is not invertible for the given modulus";
+
+static inline u64 mulm(u64 a, u64 b, u64 p) { return p >> 32 ? (u64)((u128)a * b % p) : a * b % p; }
+static inline u64 subm(u64 a, u64 b, u64 p) { return a >= b ? a - b : a + (p - b); }
+static inline u64 addm(u64 a, u64 b, u64 p) { return subm(a, p - b, p); }
+
+static Py_ssize_t trim(const u64 *a, Py_ssize_t n)
+{
+    while (n > 0 && a[n - 1] == 0)
+        n--;
+    return n;
+}
+
+/* a^-1 mod p, or 0 when gcd(a, p) != 1. */
+static u64 inv_mod(u64 a, u64 p)
+{
+    int64_t t = 0, nt = 1, tmp;
+    u64 r = p, nr = a, q, rtmp;
+    while (nr) {
+        q = r / nr;
+        tmp = t - (int64_t)q * nt, t = nt, nt = tmp;
+        rtmp = r - q * nr, r = nr, nr = rtmp;
+    }
+    if (r != 1)
+        return 0;
+    return t < 0 ? (u64)(t + (int64_t)p) : (u64)t;
+}
+
+/* Scales a to a monic polynomial in place; -1 (error set) if its
+ * leading coefficient is not invertible mod p. */
+static int make_monic(u64 *a, Py_ssize_t n, u64 p)
+{
+    u64 inv;
+    if (n == 0 || a[n - 1] == 1)
+        return 0;
+    if (!(inv = inv_mod(a[n - 1], p))) {
+        PyErr_SetString(PyExc_ValueError, NOT_INVERTIBLE);
+        return -1;
+    }
+    for (Py_ssize_t i = 0; i < n; i++)
+        a[i] = mulm(a[i], inv, p);
+    return 0;
+}
+
+/* out = a * b; out has room for la + lb - 1 and aliases neither. */
+static Py_ssize_t mul(const u64 *a, Py_ssize_t la, const u64 *b, Py_ssize_t lb, u64 *out, u64 p)
+{
+    if (la == 0 || lb == 0)
+        return 0;
+    memset(out, 0, (la + lb - 1) * sizeof *out);
+    for (Py_ssize_t i = 0; i < la; i++)
+        if (a[i])
+            for (Py_ssize_t j = 0; j < lb; j++)
+                out[i + j] = addm(out[i + j], mulm(a[i], b[j], p), p);
+    return trim(out, la + lb - 1);
+}
+
+/* r mod f in place, for monic f; returns the remainder's length. With q
+ * non-NULL the quotient goes there (room for lr - lf + 1, aliasing nothing). */
+static Py_ssize_t divide(u64 *r, Py_ssize_t lr, const u64 *f, Py_ssize_t lf, u64 *q, u64 p)
+{
+    Py_ssize_t df = lf - 1, lq = lr - df;
+    if (q && lq > 0)
+        memset(q, 0, lq * sizeof *q);
+    while (lr - 1 >= df) {
+        u64 t = r[lr - 1];
+        Py_ssize_t shift = lr - 1 - df;
+        if (q)
+            q[shift] = t;
+        if (t)
+            for (Py_ssize_t i = 0; i < df; i++)
+                r[shift + i] = subm(r[shift + i], mulm(t, f[i], p), p);
+        lr = trim(r, lr - 1);
+    }
+    return lr;
+}
+
+/* Scratch buffers of one call, 2n + 2 residues each for n coefficients. */
+typedef struct {
+    u64 p, *f, *h, *g, *t, *u, *v, *w;
+} Work;
+
+/* Monic gcd(a, b) into out, or -1 (error set); a and b may alias out. */
+static Py_ssize_t gcd(const u64 *a, Py_ssize_t la, const u64 *b, Py_ssize_t lb, u64 *out, Work *k)
+{
+    u64 *x = k->u, *y = k->v, *s;
+    Py_ssize_t n;
+    memcpy(x, a, la * sizeof *x);
+    memcpy(y, b, lb * sizeof *y);
+    while (lb) {
+        if (make_monic(y, lb, k->p) < 0)
+            return -1;
+        la = divide(x, la, y, lb, NULL, k->p);
+        s = x, x = y, y = s;
+        n = la, la = lb, lb = n;
+    }
+    if (make_monic(x, la, k->p) < 0)
+        return -1;
+    memcpy(out, x, la * sizeof *x);
+    return la;
+}
+
+/* a^e mod (f, p) into out, for monic f; a may alias out. */
+static Py_ssize_t pow_mod(const u64 *a, Py_ssize_t la, u64 e, const u64 *f, Py_ssize_t lf, u64 *out, Work *k)
+{
+    u64 *base = k->u, *w = k->v;
+    Py_ssize_t lb, lo = 1, lw;
+    memcpy(base, a, la * sizeof *base);
+    lb = divide(base, la, f, lf, NULL, k->p);
+    out[0] = 1;
+    for (; e; e >>= 1) {
+        if (e & 1) {
+            lw = mul(out, lo, base, lb, w, k->p);
+            lo = divide(w, lw, f, lf, NULL, k->p);
+            memcpy(out, w, lo * sizeof *w);
+        }
+        if (e > 1) {
+            lw = mul(base, lb, base, lb, w, k->p);
+            lb = divide(w, lw, f, lf, NULL, k->p);
+            memcpy(base, w, lb * sizeof *w);
+        }
+    }
+    return lo;
+}
+
+/* gcd(h - x, f) into k->g, or -1 (error set). */
+static Py_ssize_t gcd_minus_x(const u64 *h, Py_ssize_t lh, const u64 *f, Py_ssize_t lf, Work *k)
+{
+    Py_ssize_t lt = lh > 2 ? lh : 2;
+    memset(k->t, 0, lt * sizeof *k->t);
+    memcpy(k->t, h, lh * sizeof *h);
+    k->t[1] = subm(k->t[1], 1, k->p);
+    return gcd(k->t, trim(k->t, lt), f, lf, k->g, k);
+}
+
+/* Sets k->p from the Python int p: -1 with ValueError if p < 2, with
+ * OverflowError if p >= 2^63. */
+static int set_modulus(Work *k, PyObject *p)
+{
+    int overflow;
+    long long v = PyLong_AsLongLongAndOverflow(p, &overflow);
+    if (v == -1 && PyErr_Occurred())
+        return -1;
+    if (overflow > 0) {
+        PyErr_SetString(PyExc_OverflowError, "modulus too large for the compiled kernel");
+        return -1;
+    }
+    if (overflow < 0 || v < 2) {
+        PyErr_SetString(PyExc_ValueError, "modulus must be a prime >= 2");
+        return -1;
+    }
+    k->p = (u64)v;
+    return 0;
+}
+
+/* pure._prep: coeffs (a PySequence_Fast) reduced mod p into k->f, checked
+ * and made monic. Returns the length, or -1 (error set). */
+static Py_ssize_t prep(PyObject *coeffs, PyObject *p, Work *k)
+{
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(coeffs);
+    PyObject **items = PySequence_Fast_ITEMS(coeffs);
+    if (set_modulus(k, p) < 0)
+        return -1;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        int overflow;
+        long long v = PyLong_AsLongLongAndOverflow(items[i], &overflow);
+        if (v == -1 && PyErr_Occurred())
+            return -1;
+        if (!overflow) {
+            k->f[i] = v >= 0 ? (u64)v % k->p : k->p - 1 - (u64)(-(v + 1)) % k->p;
+        } else {
+            PyObject *r = PyNumber_Remainder(items[i], p);
+            if (!r)
+                return -1;
+            k->f[i] = PyLong_AsUnsignedLongLong(r);
+            Py_DECREF(r);
+            if (PyErr_Occurred())
+                return -1;
+        }
+    }
+    if (n == 0 || k->f[n - 1] == 0) {
+        PyErr_SetString(PyExc_ValueError, "leading coefficient divisible by p");
+        return -1;
+    }
+    return make_monic(k->f, n, k->p) < 0 ? -1 : n;
+}
+
+/* pure.ddf_degrees on k: the descending factor degrees as a new list. */
+static PyObject *ddf(PyObject *coeffs, PyObject *p, Work *k)
+{
+    Py_ssize_t lf = prep(coeffs, p, k), lh, lg, nd = 0;
+    u64 *f = k->f, *h = k->h, *g = k->g, *t = k->t, *degs = k->w;
+    PyObject *out;
+    if (lf < 0)
+        return NULL;
+    if (lf == 1) {
+        PyErr_SetString(PyExc_ValueError, "constant polynomial mod p");
+        return NULL;
+    }
+    for (Py_ssize_t i = 1; i < lf; i++)
+        h[i - 1] = mulm((u64)i % k->p, f[i], k->p);
+    if ((lg = gcd(f, lf, h, trim(h, lf - 1), g, k)) < 0)
+        return NULL;
+    if (lg != 1) {
+        PyErr_SetString(PyExc_ValueError, "not squarefree mod p");
+        return NULL;
+    }
+    /* Distinct-degree factorization: h = x^(p^d) mod f, and gcd(h - x, f)
+     * is the product of the factors of degree d, divided out of f. */
+    h[0] = 0, h[1] = 1;
+    lh = divide(h, 2, f, lf, NULL, k->p);
+    for (Py_ssize_t d = 1; lf - 1 >= 2 * d; d++) {
+        lh = pow_mod(h, lh, k->p, f, lf, h, k);
+        if ((lg = gcd_minus_x(h, lh, f, lf, k)) < 0)
+            return NULL;
+        if (lg > 1) {
+            for (Py_ssize_t c = (lg - 1) / d; c > 0; c--)
+                degs[nd++] = d;
+            memcpy(t, f, lf * sizeof *f);
+            divide(t, lf, g, lg, f, k->p);
+            lf = trim(f, lf - lg + 1);
+            lh = divide(h, lh, f, lf, NULL, k->p);
+        }
+    }
+    if (lf > 1)
+        degs[nd++] = lf - 1;
+    if (!(out = PyList_New(nd)))
+        return NULL;
+    /* Degrees were found in ascending order except possibly the last. */
+    for (Py_ssize_t i = nd - 1; i > 0 && degs[i] < degs[i - 1]; i--) {
+        u64 s = degs[i];
+        degs[i] = degs[i - 1], degs[i - 1] = s;
+    }
+    for (Py_ssize_t i = 0; i < nd; i++) {
+        PyObject *d = PyLong_FromUnsignedLongLong(degs[nd - 1 - i]);
+        if (!d) {
+            Py_DECREF(out);
+            return NULL;
+        }
+        PyList_SET_ITEM(out, i, d);
+    }
+    return out;
+}
+
+/* pure.splitting_types on k: ddf at each of primes, as a new list. */
+static PyObject *types(PyObject *coeffs, PyObject *primes, Work *k)
+{
+    PyObject *ps = PySequence_Fast(primes, "primes must be a sequence"), *out;
+    if (!ps)
+        return NULL;
+    out = PyList_New(PySequence_Fast_GET_SIZE(ps));
+    for (Py_ssize_t j = 0; out && j < PySequence_Fast_GET_SIZE(ps); j++) {
+        PyObject *type = ddf(coeffs, PySequence_Fast_GET_ITEM(ps, j), k);
+        if (!type)
+            Py_CLEAR(out);
+        else
+            PyList_SET_ITEM(out, j, type);
+    }
+    Py_DECREF(ps);
+    return out;
+}
+
+/* Runs body(coeffs as a PySequence_Fast, arg, work) with scratch space
+ * for its length. */
+static PyObject *with_work(PyObject *args, const char *format, PyObject *(*body)(PyObject *, PyObject *, Work *))
+{
+    PyObject *coeffs, *arg, *seq, *out = NULL;
+    Py_ssize_t width;
+    Work k;
+    u64 *buf;
+    if (!PyArg_ParseTuple(args, format, &coeffs, &arg))
+        return NULL;
+    if (!(seq = PySequence_Fast(coeffs, "coefficients must be a sequence")))
+        return NULL;
+    width = 2 * PySequence_Fast_GET_SIZE(seq) + 2;
+    if (!(buf = PyMem_Calloc(7 * width, sizeof *buf))) {
+        PyErr_NoMemory();
+    } else {
+        k.f = buf, k.h = buf + width, k.g = buf + 2 * width, k.t = buf + 3 * width;
+        k.u = buf + 4 * width, k.v = buf + 5 * width, k.w = buf + 6 * width;
+        out = body(seq, arg, &k);
+        PyMem_Free(buf);
+    }
+    Py_DECREF(seq);
+    return out;
+}
+
+static PyObject *ddf_degrees(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    return with_work(args, "OO:ddf_degrees", ddf);
+}
+
+static PyObject *splitting_types(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    return with_work(args, "OO:splitting_types", types);
+}
+
+static PyMethodDef methods[] = {
+    {"ddf_degrees", ddf_degrees, METH_VARARGS,
+     "Degrees of the irreducible factors of coeffs mod p, descending."},
+    {"splitting_types", splitting_types, METH_VARARGS,
+     "[ddf_degrees(coeffs, p) for p in primes], in one call."},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module = {
+    PyModuleDef_HEAD_INIT, "_speed", "Compiled mod-p polynomial kernels.", -1, methods,
+};
+
+PyMODINIT_FUNC PyInit__speed(void)
+{
+    PyObject *m = PyModule_Create(&module);
+    if (m && PyModule_AddStringConstant(m, "BACKEND", "c") < 0)
+        Py_CLEAR(m);
+    return m;
+}

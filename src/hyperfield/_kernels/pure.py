@@ -1,9 +1,9 @@
 """Pure-Python mod-p polynomial kernels.
 
-Same contract as the compiled backend in ``_speed.pyx``; polynomials are
-lists of ints ascending in degree, primes fit a machine word. These
-routines are the hot path of the census (irreducibility screening and
-splitting-type fingerprints), so they stay allocation-light.
+Same contract as the compiled backend in ``_speed.c``; polynomials are
+lists of ints ascending in degree, moduli are Python ints of any size.
+These routines are the hot path of the census (irreducibility screening
+and splitting-type fingerprints), so they stay allocation-light.
 
 The private helpers are also the package's one mod-m polynomial toolkit:
 ``_reduce``, ``_mul_mod`` and ``_divmod_mod`` take any modulus m >= 2
@@ -108,6 +108,11 @@ def ddf_degrees(coeffs, p: int) -> list[int]:
     return degs
 
 
+def splitting_types(coeffs, primes) -> list[list[int]]:
+    """ddf_degrees of coeffs at each prime, in order."""
+    return [ddf_degrees(coeffs, p) for p in primes]
+
+
 def _ddf_blocks(f: list[int], p: int) -> list[tuple[list[int], int]]:
     """Distinct-degree factorization of monic f, squarefree mod p.
 
@@ -147,48 +152,6 @@ def _divmod_mod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int
         r.pop()
         _trim(r)
     return _trim(q), r
-
-
-def irreducible_mod_p(coeffs, p: int) -> bool:
-    """Rabin irreducibility test mod p (no squarefreeness precondition).
-
-    f of degree n is irreducible iff x^(p^n) == x mod f and
-    gcd(x^(p^(n/q)) - x, f) = 1 for every prime q | n.
-    """
-    f = _prep(coeffs, p)
-    n = len(f) - 1
-    if n == 0:
-        raise ValueError("constant polynomial mod p")
-    if n == 1:
-        return True
-    qs = _prime_divisors(n)
-    # frob[k] = x^(p^k) mod f, built by iterated Frobenius.
-    h = _rem_mod([0, 1], f, p)
-    frob = [h]
-    for _ in range(n):
-        frob.append(_pow_mod(frob[-1], p, f, p))
-    for q in qs:
-        hx = list(frob[n // q]) + [0] * max(0, 2 - len(frob[n // q]))
-        hx[1] = (hx[1] - 1) % p
-        if _gcd_mod(_trim(list(hx)), f, p) != [1]:
-            return False
-    top = list(frob[n]) + [0] * max(0, 2 - len(frob[n]))
-    top[1] = (top[1] - 1) % p
-    return not _trim(list(top))
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def roots_mod_p(coeffs, p: int) -> list[int]:

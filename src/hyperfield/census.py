@@ -224,8 +224,12 @@ def fingerprint(F: IntPolynomial, pool: list[int], count: int = 50) -> FieldFing
     bad = abs(F.lc) * abs(discriminant(F))
     if bad == 0:
         raise ValueError("fingerprint requires a squarefree polynomial")
-    entries = tuple((p, tuple(kernels.ddf_degrees(F.coeffs, p))) for p in _good_pool_primes(bad, pool, count))
-    return FieldFingerprint(degree=F.degree, entries=entries)
+    return FieldFingerprint(degree=F.degree, entries=_splitting_entries(F, _good_pool_primes(bad, pool, count)))
+
+
+def _splitting_entries(F: IntPolynomial, primes: list[int]) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(p, splitting type of F mod p) for each good prime p, from one kernel call."""
+    return tuple(zip(primes, map(tuple, kernels.splitting_types(F.coeffs, primes))))
 
 
 # -- census records and classification ----------------------------------------
@@ -285,14 +289,11 @@ def classify_record(
     if disc_F == 0:
         return CensusRecord(s, F, 0, REDUCIBLE)
     good = _good_pool_primes(abs(F.lc) * abs(disc_F), pool, cfg.fingerprint_primes)
+    # Two kernel calls: the screening primes, then (for irreducible F only)
+    # the rest of the fingerprint, which a reducible F never needs.
+    entries = _splitting_entries(F, good[: cfg.irreducibility_primes])
 
-    partitions: dict[int, tuple[int, ...]] = {}
-    irreducible = False
-    for q in good[: cfg.irreducibility_primes]:
-        partitions[q] = tuple(kernels.ddf_degrees(F.coeffs, q))
-        if partitions[q] == (n,):
-            irreducible = True
-            break
+    irreducible = any(t == (n,) for _, t in entries)
     if not irreducible:
         irreducible = _np_irreducible(F, cfg.polygon_primes)
     if not irreducible:
@@ -305,11 +306,9 @@ def classify_record(
             return CensusRecord(s, F, disc_F, REDUCIBLE)
         irreducible = True
 
-    for q in good:
-        if q not in partitions:
-            partitions[q] = tuple(kernels.ddf_degrees(F.coeffs, q))
-    fp = FieldFingerprint(degree=n, entries=tuple((q, partitions[q]) for q in good))
-    evidence = [(partitions[q], f"frobenius p={q}") for q in good]
+    entries += _splitting_entries(F, good[cfg.irreducibility_primes :])
+    fp = FieldFingerprint(degree=n, entries=entries)
+    evidence = [(t, f"frobenius p={q}") for q, t in entries]
     cert = recognize_sn(n, evidence, transitive=True)
     status = SN_CERTIFIED if cert.conclusion == SN else IRREDUCIBLE_UNCERTIFIED
     return CensusRecord(s, F, disc_F, status, fingerprint=fp, group_certificate=cert)

@@ -88,10 +88,8 @@ def factor_mod_p(p: IntPolynomial, q: int) -> tuple[int, ...]:
     try:
         return tuple(kernels.ddf_degrees(p.coeffs, q))
     except ValueError:
-        # With q prime and q not dividing lc, the kernel's squarefree check
-        # fails exactly when q | Disc(p); other refusals pass through.
-        if discriminant(p) % q:
-            raise
+        # With q prime and q not dividing lc, the kernel's only refusal is
+        # "not squarefree mod q", which happens exactly when q | Disc(p).
         raise BadPrime(f"{q} divides the discriminant") from None
 
 

@@ -15,6 +15,7 @@ and [2,1,1]); it contributes transitivity only.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -235,20 +236,20 @@ class GroupCertificate:
         }
 
 
-def usable_cycle_lengths(t: CycleType) -> set[int]:
+@functools.lru_cache(maxsize=4096)
+def usable_cycle_lengths(t: CycleType) -> frozenset[int]:
     """Parts isolable as clean cycles by powering.
 
     A part l > 1 qualifies when it appears once and is coprime to every
     other nontrivial part; raising to the lcm of the others then kills
-    them and leaves the l-cycle intact.
+    them and leaves the l-cycle intact. Memoised per cycle type: a census
+    asks about the same few types for every record.
     """
-    out = set()
     nontrivial = [x for x in t if x > 1]
-    for i, l in enumerate(nontrivial):
-        others = nontrivial[:i] + nontrivial[i + 1 :]
-        if all(math.gcd(l, o) == 1 for o in others):
-            out.add(l)
-    return out
+    return frozenset(
+        l for i, l in enumerate(nontrivial)
+        if all(math.gcd(l, o) == 1 for o in nontrivial[:i] + nontrivial[i + 1 :])
+    )
 
 
 def recognize_sn(n: int, evidence, transitive: bool) -> GroupCertificate:

@@ -1,11 +1,14 @@
 import functools
 import operator
+import os
 import random
+import shutil
 from fractions import Fraction
 
 import pytest
 import sympy
 
+from hyperfield import _kernels
 from hyperfield._kernels import pure
 from hyperfield.errors import BadPrime, DegreeCapExceeded
 from hyperfield.factor import (
@@ -80,39 +83,71 @@ class TestFactorModP:
 
 
 class TestKernelParity:
+    """pure.py and the compiled C kernel keep one contract: the same
+    results, and the same ValueError messages, for every modulus."""
+
+    # primes on both sides of 2^31 and below 2^62 and 2^63, composites,
+    # and moduli below 2
+    MODULI = [2, 3, 5, 7, 11, 101, 997, 65537, 2**31 - 1, 2**31 + 11, 2**62 - 57, 2**63 - 25, 4, 6, 9, 15, 1, 0, -7]
+
+    @staticmethod
+    def _compiled():
+        if shutil.which("cc") is None or not os.path.exists(os.path.join(_kernels._INCLUDE, "Python.h")):
+            pytest.skip("no C compiler on PATH or no Python headers")
+        compiled = _kernels.load_compiled()
+        assert compiled is not None, "a C compiler and Python.h exist but _speed.c did not compile or load"
+        if not os.environ.get("HYPERFIELD_PURE"):
+            assert _kernels.BACKEND == "c"
+        return compiled
+
+    @staticmethod
+    def _outcome(kernel, *args):
+        try:
+            return kernel(*args)
+        except ValueError as e:
+            return ("ValueError", str(e))
+
+    def _random_poly(self, rng, q):
+        bits = rng.choice([6, 6, 70, 130])  # coefficients beyond 64 bits too
+        f = [rng.randint(-(2**bits), 2**bits) for _ in range(rng.randint(0, 11))]
+        return f + [rng.choice([1, 2, 3, -1, q])]
+
     def test_pure_matches_compiled(self):
-        from hyperfield import _kernels
-
-        if _kernels.BACKEND != "cython":
-            pytest.skip("compiled backend not built")
-        from hyperfield._kernels import _speed
-
+        compiled = self._compiled()
         rng = random.Random(2)
-        for trial in range(1500):
-            q = rng.choice([2, 3, 5, 7, 11, 101, 997, 65537])
-            f = [rng.randint(-50, 50) for _ in range(rng.randint(1, 11))] + [rng.choice([1, 2, 3, -1])]
-            try:
-                a = pure.ddf_degrees(f, q)
-                erra = None
-            except ValueError as e:
-                a, erra = None, type(e)
-            try:
-                b = _speed.ddf_degrees(f, q)
-                errb = None
-            except ValueError as e:
-                b, errb = None, type(e)
-            assert a == b and erra == errb
-            if f[-1] % q:
-                assert pure.irreducible_mod_p(f, q) == _speed.irreducible_mod_p(f, q)
-                if q < 2000:
-                    assert pure.roots_mod_p(f, q) == _speed.roots_mod_p(f, q)
+        errors = set()
+        for _ in range(1200):
+            q = rng.choice(self.MODULI)
+            f = self._random_poly(rng, q)
+            a = self._outcome(pure.ddf_degrees, f, q)
+            assert a == self._outcome(compiled.ddf_degrees, f, q), (f, q)
+            if isinstance(a, tuple):
+                errors.add(a[1])
+            primes = rng.sample(self.MODULI, rng.randint(0, 4))
+            assert self._outcome(pure.splitting_types, f, primes) == self._outcome(compiled.splitting_types, f, primes)
+        assert errors == {
+            "modulus must be a prime >= 2",
+            "leading coefficient divisible by p",
+            "constant polynomial mod p",
+            "not squarefree mod p",
+            "base is not invertible for the given modulus",
+        }
+
+    def test_moduli_from_2_63_go_to_pure(self):
+        compiled = self._compiled()
+        f = [5, -3, 0, 7, 1]
+        for q in (2**63 + 29, 2**64 + 13):
+            with pytest.raises(OverflowError):
+                compiled.ddf_degrees(f, q)
+            assert _kernels.ddf_degrees(f, q) == pure.ddf_degrees(f, q)
+            assert _kernels.splitting_types(f, [3, q]) == pure.splitting_types(f, [3, q])
 
     def test_roots_mod_p(self):
         assert pure.roots_mod_p((1, 0, 1), 5) == [2, 3]
         assert pure.roots_mod_p((1, 0, 1), 3) == []
-        # rabin irreducibility
-        assert pure.irreducible_mod_p((1, 1, 0, 1), 2)
-        assert not pure.irreducible_mod_p((1, 0, 1), 5)
+        # irreducible cubic mod 2; split quadratic mod 5
+        assert pure.ddf_degrees((1, 1, 0, 1), 2) == [3]
+        assert pure.ddf_degrees((1, 0, 1), 5) == [1, 1]
 
 
 class TestYun:

@@ -1,37 +1,128 @@
+import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
-from hyperfield import _kernels
+import pytest
 
-SRC = str(Path(__file__).parent.parent / "src")
+from hyperfield import _kernels
+from hyperfield._kernels import pure
+
+SRC = Path(__file__).parent.parent / "src"
+SYSTEM_PATH = "/usr/bin:/bin"
 
 PROBE = (
-    "from hyperfield._kernels import BACKEND, ddf_degrees, irreducible_mod_p;"
-    "print(BACKEND, ddf_degrees([1,1,0,1], 2), irreducible_mod_p([1,0,1], 3))"
+    "from hyperfield._kernels import BACKEND, ddf_degrees, splitting_types;"
+    "print(BACKEND, ddf_degrees([1,1,0,1], 2), splitting_types([1,0,1], [3, 5]))"
+)
+
+HAS_HEADERS = os.path.exists(os.path.join(_kernels._INCLUDE, "Python.h"))
+needs_cc = pytest.mark.skipif(
+    shutil.which("cc") is None or not HAS_HEADERS, reason="no C compiler on PATH or no Python headers"
 )
 
 
-def _probe(env_extra):
-    env = {"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin", **env_extra}
-    proc = subprocess.run([sys.executable, "-c", PROBE], capture_output=True, text=True, env=env)
+def _probe(env_extra, src=SRC):
+    env = {"PYTHONPATH": str(src), "PATH": SYSTEM_PATH, **env_extra}
+    for name in ("HOME", "XDG_CACHE_HOME"):
+        if name in os.environ:
+            env.setdefault(name, os.environ[name])
+    proc = subprocess.run([sys.executable, "-c", PROBE], capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
 
 
 def test_default_backend_prefers_compiled():
     out = _probe({})
-    backend = out.split()[0]
-    assert backend == _kernels.BACKEND
-    assert out.endswith("[3] True")
+    expected = "c" if shutil.which("cc", path=SYSTEM_PATH) and HAS_HEADERS else "pure"
+    assert out == f"{expected} [3] [[2], [1, 1]]"
 
 
 def test_pure_fallback_selected_by_env():
     out = _probe({"HYPERFIELD_PURE": "1"})
-    assert out == "pure [3] True"
+    assert out == "pure [3] [[2], [1, 1]]"
 
 
 def test_backends_give_same_answers_everywhere():
     # the main parity sweep lives in test_factor; this is the quick seam check
     assert _kernels.ddf_degrees([1, 0, 1], 5) == [1, 1]
+    assert _kernels.splitting_types([1, 0, 1], [3, 5]) == [[2], [1, 1]]
     assert _kernels.roots_mod_p([1, 0, 1], 5) == [2, 3]
+    assert _kernels.roots_mod_p is pure.roots_mod_p  # no compiled copy
+
+
+def test_no_compiler_falls_back_to_pure(tmp_path):
+    empty = tmp_path / "bin"
+    empty.mkdir()
+    out = _probe({"XDG_CACHE_HOME": str(tmp_path / "cache"), "PATH": str(empty)})
+    assert out.split()[0] == "pure"
+
+
+def test_unwritable_cache_falls_back_to_pure(tmp_path):
+    blocker = tmp_path / "cache"
+    blocker.write_text("a file where the cache directory should be")
+    out = _probe({"XDG_CACHE_HOME": str(blocker)})
+    assert out.split()[0] == "pure"
+
+
+@needs_cc
+def test_warm_cache_needs_no_compiler(tmp_path):
+    cache = tmp_path / "cache"
+    assert _probe({"XDG_CACHE_HOME": str(cache), "PATH": os.environ["PATH"]}).split()[0] == "c"
+    built = list((cache / "hyperfield").iterdir())
+    assert len(built) == 1 and built[0].name.startswith("_speed-")
+    assert _probe({"XDG_CACHE_HOME": str(cache), "PATH": ""}).split()[0] == "c"
+
+
+@needs_cc
+def test_parallel_first_imports_share_one_cache_file(tmp_path):
+    cache = tmp_path / "cache"
+    env = {"PYTHONPATH": str(SRC), "PATH": os.environ["PATH"], "XDG_CACHE_HOME": str(cache)}
+    procs = [
+        subprocess.Popen([sys.executable, "-c", PROBE], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+        for _ in range(2)
+    ]
+    outs = [proc.communicate(timeout=300) for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0], outs
+    assert [out.split()[0] for out, _ in outs] == ["c", "c"]
+    assert [p.name for p in (cache / "hyperfield").iterdir()] == [os.path.basename(_kernels.cache_path(
+        (SRC / "hyperfield" / "_kernels" / "_speed.c").read_bytes()))]
+
+
+@needs_cc
+def test_cache_key_follows_the_source(tmp_path):
+    cache = tmp_path / "cache"
+    copy = tmp_path / "src"
+    shutil.copytree(SRC / "hyperfield", copy / "hyperfield", ignore=shutil.ignore_patterns("__pycache__"))
+    env = {"XDG_CACHE_HOME": str(cache), "PATH": os.environ["PATH"]}
+    assert _probe(env, copy).split()[0] == "c"
+    source = copy / "hyperfield" / "_kernels" / "_speed.c"
+    first = _kernels.cache_path(source.read_bytes())
+    with source.open("a") as fh:
+        fh.write("/* edited */\n")
+    second = _kernels.cache_path(source.read_bytes())
+    assert first != second
+    assert _probe(env, copy).split()[0] == "c"
+    assert sorted(p.name for p in (cache / "hyperfield").iterdir()) == sorted(
+        os.path.basename(p) for p in (first, second)
+    )
+
+
+@needs_cc
+def test_cache_open_to_other_users_is_not_loaded(tmp_path):
+    # a file another user owns or may write could be a planted module
+    cache = tmp_path / "cache"
+    env = {"XDG_CACHE_HOME": str(cache), "PATH": os.environ["PATH"]}
+    assert _probe(env).split()[0] == "c"
+    folder = cache / "hyperfield"
+    (built,) = folder.iterdir()
+    assert folder.stat().st_mode & 0o777 == 0o700 and built.stat().st_mode & 0o777 == 0o700
+    for target in (built, folder):
+        target.chmod(0o722)
+        assert _probe(env).split()[0] == "pure"
+        target.chmod(0o700)
+    assert _probe(env).split()[0] == "c"
+    if os.getuid() == 0:  # only root can hand the file to another user
+        os.chown(built, 65534, 65534)
+        assert _probe(env).split()[0] == "pure"
