@@ -68,12 +68,12 @@ def main():
 
     cases = workload(args.trials)
     pure_out, pure_times = run(pure, cases)
-    compiled = load_compiled()
+    compiled, why = load_compiled()
     print(f"{'kernel':<22}{'pure (s)':>12}{'c (s)':>14}{'speedup':>10}")
     if compiled is None:
         for name, tp in zip(KERNELS, pure_times):
             print(f"{name:<22}{tp:>12.3f}{'n/a':>14}{'n/a':>10}")
-        print("\nno compiled kernel: _speed.c did not compile or load (is `cc` on PATH? is the cache private?)")
+        print(f"\nno compiled kernel: {why}")
         return
     c_out, c_times = run(compiled, cases)
     assert pure_out == c_out, "backend outputs diverge"

@@ -7,8 +7,13 @@ extension suffix; later imports load that file. Any failure (no
 compiler or Python headers, an unwritable cache, a compile error or
 timeout) selects the pure-Python kernels, and so does a cache directory
 or file that another user owns or may write. Set HYPERFIELD_PURE=1 to
-force them. The C kernel takes moduli below 2^63; larger ones go to
-pure.py. roots_mod_p has only the pure implementation.
+force them. PURE_REASON says why the pure kernels are in use (the
+compiler's error line, for a failed compile), and is None on the C
+backend. The C kernel takes moduli below 2^63; larger ones go to
+pure.py.
+
+Kernels: ddf_degrees(coeffs, p), the factor degrees mod p, and
+splitting_types(coeffs, primes), the same at each prime from one call.
 """
 import hashlib
 import os
@@ -39,43 +44,59 @@ def _private(path: str) -> bool:
     return st.st_uid == os.getuid() and not st.st_mode & 0o022
 
 
-def _compile(path: str) -> bool:
+def _compiler_diagnostic(stderr: str) -> str:
+    """The compiler's first error line, else its last line of output."""
+    lines = [line.strip() for line in stderr.splitlines() if line.strip()]
+    return next((line for line in lines if "error" in line), lines[-1] if lines else "no output")
+
+
+def _compile(path: str) -> str | None:
+    """Compile _speed.c into path; None on success, else why it failed."""
     import subprocess  # only on a cache miss: it costs milliseconds to import
 
+    cc = _COMPILE_COMMAND[0]
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        subprocess.run([*_COMPILE_COMMAND, _SOURCE, "-o", tmp], check=True, timeout=_COMPILE_TIMEOUT_S,
-                       stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            proc = subprocess.run([*_COMPILE_COMMAND, _SOURCE, "-o", tmp], timeout=_COMPILE_TIMEOUT_S, text=True,
+                                  stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        except FileNotFoundError:
+            return f"no C compiler: {cc} is not on PATH"
+        except subprocess.TimeoutExpired:
+            return f"{cc} timed out after {_COMPILE_TIMEOUT_S} s"
+        if proc.returncode:
+            return f"{cc} failed: {_compiler_diagnostic(proc.stderr)}"
         os.chmod(tmp, 0o700)  # whatever the umask, _private accepts it
         os.replace(tmp, path)  # atomic: a parallel import sees no partial file
-        return True
-    except (OSError, subprocess.SubprocessError):
-        return False
+        return None
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
 
 
 def load_compiled():
-    """The C kernel module, compiled first on a cache miss; None if it
-    cannot be compiled or loaded, or if the cache directory or file is
-    not private to this user (another user could plant code there)."""
+    """(the C kernel module, None), compiled first on a cache miss; or
+    (None, why not) if it cannot be compiled or loaded, or if the cache
+    directory or file is not private to this user (another user could
+    plant code there)."""
     try:
         with open(_SOURCE, "rb") as fh:
             path = cache_path(fh.read())
-        os.makedirs(os.path.dirname(path), mode=0o700, exist_ok=True)
-        if not _private(os.path.dirname(path)):
-            return None
-        if not os.path.exists(path) and not _compile(path):
-            return None
+        folder = os.path.dirname(path)
+        os.makedirs(folder, mode=0o700, exist_ok=True)
+        if not _private(folder):
+            return None, f"cache directory {folder} is not private to this user"
+        why = None if os.path.exists(path) else _compile(path)
+        if why:
+            return None, why
         if not _private(path):
-            return None
+            return None, f"cached module {path} is not private to this user"
         loader = ExtensionFileLoader(f"{__name__}._speed", path)
         module = loader.create_module(ModuleSpec(loader.name, loader, origin=path))
         loader.exec_module(module)
-        return module
-    except (OSError, ImportError):
-        return None
+        return module, None
+    except (OSError, ImportError) as e:
+        return None, f"cannot build or load the C kernel: {e}"
 
 
 def _pure_above_2_63(name: str):
@@ -90,13 +111,13 @@ def _pure_above_2_63(name: str):
     return kernel
 
 
-impl = None if os.environ.get("HYPERFIELD_PURE") else load_compiled()
+# PURE_REASON: why the pure kernels are in use; None when the C kernel is.
+impl, PURE_REASON = (None, "HYPERFIELD_PURE is set") if os.environ.get("HYPERFIELD_PURE") else load_compiled()
 if impl is None:
     impl = pure
     ddf_degrees, splitting_types = pure.ddf_degrees, pure.splitting_types
 else:
     ddf_degrees, splitting_types = _pure_above_2_63("ddf_degrees"), _pure_above_2_63("splitting_types")
-roots_mod_p = pure.roots_mod_p  # one caller, rational_roots, at a small prime
 BACKEND = impl.BACKEND
 
-__all__ = ["BACKEND", "ddf_degrees", "roots_mod_p", "splitting_types"]
+__all__ = ["BACKEND", "PURE_REASON", "ddf_degrees", "splitting_types"]

@@ -152,25 +152,3 @@ def _divmod_mod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int
         r.pop()
         _trim(r)
     return _trim(q), r
-
-
-def roots_mod_p(coeffs, p: int) -> list[int]:
-    """Sorted roots of coeffs mod p (each once, ignoring multiplicity)."""
-    f = _prep(coeffs, p)
-    # Restrict to the split part gcd(x^p - x, f) before scanning.
-    xp = _pow_mod([0, 1], p, f, p)
-    xp = list(xp) + [0] * max(0, 2 - len(xp))
-    xp[1] = (xp[1] - 1) % p
-    g = _gcd_mod(_trim(list(xp)), f, p)
-    if len(g) <= 1:
-        return []
-    out = []
-    for r in range(p):
-        acc = 0
-        for c in reversed(g):
-            acc = (acc * r + c) % p
-        if acc == 0:
-            out.append(r)
-            if len(out) == len(g) - 1:
-                break
-    return out

@@ -8,11 +8,18 @@ each coordinate swept from -bound to +bound.
 
 Every record carries the discriminant and a certification status:
 REDUCIBLE, IRREDUCIBLE_UNCERTIFIED, or SN_CERTIFIED. Irreducibility is
-decided by (in order) degree partitions mod up to 5 good primes, a
-full-length coprime-slope Newton-polygon segment, then rational
-factorization below the degree cap. S_n certification runs the
-recognition rules on Frobenius cycle types sampled at the run's shared
-prime pool, which double as the field fingerprint.
+decided by (in order) degree partitions mod the first
+IRREDUCIBILITY_PRIMES good primes, a full-length coprime-slope
+Newton-polygon segment at one of POLYGON_PRIMES, then factor_over_q
+below the degree cap. S_n certification runs the recognition rules on
+Frobenius cycle types sampled at the run's shared prime pool, which
+double as the field fingerprint.
+
+Field classes merge records whose fingerprints agree at every shared
+prime. Up to degree ISO_CAP, each merge is checked by isomorphic_exact
+(Trager's resultant R_t, searched for a degree-n factor by the same
+factor.lift_and_recombine that factor_over_q uses); a failed check is
+counted in unconfirmed_classes.
 
 Members with h = 0 (possible only for the even-n shapes, where h has no
 forced monic term) are enumerated for the exact-cardinality invariant
@@ -30,12 +37,10 @@ import hashlib
 import itertools
 import math
 import os
-import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import _kernels as kernels
-from ._kernels.pure import _mul_mod
 from .errors import (
     BoxTooLarge,
     DegreeCapExceeded,
@@ -44,15 +49,7 @@ from .errors import (
     SearchExhausted,
     SearchWindowExceeded,
 )
-from .factor import (
-    DEFAULT_DEGREE_CAP,
-    _center,
-    _factor_mod_full,
-    _mignotte_modulus,
-    factor_over_q,
-    next_prime,
-    primes_from,
-)
+from .factor import DEFAULT_DEGREE_CAP, factor_over_q, lift_and_recombine, next_prime, primes_from
 from .family import (
     EVEN_D_EVEN_N,
     ODD_D_EVEN_N,
@@ -235,13 +232,15 @@ def _splitting_entries(F: IntPolynomial, primes: list[int]) -> tuple[tuple[int, 
 # -- census records and classification ----------------------------------------
 
 
+IRREDUCIBILITY_PRIMES = 5  # fingerprint primes whose splitting types screen for irreducibility
+POLYGON_PRIMES = (2, 3, 5, 7, 11, 13)
+ISO_CAP = 6  # largest degree at which field classes are confirmed by isomorphic_exact
+
+
 @dataclass(frozen=True)
 class CensusConfig:
     fingerprint_primes: int = 50
-    irreducibility_primes: int = 5
-    polygon_primes: tuple[int, ...] = (2, 3, 5, 7, 11, 13)
     factor_cap: int = DEFAULT_DEGREE_CAP
-    iso_cap: int = 6
     box_cap: int = 100_000_000
     workers: int = 1
 
@@ -258,10 +257,10 @@ class CensusRecord:
     class_id: int | None = None
 
 
-def _np_irreducible(F: IntPolynomial, primes) -> bool:
+def _np_irreducible(F: IntPolynomial) -> bool:
     """Full-length segment with coprime reduced slope at some small prime."""
     n = F.degree
-    for q in primes:
+    for q in POLYGON_PRIMES:
         if F.lc % q == 0:
             continue
         np_ = newton_polygon(F, q)
@@ -291,11 +290,11 @@ def classify_record(
     good = _good_pool_primes(abs(F.lc) * abs(disc_F), pool, cfg.fingerprint_primes)
     # Two kernel calls: the screening primes, then (for irreducible F only)
     # the rest of the fingerprint, which a reducible F never needs.
-    entries = _splitting_entries(F, good[: cfg.irreducibility_primes])
+    entries = _splitting_entries(F, good[:IRREDUCIBILITY_PRIMES])
 
     irreducible = any(t == (n,) for _, t in entries)
     if not irreducible:
-        irreducible = _np_irreducible(F, cfg.polygon_primes)
+        irreducible = _np_irreducible(F)
     if not irreducible:
         if n > cfg.factor_cap:
             raise DegreeCapExceeded(
@@ -306,7 +305,7 @@ def classify_record(
             return CensusRecord(s, F, disc_F, REDUCIBLE)
         irreducible = True
 
-    entries += _splitting_entries(F, good[cfg.irreducibility_primes :])
+    entries += _splitting_entries(F, good[IRREDUCIBILITY_PRIMES:])
     fp = FieldFingerprint(degree=n, entries=entries)
     evidence = [(t, f"frobenius p={q}") for q, t in entries]
     cert = recognize_sn(n, evidence, transitive=True)
@@ -396,87 +395,14 @@ def _resultant_in_x(F1: IntPolynomial, F2: IntPolynomial, t: int) -> IntPolynomi
     return IntPolynomial(coeffs)
 
 
-def _squarefree_mod_witness(R: IntPolynomial, tries: int = 8) -> int | None:
-    """A prime q with R squarefree mod q (proves R squarefree over Z)."""
-    q = 2
-    for _ in range(tries):
-        while R.lc % q == 0:
-            q = next_prime(q)
-        try:
-            kernels.ddf_degrees(R.coeffs, q)
-            return q
-        except ValueError:
-            q = next_prime(q)
-    return None
-
-
-def _degree_subsets(parts: list[int], target: int):
-    """Index subsets of `parts` whose degrees sum to `target`."""
-    order = sorted(range(len(parts)), key=lambda i: parts[i])
-
-    def rec(i, remaining, chosen):
-        if remaining == 0:
-            yield tuple(chosen)
-            return
-        if i >= len(order) or parts[order[i]] > remaining:
-            return
-        yield from rec(i + 1, remaining, chosen)
-        chosen.append(order[i])
-        yield from rec(i + 1, remaining - parts[order[i]], chosen)
-        chosen.pop()
-
-    yield from rec(0, target, [])
-
-
-def _has_degree_n_factor(R: IntPolynomial, n: int) -> bool:
-    """Does squarefree R have an irreducible factor of degree exactly n?
-
-    Mod-q degree partitions give a sound early no; candidate subsets of
-    lifted modular factors are verified by exact division.
-    """
-    from .factor import hensel_lift_factors  # looked up per call, so wrappers on factor see it
-
-    disc = discriminant(R)
-    primes = []
-    q = 3
-    while len(primes) < 6:
-        if R.lc % q and disc % q:
-            primes.append(q)
-        q = next_prime(q)
-    best_q, best_parts = None, None
-    for q in primes:
-        parts = list(kernels.ddf_degrees(R.coeffs, q))
-        if not any(True for _ in itertools.islice(_degree_subsets(parts, n), 1)):
-            return False  # no mod-q subset sums to n: no degree-n factor exists
-        count = sum(1 for _ in itertools.islice(_degree_subsets(parts, n), 20001))
-        if best_parts is None or count < best_parts[1]:
-            best_q, best_parts = q, (parts, count)
-    q = best_q
-    rng = random.Random(hash(R.coeffs) & 0xFFFFFFFF)
-    factors = _factor_mod_full(R.coeffs, q, rng)
-    target = _mignotte_modulus(R, q)
-    lifted = hensel_lift_factors(list(R.coeffs), factors, q, target)
-    degs = [len(v) - 1 for v in lifted]
-    tested = 0
-    for combo in _degree_subsets(degs, n):
-        tested += 1
-        if tested > 200000:
-            raise DegreeCapExceeded("degree-n factor search exploded; raise caps or pick another shift")
-        prod = [R.lc % target]
-        for i in combo:
-            prod = _mul_mod(prod, lifted[i], target)
-        cand = IntPolynomial([_center(c, target) for c in prod]).primitive()
-        if cand.degree == n and cand.divides(R):
-            return True
-    return False
-
-
-def isomorphic_exact(F1: IntPolynomial, F2: IntPolynomial, cap: int = 6) -> bool:
+def isomorphic_exact(F1: IntPolynomial, F2: IntPolynomial, cap: int = ISO_CAP) -> bool:
     """Q[x]/(F1) isomorphic to Q[x]/(F2)? Trager-style resultant test.
 
     R_t(x) = Res_y(F1(y), F2(x + t*y)) factors over Q along Galois orbits
-    of beta_j + t*alpha_i; the fields are isomorphic iff R_t has an
-    irreducible factor of degree exactly n (for squarefree R_t).
+    of beta_j - t*alpha_i; the fields are isomorphic iff R_t has an
+    irreducible factor of degree exactly n (for squarefree R_t). Each
+    root generates Q(alpha_i, beta_j), so no factor has degree below n
+    and the factor search looks at degree n alone.
     """
     n = F1.degree
     if n != F2.degree:
@@ -488,12 +414,13 @@ def isomorphic_exact(F1: IntPolynomial, F2: IntPolynomial, cap: int = 6) -> bool
     if F1.primitive().coeffs == F2.primitive().coeffs:
         return True
     for t in range(1, 40):
-        R = _resultant_in_x(F1, F2, t)
+        R = _resultant_in_x(F1, F2, t).primitive()
         if R.degree != n * n:
             continue
-        if _squarefree_mod_witness(R) is None:
+        disc = discriminant(R)
+        if disc == 0:
             continue
-        return _has_degree_n_factor(R, n)
+        return len(lift_and_recombine(R, disc, (n,))) > 1  # a degree-n factor besides the cofactor
     raise SearchExhausted("no shift t below 40 gives a squarefree R_t of degree n^2")
 
 
@@ -728,7 +655,7 @@ class CensusResult:
     csv_lines: list[str]
 
 
-def _class_groups(records: list[CensusRecord], cfg: CensusConfig):
+def _class_groups(records: list[CensusRecord]):
     """Group irreducible records into field classes via fingerprints,
     merging compatible keys and exact-confirming collisions below the cap."""
     keyed: dict[tuple, list[CensusRecord]] = {}
@@ -763,12 +690,12 @@ def _class_groups(records: list[CensusRecord], cfg: CensusConfig):
         distinct = sorted({r.F.coeffs for r in group})
         if len(distinct) <= 1:
             continue
-        if n > cfg.iso_cap:
+        if n > ISO_CAP:
             unconfirmed += 1
             continue
         base = IntPolynomial(distinct[0])
         for other in distinct[1:]:
-            if not isomorphic_exact(base, IntPolynomial(other), cap=cfg.iso_cap):
+            if not isomorphic_exact(base, IntPolynomial(other)):
                 unconfirmed += 1  # fingerprint collision of non-isomorphic fields
                 break
     return classes, unconfirmed
@@ -790,7 +717,7 @@ def run_census(curve: HyperellipticCurve, n: int, Y, cfg: CensusConfig = CensusC
     seen_F: dict[tuple[int, ...], CensusRecord] = {}
     for r in irreducible:
         seen_F.setdefault(r.F.coeffs, r)
-    classes, unconfirmed = _class_groups(list(seen_F.values()), cfg)
+    classes, unconfirmed = _class_groups(list(seen_F.values()))
 
     class_of: dict[tuple[int, ...], int] = {}
     for cid, group in enumerate(classes):

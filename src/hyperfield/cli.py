@@ -237,6 +237,13 @@ def cmd_exponents(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def _parse_optional(self, arg_string):
         if _COEFF_LIST.match(arg_string):
@@ -256,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="S_n certificate from Frobenius sampling")
     p.add_argument("--poly", required=True)
-    p.add_argument("--primes", type=int, default=100, help="number of good primes to sample")
+    p.add_argument("--primes", type=_positive_int, default=100, help="number of good primes to sample")
     p.add_argument("--factor-cap", type=int, default=12)
     p.set_defaults(func=cmd_certify)
 

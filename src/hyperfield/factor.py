@@ -1,10 +1,13 @@
-"""Factorization: degree partitions mod p, Zassenhaus over Q, rational roots.
+"""Factorization: degree partitions mod p, Zassenhaus over Q.
 
 factor_mod_p is the Dedekind sampler (partition of factor degrees mod a
-good prime = Frobenius cycle type). factor_over_q is classical
-Zassenhaus: factor mod a good odd prime, Hensel-lift past the
-Landau-Mignotte bound, recombine subsets. The degree cap (default 12)
-keeps subset recombination at <= 2^11 subsets.
+good prime = Frobenius cycle type). lift_and_recombine is the one
+Zassenhaus search, for factor_over_q and the exact isomorphism test:
+Musser's degree-set intersection at six good primes (which alone proves
+most irreducible inputs irreducible), factorization mod the prime with
+the fewest factors, one Hensel lift past the Landau-Mignotte bound, and
+recombination of subsets by ascending degree. factor_over_q refuses
+degrees above its cap (default 12).
 """
 from __future__ import annotations
 
@@ -65,12 +68,11 @@ def good_primes(p: IntPolynomial, count: int, start: int = 2) -> list[int]:
     bad = abs(p.lc) * abs(discriminant(p))
     if bad == 0:
         raise ValueError("polynomial is not squarefree; no good primes exist")
-    out = []
-    for q in primes_from(start):
-        if bad % q:
-            out.append(q)
-            if len(out) == count:
-                return out
+    return _primes_not_dividing(bad, count, start)
+
+
+def _primes_not_dividing(bad: int, count: int, start: int) -> list[int]:
+    return list(itertools.islice((q for q in primes_from(start) if bad % q), count))
 
 
 def factor_mod_p(p: IntPolynomial, q: int) -> tuple[int, ...]:
@@ -244,7 +246,10 @@ def hensel_lift_factors(f_coeffs: list[int], mod_factors: list[list[int]], q: in
     return [h] + rest
 
 
-# -- Zassenhaus ---------------------------------------------------------------
+# -- Zassenhaus: Musser's degree sets, one Hensel lift, recombination --------
+
+_MUSSER_PRIMES = 6
+_CANDIDATE_CAP = 200_000
 
 
 def _center(c: int, m: int) -> int:
@@ -261,57 +266,76 @@ def _mignotte_modulus(g: IntPolynomial, q: int) -> int:
     return target
 
 
-def _factor_squarefree(g: IntPolynomial) -> list[IntPolynomial]:
-    """Irreducible factors of a primitive squarefree g with lc > 0."""
-    if g.degree <= 1:
-        return [g]
-    rng = random.Random(hash(g.coeffs) & 0xFFFFFFFF)
-    disc = discriminant(g)
-    candidates = []
-    for q in primes_from(3):
-        if g.lc % q == 0 or disc % q == 0:
-            continue
-        candidates.append(q)
-        if len(candidates) == 3:
-            break
-    best_q, best_factors = None, None
-    for q in candidates:
-        fs = _factor_mod_full(g.coeffs, q, rng)
-        if best_factors is None or len(fs) < len(best_factors):
-            best_q, best_factors = q, fs
-        if len(best_factors) == 1:
-            break
-    if len(best_factors) == 1:
-        return [g]
-    q = best_q
-    target = _mignotte_modulus(g, q)
-    lifted = hensel_lift_factors(list(g.coeffs), best_factors, q, target)
+def _degree_subsets(parts: list[int], target: int):
+    """Index subsets of `parts` whose degrees sum to `target`."""
+    order = sorted(range(len(parts)), key=lambda i: parts[i])
 
-    result: list[IntPolynomial] = []
-    remaining = list(range(len(lifted)))
+    def rec(i, remaining, chosen):
+        if remaining == 0:
+            yield tuple(chosen)
+            return
+        if i >= len(order) or parts[order[i]] > remaining:
+            return
+        yield from rec(i + 1, remaining, chosen)
+        chosen.append(order[i])
+        yield from rec(i + 1, remaining - parts[order[i]], chosen)
+        chosen.pop()
+
+    yield from rec(0, target, [])
+
+
+def lift_and_recombine(g: IntPolynomial, disc: int, degrees) -> list[IntPolynomial]:
+    """Factors of g found at the target `degrees` (each <= deg/2), in
+    ascending degree, then the cofactor. g is primitive and squarefree
+    with lc > 0, and disc = Disc(g).
+
+    A factor's degree is a subset sum of g's splitting type at every
+    good prime (Musser): target degrees that fail this at one of six odd
+    good primes are dropped, and if none is left nothing is lifted.
+    Otherwise the factors mod the prime with the fewest of them are
+    Hensel-lifted once, and for each target degree d, ascending, every
+    subset of lifted factors of total degree d is tried by exact
+    division. A factor found at degree d is irreducible when g has no
+    irreducible factor of lower degree outside the search: degrees
+    1..deg/2 give the factorization into irreducibles.
+    """
+    primes = _primes_not_dividing(g.lc * disc, _MUSSER_PRIMES, 3)
+    types = kernels.splitting_types(g.coeffs, primes)
+    possible = -1  # bit d: d is a subset sum at every prime
+    for parts in types:
+        sums = 1
+        for d in parts:
+            sums |= sums << d
+        possible &= sums
+    targets = [d for d in degrees if possible >> d & 1]
+    if not targets:
+        return [g]
+    q = min(zip(primes, types), key=lambda e: len(e[1]))[0]
+    m = _mignotte_modulus(g, q)
+    rng = random.Random(hash(g.coeffs) & 0xFFFFFFFF)
+    pool = hensel_lift_factors(list(g.coeffs), _factor_mod_full(g.coeffs, q, rng), q, m)
+
+    found: list[IntPolynomial] = []
     cur = g
-    size = 1
-    while 2 * size <= len(remaining):
-        found = False
-        for combo in itertools.combinations(remaining, size):
-            prod = [cur.lc % target]
-            for i in combo:
-                prod = _mul_mod(prod, lifted[i], target)
-            cand = IntPolynomial([_center(c, target) for c in prod]).primitive()
-            if cand.degree < 1:
-                continue
-            if cand.divides(cur):
-                result.append(cand if cand.lc > 0 else -cand)
-                cur, _ = cur.divmod_exact(cand if cand.lc > 0 else -cand)
-                remaining = [i for i in remaining if i not in combo]
-                found = True
+    tested = 0
+    for d in targets:
+        while 2 * d <= cur.degree:
+            for combo in _degree_subsets([len(v) - 1 for v in pool], d):
+                tested += 1
+                if tested > _CANDIDATE_CAP:
+                    raise DegreeCapExceeded(f"more than {_CANDIDATE_CAP} recombination candidates")
+                prod = [cur.lc % m]
+                for i in combo:
+                    prod = _mul_mod(prod, pool[i], m)
+                cand = IntPolynomial([_center(c, m) for c in prod]).primitive()
+                if cand.divides(cur):
+                    found.append(cand)
+                    cur = cur.divmod_exact(cand)[0]
+                    pool = [v for i, v in enumerate(pool) if i not in combo]
+                    break
+            else:
                 break
-        if not found:
-            size += 1
-    if cur.degree > 0:
-        result.append(cur if cur.lc > 0 else -cur)
-    result.sort(key=lambda p: (p.degree, p.coeffs))
-    return result
+    return found + [cur]
 
 
 def factor_over_q(p: IntPolynomial, cap: int = DEFAULT_DEGREE_CAP) -> list[IntPolynomial]:
@@ -330,7 +354,7 @@ def factor_over_q(p: IntPolynomial, cap: int = DEFAULT_DEGREE_CAP) -> list[IntPo
     factors: list[IntPolynomial] = []
     if prim.degree >= 1:
         for part, mult in squarefree_decomposition(prim):
-            for irr in _factor_squarefree(part):
+            for irr in lift_and_recombine(part, discriminant(part), range(1, part.degree // 2 + 1)):
                 factors.extend([irr] * mult)
     factors.sort(key=lambda f: (f.degree, f.coeffs))
     if content != 1:
@@ -347,50 +371,3 @@ def is_irreducible(p: IntPolynomial, cap: int = DEFAULT_DEGREE_CAP) -> bool:
     prim = p.primitive()
     fs = factor_over_q(prim, cap=cap)
     return len(fs) == 1
-
-
-# -- rational roots (used by the exact isomorphism test) ---------------------
-
-
-def rational_roots(p: IntPolynomial):
-    """All rational roots of p, as Fractions, via mod-p roots + Hensel.
-
-    Avoids factoring huge constants: every rational root a/b reduces to a
-    root mod q, is lifted to q^K past the Mignotte bound for linear
-    factors, and the candidate b*x - a is verified by exact division.
-    """
-    from fractions import Fraction
-
-    if p.is_zero():
-        raise ZeroInput("zero polynomial")
-    roots = []
-    coeffs = list(p.primitive().coeffs)
-    shift = 0
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-        shift += 1
-    if shift:
-        roots.append(Fraction(0))
-    g = IntPolynomial(coeffs)
-    if g.degree < 1:
-        return roots
-    # Work with the squarefree part; roots are the same set.
-    sf, _ = g.divmod_exact(poly_gcd(g, g.derivative()))
-    disc = discriminant(sf)
-    q = 3
-    while sf.lc % q == 0 or disc % q == 0:
-        q = next_prime(q)
-    target = _mignotte_modulus(sf, q)
-    for r in kernels.roots_mod_p(sf.coeffs, q):
-        # Lift the pair (sf/(x-r), x-r) and test the centered linear factor.
-        h = [(-r) % q, 1]
-        fs = [h]
-        gg = _divmod_mod([c % q for c in sf.coeffs], h, q)[0]
-        gg = _mul_mod(gg, [pow(sf.lc, -1, q)], q)  # monic cofactor mod q
-        lifted = hensel_lift_factors(list(sf.coeffs), [h, gg], q, target)
-        lin = lifted[0]
-        cand = IntPolynomial([_center(c, target) for c in _mul_mod([sf.lc % target], lin, target)]).primitive()
-        if cand.degree == 1 and cand.divides(sf):
-            roots.append(Fraction(-cand[0], cand[1]))
-    roots.sort()
-    return roots

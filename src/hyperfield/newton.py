@@ -21,14 +21,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ZeroPolynomial
+from .errors import BadPrime, ZeroPolynomial
+from .factor import is_prime
 from .intpoly import IntPolynomial, format_poly
 
 INFINITY = math.inf
 
 
 def valuation(x, p: int):
-    """p-adic valuation of an int or Fraction; INFINITY at 0."""
+    """p-adic valuation of an int or Fraction; INFINITY at 0. Raises
+    BadPrime unless p is prime."""
+    if not is_prime(p):
+        raise BadPrime(f"{p} is not prime")
     if x == 0:
         return INFINITY
     if isinstance(x, Fraction):
@@ -109,7 +113,8 @@ def poly_digest(p: IntPolynomial) -> str:
 
 
 def newton_polygon(p: IntPolynomial, q: int) -> NewtonPolygon:
-    """Lower convex hull of {(i, v_q(k_i)) : k_i != 0}, exact."""
+    """Lower convex hull of {(i, v_q(k_i)) : k_i != 0}, exact. Raises
+    BadPrime unless q is prime (valuation checks it)."""
     if p.is_zero():
         raise ZeroPolynomial("Newton polygon of 0 is undefined")
     points = [(i, valuation(c, q)) for i, c in enumerate(p.coeffs) if c != 0]

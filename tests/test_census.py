@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import sympy
 
-from hyperfield import census
+from hyperfield import census, factor
 from hyperfield.census import (
     IRREDUCIBLE_UNCERTIFIED,
     REDUCIBLE,
@@ -248,6 +248,19 @@ class TestIsomorphicExact:
         monkeypatch.setattr(census, "_resultant_in_x", lambda F1, F2, t: P((1, 1)))
         with pytest.raises(SearchExhausted):
             isomorphic_exact(P((1, 1, 0, 1)), P((1, 2, 0, 1)))
+
+    def test_splitting_types_separate_without_lifting(self, monkeypatch):
+        # At one of the first six good primes of R_1 for x^5 - x - 1 and
+        # x^5 + x^2 + 1, the factor degrees exclude 5 as a subset sum (a
+        # 5-cycle against a (3,2) type gives orbits of 15 and 10): no
+        # degree-5 factor, decided before any Hensel lift.
+        def no_lift(*args):
+            raise AssertionError("hensel_lift_factors called")
+
+        monkeypatch.setattr(factor, "hensel_lift_factors", no_lift)
+        assert not isomorphic_exact(P((-1, -1, 0, 0, 0, 1)), P((1, 0, 1, 0, 0, 1)))
+        with pytest.raises(AssertionError):
+            isomorphic_exact(P((-2, 0, 1)), P((-8, 0, 1)))  # isomorphic: must lift
 
     def test_consistent_with_fingerprints(self):
         pool = shared_prime_pool(60)

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from hyperfield.cli import main
 
 SRC = str(Path(__file__).parent.parent / "src")
@@ -190,3 +192,30 @@ class TestEntryPoint:
             ["census", "--curve", "1,1,0,1", "--n", "3", "--Y", "2", "--workers", "4"], capsys
         )
         assert code == 0
+
+
+class TestBoundary:
+    """Inputs that once hung, crashed or printed answers for a composite
+    "prime": each now exits with a typed code within seconds."""
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["np", "--poly", "6,0,1", "--prime", "1"], 3),
+            (["np", "--poly", "6,0,1", "--prime", "0"], 3),
+            (["np", "--poly", "6,0,1", "--prime", "4"], 3),
+            (["np", "--poly", "6,0,1", "--prime", "-3"], 3),
+            (["certify", "--poly", "1,1,0,1", "--primes", "0"], 2),
+            (["certify", "--poly", "1,1,0,1", "--primes", "-2"], 2),
+        ],
+    )
+    def test_exit_code_within_10_s(self, args, code):
+        proc = subprocess.run(
+            [sys.executable, "-m", "hyperfield", *args],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin", "HYPERFIELD_PURE": "1"},
+            timeout=10,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr

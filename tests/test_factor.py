@@ -3,12 +3,11 @@ import operator
 import os
 import random
 import shutil
-from fractions import Fraction
 
 import pytest
 import sympy
 
-from hyperfield import _kernels
+from hyperfield import _kernels, factor
 from hyperfield._kernels import pure
 from hyperfield.errors import BadPrime, DegreeCapExceeded
 from hyperfield.factor import (
@@ -17,7 +16,6 @@ from hyperfield.factor import (
     good_primes,
     is_irreducible,
     is_prime,
-    rational_roots,
     squarefree_decomposition,
 )
 from hyperfield.intpoly import IntPolynomial
@@ -43,6 +41,7 @@ class TestPrimes:
     def test_good_primes_skip_disc(self):
         # disc(x^2+1) = -4: p=2 skipped
         assert good_primes(P((1, 0, 1)), 3) == [3, 5, 7]
+        assert good_primes(P((1, 0, 1)), 0) == []
 
 
 class TestFactorModP:
@@ -94,8 +93,8 @@ class TestKernelParity:
     def _compiled():
         if shutil.which("cc") is None or not os.path.exists(os.path.join(_kernels._INCLUDE, "Python.h")):
             pytest.skip("no C compiler on PATH or no Python headers")
-        compiled = _kernels.load_compiled()
-        assert compiled is not None, "a C compiler and Python.h exist but _speed.c did not compile or load"
+        compiled, why = _kernels.load_compiled()
+        assert compiled is not None, f"a C compiler and Python.h exist but _speed.c did not compile or load: {why}"
         if not os.environ.get("HYPERFIELD_PURE"):
             assert _kernels.BACKEND == "c"
         return compiled
@@ -142,9 +141,7 @@ class TestKernelParity:
             assert _kernels.ddf_degrees(f, q) == pure.ddf_degrees(f, q)
             assert _kernels.splitting_types(f, [3, q]) == pure.splitting_types(f, [3, q])
 
-    def test_roots_mod_p(self):
-        assert pure.roots_mod_p((1, 0, 1), 5) == [2, 3]
-        assert pure.roots_mod_p((1, 0, 1), 3) == []
+    def test_ddf_examples(self):
         # irreducible cubic mod 2; split quadratic mod 5
         assert pure.ddf_degrees((1, 1, 0, 1), 2) == [3]
         assert pure.ddf_degrees((1, 0, 1), 5) == [1, 1]
@@ -222,36 +219,54 @@ class TestFactorOverQ:
         assert sorted(f.degree for f in fs) == [4, 4]
         assert product(fs).coeffs == (sd1 * sd2).coeffs
 
+    def test_equals_sympy_factor_for_factor(self):
+        # Seeded products of 2-4 factors up to degree 12: repeated and
+        # equal-degree factors, non-monic factors and a content.
+        rng = random.Random(8)
+        for _ in range(60):
+            parts = []
+            for _ in range(rng.randint(2, 4)):
+                deg = rng.randint(1, 4)
+                f = P([rng.randint(-9, 9) for _ in range(deg)] + [rng.choice([1, 1, 2, 3, -5])])
+                parts.extend([f] * rng.choice([1, 1, 2]))
+                if rng.random() < 0.3:
+                    parts.append(P([rng.randint(-9, 9) for _ in range(deg)] + [1]))  # same degree
+            p = product(parts) * P((rng.choice([1, 1, -1, 6, -4]),))
+            if p.degree > 12 or p.is_zero():
+                continue
+            fs = factor_over_q(p)
+            content, theirs = sympy.factor_list(to_sympy(p))
+            want = []
+            for fac, mult in theirs:
+                coeffs = [int(c) for c in reversed(fac.all_coeffs())]
+                if coeffs[-1] < 0:
+                    coeffs, content = [-c for c in coeffs], content * (-1) ** mult
+                want.extend([tuple(coeffs)] * mult)
+            assert sorted(f.coeffs for f in fs if f.degree > 0) == sorted(want), p
+            assert product([f for f in fs if f.degree == 0]).coeffs == (int(content),)
+
+    def test_musser_degree_sets_prove_irreducibility_without_lifting(self, monkeypatch):
+        # No splitting type of x^4 - 2x^3 + x^2 - x - 3 at its first six odd
+        # good primes is (4), but every one has subset sums without 1 and 2
+        # ((3,1) and (2,2) share only 0 and 4): irreducible, nothing lifted.
+        quartic = P((-3, -1, 1, -2, 1))
+        primes = good_primes(quartic, 6, start=3)
+        types = {factor_mod_p(quartic, q) for q in primes}
+        assert (4,) not in types and {(3, 1), (2, 2)} <= types
+
+        def no_lift(*args):
+            raise AssertionError("hensel_lift_factors called")
+
+        monkeypatch.setattr(factor, "hensel_lift_factors", no_lift)
+        assert factor_over_q(quartic) == [quartic]
+        with pytest.raises(AssertionError):
+            factor_over_q(P((1, 0, -10, 0, 1)))  # splits mod every prime: must lift
+
     def test_cyclotomic_twelfth(self):
         c12 = P([-1] + [0] * 11 + [1])
         fs = factor_over_q(c12)
         assert sorted(f.degree for f in fs) == [1, 1, 2, 2, 2, 4]
         assert product(fs).coeffs == c12.coeffs
-
-
-class TestRationalRoots:
-    def test_examples(self):
-        assert rational_roots(P((-6, 11, -6, 1))) == [1, 2, 3]
-        p = P((2, -3, 1)) * P((1, 2))
-        assert rational_roots(p) == [Fraction(-1, 2), 1, 2]
-        assert rational_roots(P((1, 0, 1))) == []
-        assert rational_roots(P((0, 0, 2, 1))) == [-2, 0]
-
-    def test_random_planted(self):
-        rng = random.Random(6)
-        for _ in range(120):
-            roots = sorted(
-                {Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3])) for _ in range(rng.randint(1, 3))}
-            )
-            p = P((1,))
-            for r in roots:
-                p = p * P((-r.numerator, r.denominator))
-            p = p * P((rng.randint(1, 5), rng.randint(1, 3), 1))  # usually no rational roots
-            got = rational_roots(p)
-            assert set(roots) <= set(got)
-            for r in got:
-                num = sum(c * r.numerator**i * r.denominator ** (p.degree - i) for i, c in enumerate(p.coeffs))
-                assert num == 0
 
 
 class TestFullCycleFrequency:

@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 from hyperfield import _kernels
-from hyperfield._kernels import pure
 
 SRC = Path(__file__).parent.parent / "src"
 SYSTEM_PATH = "/usr/bin:/bin"
@@ -17,18 +16,20 @@ PROBE = (
     "print(BACKEND, ddf_degrees([1,1,0,1], 2), splitting_types([1,0,1], [3, 5]))"
 )
 
+REASON_PROBE = "from hyperfield._kernels import BACKEND, PURE_REASON; print(BACKEND, PURE_REASON, sep='|')"
+
 HAS_HEADERS = os.path.exists(os.path.join(_kernels._INCLUDE, "Python.h"))
 needs_cc = pytest.mark.skipif(
     shutil.which("cc") is None or not HAS_HEADERS, reason="no C compiler on PATH or no Python headers"
 )
 
 
-def _probe(env_extra, src=SRC):
+def _probe(env_extra, src=SRC, code=PROBE):
     env = {"PYTHONPATH": str(src), "PATH": SYSTEM_PATH, **env_extra}
     for name in ("HOME", "XDG_CACHE_HOME"):
         if name in os.environ:
             env.setdefault(name, os.environ[name])
-    proc = subprocess.run([sys.executable, "-c", PROBE], capture_output=True, text=True, env=env, timeout=300)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
 
@@ -37,33 +38,50 @@ def test_default_backend_prefers_compiled():
     out = _probe({})
     expected = "c" if shutil.which("cc", path=SYSTEM_PATH) and HAS_HEADERS else "pure"
     assert out == f"{expected} [3] [[2], [1, 1]]"
+    if expected == "c":
+        assert _probe({}, code=REASON_PROBE) == "c|None"
 
 
 def test_pure_fallback_selected_by_env():
     out = _probe({"HYPERFIELD_PURE": "1"})
     assert out == "pure [3] [[2], [1, 1]]"
+    assert _probe({"HYPERFIELD_PURE": "1"}, code=REASON_PROBE) == "pure|HYPERFIELD_PURE is set"
 
 
 def test_backends_give_same_answers_everywhere():
     # the main parity sweep lives in test_factor; this is the quick seam check
     assert _kernels.ddf_degrees([1, 0, 1], 5) == [1, 1]
     assert _kernels.splitting_types([1, 0, 1], [3, 5]) == [[2], [1, 1]]
-    assert _kernels.roots_mod_p([1, 0, 1], 5) == [2, 3]
-    assert _kernels.roots_mod_p is pure.roots_mod_p  # no compiled copy
+    assert (_kernels.PURE_REASON is None) == (_kernels.BACKEND == "c")
 
 
 def test_no_compiler_falls_back_to_pure(tmp_path):
     empty = tmp_path / "bin"
     empty.mkdir()
-    out = _probe({"XDG_CACHE_HOME": str(tmp_path / "cache"), "PATH": str(empty)})
-    assert out.split()[0] == "pure"
+    env = {"XDG_CACHE_HOME": str(tmp_path / "cache"), "PATH": str(empty)}
+    assert _probe(env).split()[0] == "pure"
+    assert _probe(env, code=REASON_PROBE) == "pure|no C compiler: cc is not on PATH"
+
+
+def test_failed_compile_reports_the_compiler_error(tmp_path):
+    fake = tmp_path / "bin"
+    fake.mkdir()
+    (fake / "cc").write_text(
+        "#!/bin/sh\n"
+        "echo 'x.c:1:10: fatal error: Python.h: No such file or directory' >&2\n"
+        "echo 'compilation terminated.' >&2\n"
+        "exit 1\n"
+    )
+    (fake / "cc").chmod(0o755)
+    out = _probe({"XDG_CACHE_HOME": str(tmp_path / "cache"), "PATH": str(fake)}, code=REASON_PROBE)
+    assert out == "pure|cc failed: x.c:1:10: fatal error: Python.h: No such file or directory"
 
 
 def test_unwritable_cache_falls_back_to_pure(tmp_path):
     blocker = tmp_path / "cache"
     blocker.write_text("a file where the cache directory should be")
-    out = _probe({"XDG_CACHE_HOME": str(blocker)})
-    assert out.split()[0] == "pure"
+    out = _probe({"XDG_CACHE_HOME": str(blocker)}, code=REASON_PROBE)
+    assert out.startswith("pure|cannot build or load the C kernel: ")
 
 
 @needs_cc
@@ -121,6 +139,7 @@ def test_cache_open_to_other_users_is_not_loaded(tmp_path):
     for target in (built, folder):
         target.chmod(0o722)
         assert _probe(env).split()[0] == "pure"
+        assert _probe(env, code=REASON_PROBE).endswith(f"{target} is not private to this user")
         target.chmod(0o700)
     assert _probe(env).split()[0] == "c"
     if os.getuid() == 0:  # only root can hand the file to another user

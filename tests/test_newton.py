@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperfield.errors import ZeroPolynomial
+from hyperfield.errors import BadPrime, ZeroPolynomial
 from hyperfield.factor import factor_over_q
 from hyperfield.intpoly import IntPolynomial
 from hyperfield.newton import (
@@ -37,6 +37,13 @@ class TestValuation:
     def test_fractions(self):
         assert valuation(Fraction(5, 25), 5) == -1
         assert valuation(Fraction(-50, 3), 5) == 2
+
+    @pytest.mark.parametrize("p", [1, 0, 4, -3, 15])
+    def test_non_prime_is_bad_prime(self, p):
+        with pytest.raises(BadPrime):
+            valuation(6, p)
+        with pytest.raises(BadPrime):
+            newton_polygon(P((6, 0, 1)), p)
 
 
 class TestPolygon:
