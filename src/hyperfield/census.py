@@ -16,7 +16,10 @@ Frobenius cycle types sampled at the run's shared prime pool, which
 double as the field fingerprint.
 
 Field classes merge records whose fingerprints agree at every shared
-prime. Up to degree ISO_CAP, each merge is checked by isomorphic_exact
+prime. The compatible pairs come from an index of Python-int bitsets, one
+per (prime, splitting type) and one per prime, rather than from a
+comparison of every pair, so there is no key count above which merging
+stops. Up to degree ISO_CAP, each merge is checked by isomorphic_exact
 (Trager's resultant R_t, searched for a degree-n factor by the same
 factor.lift_and_recombine that factor_over_q uses); a failed check is
 counted in unconfirmed_classes.
@@ -655,6 +658,33 @@ class CensusResult:
     csv_lines: list[str]
 
 
+def _compatible_pairs(keys: list[tuple]):
+    """Every pair i < j of fingerprint entries that agree at each prime both
+    sampled (FieldFingerprint.compatible, for one degree), from a bitset
+    index: bit i of `allowed[(p, t)]` is set when key i has type t at p or
+    did not sample p, and the candidates of key i are the AND of `allowed`
+    over its own entries."""
+    everyone = (1 << len(keys)) - 1
+    having: dict[tuple, int] = {}
+    for i, entries in enumerate(keys):
+        bit = 1 << i
+        for entry in entries:
+            having[entry] = having.get(entry, 0) | bit
+    sampled: dict[int, int] = {}
+    for (p, _), bits in having.items():
+        sampled[p] = sampled.get(p, 0) | bits
+    allowed = {entry: bits | (everyone ^ sampled[entry[0]]) for entry, bits in having.items()}
+    for i, entries in enumerate(keys):
+        candidates = everyone
+        for entry in entries:
+            candidates &= allowed[entry]
+        candidates >>= i + 1
+        while candidates:
+            low = candidates & -candidates
+            yield i, i + low.bit_length()
+            candidates ^= low
+
+
 def _class_groups(records: list[CensusRecord]):
     """Group irreducible records into field classes via fingerprints,
     merging compatible keys and exact-confirming collisions below the cap."""
@@ -664,7 +694,6 @@ def _class_groups(records: list[CensusRecord]):
             continue
         keyed.setdefault(r.fingerprint.entries, []).append(r)
     keys = list(keyed)
-    # Merge keys that agree at every shared prime (index-prime gaps).
     parent = list(range(len(keys)))
 
     def find(i):
@@ -673,12 +702,8 @@ def _class_groups(records: list[CensusRecord]):
             i = parent[i]
         return i
 
-    if len(keys) <= 2000:
-        fps = [FieldFingerprint(records[0].F.degree, k) for k in keys]
-        for i in range(len(keys)):
-            for j in range(i + 1, len(keys)):
-                if fps[i].compatible(fps[j]):
-                    parent[find(i)] = find(j)
+    for i, j in _compatible_pairs(keys):
+        parent[find(i)] = find(j)
     merged: dict[int, list[CensusRecord]] = {}
     for i, k in enumerate(keys):
         merged.setdefault(find(i), []).extend(keyed[k])

@@ -115,7 +115,7 @@ def cmd_witness(args) -> int:
         avoid = tuple(p for p in (2, 3, 5, 7, 11, 13) if args.n % p == 0 or (args.n - 2) % p == 0)
         curve, (k, p) = normalize_even(curve, avoid=avoid)
         transform = {"translate": k, "scale": p}
-        prime = args.prime if args.prime else p
+        prime = args.prime if args.prime is not None else p
         shape = FamilyShape.proof_shape(curve.d, args.n)
     else:
         if recipe.kind == D3N3_TRANSP:
@@ -123,7 +123,7 @@ def cmd_witness(args) -> int:
             if k:
                 transform = {"translate": k, "scale": 1}
         shape = FamilyShape.proof_shape(curve.d, args.n)
-        prime = args.prime if args.prime else find_admissible_prime(curve, shape, recipe)
+        prime = args.prime if args.prime is not None else find_admissible_prime(curve, shape, recipe)
     s = witness(curve, shape, recipe, prime, args.seed)
     np_, certs = verify_witness(curve, shape, recipe, s, prime)
     report = {
@@ -192,8 +192,12 @@ def cmd_census(args) -> int:
     if (args.monicize or opts.get("monicize") == "true") and f.lc != 1:
         f = monicize(f)
     curve = HyperellipticCurve(f)
+    try:
+        fingerprint_primes = _positive_int(opts.get("fingerprint_primes", args.fingerprint_primes))
+    except argparse.ArgumentTypeError as e:
+        raise E.PolyParseError(f"fingerprint_primes {e}") from None
     cfg = CensusConfig(
-        fingerprint_primes=int(opts.get("fingerprint_primes", args.fingerprint_primes)),
+        fingerprint_primes=fingerprint_primes,
         factor_cap=int(opts.get("factor_cap", args.factor_cap)),
         box_cap=int(opts.get("box_cap", args.box_cap)),
         workers=int(opts.get("workers", args.workers)),
@@ -283,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--Y", default=None)
     p.add_argument("--sweep", default=None, help="comma-separated Y values")
-    p.add_argument("--fingerprint-primes", type=int, default=50)
+    p.add_argument("--fingerprint-primes", type=_positive_int, default=50)
     p.add_argument("--factor-cap", type=int, default=12)
     p.add_argument("--box-cap", type=int, default=100_000_000)
     p.add_argument("--workers", type=int, default=1)

@@ -252,6 +252,17 @@ def usable_cycle_lengths(t: CycleType) -> frozenset[int]:
     )
 
 
+@functools.lru_cache(maxsize=4096)
+def _normalized_type(t: tuple, n: int) -> CycleType:
+    """t as a descending tuple of ints summing to n. Memoised like
+    usable_cycle_lengths; a BadEvidence raised here is not cached, so it is
+    raised again on every call with the same type."""
+    out = tuple(sorted((int(x) for x in t), reverse=True))
+    if sum(out) != n:
+        raise BadEvidence(f"cycle type {out} does not sum to degree {n}")
+    return out
+
+
 def recognize_sn(n: int, evidence, transitive: bool) -> GroupCertificate:
     """Apply the type-level generating rules; S_n only under transitivity."""
     ev = []
@@ -260,10 +271,7 @@ def recognize_sn(n: int, evidence, transitive: bool) -> GroupCertificate:
             t, src = item
         else:
             t, src = item, ""
-        t = tuple(sorted((int(x) for x in t), reverse=True))
-        if sum(t) != n:
-            raise BadEvidence(f"cycle type {t} does not sum to degree {n}")
-        ev.append((t, src))
+        ev.append((_normalized_type(tuple(t), n), src))
     cert = lambda rule, concl: GroupCertificate(n, tuple(ev), rule, concl)
 
     if not transitive:
@@ -271,10 +279,7 @@ def recognize_sn(n: int, evidence, transitive: bool) -> GroupCertificate:
     if n == 1:
         return cert(RULE_FULL_CYCLE, SN)
 
-    usable: dict[int, str] = {}
-    for t, src in ev:
-        for l in usable_cycle_lengths(t):
-            usable.setdefault(l, src)
+    usable = set().union(*map(usable_cycle_lengths, {t for t, _ in ev}))
 
     if 2 not in usable:
         return cert(None, INCONCLUSIVE)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -215,6 +216,73 @@ class TestFingerprint:
         assert a.compatible(b) and b.compatible(a)
         assert not a.compatible(c)
         assert not a.compatible(FieldFingerprint(3, a.entries))
+
+
+class TestClassIndex:
+    """census._class_groups against a union-find over the pairwise
+    FieldFingerprint.compatible relation, built here."""
+
+    TYPES = ((7,), (4, 3), (5, 1, 1), (3, 2, 1, 1), (2, 2, 1, 1, 1))
+
+    def _records(self, count, seed):
+        rng = random.Random(seed)
+        pool = shared_prime_pool(16)
+        fresh, fingerprints = [], []
+        for _ in range(count):
+            if fresh and rng.random() < 0.3:
+                # A field seen again, with other bad primes and perhaps
+                # a colliding type at one prime.
+                entries = list(rng.choice(fresh))
+                for _ in range(rng.randint(1, 2)):
+                    entries.pop(rng.randrange(len(entries)))
+                if rng.random() < 0.5:
+                    k = rng.randrange(len(entries))
+                    entries[k] = (entries[k][0], rng.choice(self.TYPES))
+            else:
+                entries = [(p, rng.choice(self.TYPES)) for p in pool if rng.random() < 0.85]
+                fresh.append(entries)
+            fingerprints.append(census.FieldFingerprint(7, tuple(entries)))
+        # Degree 7 > ISO_CAP: no isomorphism test runs, each F is just a label.
+        return [
+            census.CensusRecord(None, P((i, 0, 0, 0, 0, 0, 0, 1)), 1, SN_CERTIFIED, fingerprint=fp)
+            for i, fp in enumerate(fingerprints)
+        ]
+
+    @staticmethod
+    def _reference(records):
+        parent = list(range(len(records)))
+
+        def find(i):
+            while parent[i] != i:
+                i = parent[i]
+            return i
+
+        for i, a in enumerate(records):
+            for j in range(i + 1, len(records)):
+                if a.fingerprint.compatible(records[j].fingerprint):
+                    parent[find(i)] = find(j)
+        groups = {}
+        for i, r in enumerate(records):
+            groups.setdefault(find(i), set()).add(r.F.coeffs)
+        return {frozenset(g) for g in groups.values()}
+
+    def test_matches_pairwise_compatible_above_2000_keys(self):
+        assert census.ISO_CAP < 7
+        records = self._records(2300, seed=5)
+        assert len({r.fingerprint.entries for r in records}) > 2000
+        classes, unconfirmed = census._class_groups(records)
+        got = {frozenset(r.F.coeffs for r in group) for group in classes}
+        want = self._reference(records)
+        assert got == want
+        assert unconfirmed == sum(len(g) > 1 for g in want) > 100
+        assert len(want) < len(records)
+
+    def test_empty_fingerprint_is_compatible_with_all(self):
+        records = self._records(40, seed=6)
+        empty = census.FieldFingerprint(7, ())
+        records.append(replace(records[0], F=P((99, 0, 0, 0, 0, 0, 0, 1)), fingerprint=empty))
+        classes, _ = census._class_groups(records)
+        assert len(classes) == 1 == len(self._reference(records))
 
 
 class TestIsomorphicExact:

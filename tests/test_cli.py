@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -167,6 +168,32 @@ class TestCensus:
         assert code == 2
         assert "unknown key" in err
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_config_fingerprint_primes_below_1_exit_2(self, capsys, tmp_path, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"curve=1,1,0,1\nn=3\nY=2\nfingerprint_primes={value}\n", encoding="utf-8")
+        code, out, err = run_cli(["census", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "fingerprint_primes must be at least 1" in err
+
+    def test_golden_digests(self, capsys, tmp_path):
+        """CSV and summary JSON of a small census, byte for byte, against
+        SHA-256 digests recorded when class grouping was a pairwise merge."""
+        csv, summary = tmp_path / "out.csv", tmp_path / "out.json"
+        code, _, _ = run_cli(
+            ["census", "--curve", "1,1,0,1", "--n", "4", "--Y", "7/2",
+             "--out-csv", str(csv), "--out-json", str(summary)],
+            capsys,
+        )
+        assert code == 0
+        assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
+            "3b92113c4120b4c98db75ae20bd91b82332e08b88fd919ac1b96d0885f453cd6"
+        )
+        assert hashlib.sha256(summary.read_bytes()).hexdigest() == (
+            "3eb1064af4e9a835d20da9f2574ea055e5f3bb1d9947e01f2affbcf1480a6bfd"
+        )
+
     def test_box_cap_exit_5(self, capsys):
         code, _, err = run_cli(
             ["census", "--curve", "1,1,0,1", "--n", "3", "--Y", "8", "--box-cap", "10"], capsys
@@ -207,6 +234,10 @@ class TestBoundary:
             (["np", "--poly", "6,0,1", "--prime", "-3"], 3),
             (["certify", "--poly", "1,1,0,1", "--primes", "0"], 2),
             (["certify", "--poly", "1,1,0,1", "--primes", "-2"], 2),
+            (["witness", "--curve", "1,1,0,1", "--n", "5", "--recipe", "ODD_ODD_QCYCLE", "--prime", "0"], 3),
+            (["witness", "--curve", "1,1,0,1", "--n", "5", "--recipe", "ODD_ODD_QCYCLE", "--prime", "4"], 3),
+            (["census", "--curve", "1,1,0,1", "--n", "3", "--Y", "2", "--fingerprint-primes", "0"], 2),
+            (["census", "--curve", "1,1,0,1", "--n", "3", "--Y", "2", "--fingerprint-primes", "-3"], 2),
         ],
     )
     def test_exit_code_within_10_s(self, args, code):

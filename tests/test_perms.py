@@ -165,6 +165,23 @@ class TestRecognizeSn:
         with pytest.raises(BadEvidence):
             recognize_sn(4, [((3, 2), "x")], True)
 
+    def test_bad_evidence_raised_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(BadEvidence):
+                recognize_sn(5, [((3, 1), "x"), ((2, 1, 1, 1), "y")], True)
+
+    def test_evidence_normalised_in_input_order(self):
+        evidence = [([1, 2, 1], "p=3"), ((1, 3), "p=5"), ([3, 1], "p=7"), (("1", 1, 2), "p=11")]
+        c = recognize_sn(4, evidence, True)
+        assert (c.conclusion, c.rule) == (SN, RULE_N_MINUS_1)
+        assert c.evidence == (
+            ((2, 1, 1), "p=3"), ((3, 1), "p=5"), ((3, 1), "p=7"), ((2, 1, 1), "p=11")
+        )
+        # bare types, without a source, get the empty source
+        c = recognize_sn(4, [[1, 1, 2], (1, 3)], True)
+        assert c.evidence == (((2, 1, 1), ""), ((3, 1), ""))
+        assert c.rule == RULE_N_MINUS_1
+
     def test_soundness_on_proper_transitive_subgroups(self):
         # the type set of any proper transitive subgroup must never be
         # recognized as S_n
