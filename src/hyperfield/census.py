@@ -10,10 +10,11 @@ Every record carries the discriminant and a certification status:
 REDUCIBLE, IRREDUCIBLE_UNCERTIFIED, or SN_CERTIFIED. Irreducibility is
 decided by (in order) degree partitions mod the first
 IRREDUCIBILITY_PRIMES good primes, a full-length coprime-slope
-Newton-polygon segment at one of POLYGON_PRIMES, then factor_over_q
-below the degree cap. S_n certification runs the recognition rules on
-Frobenius cycle types sampled at the run's shared prime pool, which
-double as the field fingerprint.
+Newton-polygon segment at one of the first POLYGON_PRIMES primes not
+dividing lc(F), then factor_over_q below the degree cap. S_n
+certification runs the recognition rules on Frobenius cycle types at the
+first fingerprint_primes good primes (not dividing lc(F) * Disc(F)),
+read from factor's prime table; they double as the field fingerprint.
 
 Field classes merge records whose fingerprints agree at every shared
 prime. The compatible pairs come from an index of Python-int bitsets, one
@@ -52,7 +53,7 @@ from .errors import (
     SearchExhausted,
     SearchWindowExceeded,
 )
-from .factor import DEFAULT_DEGREE_CAP, factor_over_q, lift_and_recombine, next_prime, primes_from
+from .factor import DEFAULT_DEGREE_CAP, factor_over_q, lift_and_recombine, primes_not_dividing
 from .family import (
     EVEN_D_EVEN_N,
     ODD_D_EVEN_N,
@@ -183,14 +184,6 @@ class CoefficientBox:
 # -- field fingerprints --------------------------------------------------------
 
 
-def shared_prime_pool(count: int) -> list[int]:
-    out, p = [], 2
-    while len(out) < count:
-        out.append(p)
-        p = next_prime(p)
-    return out
-
-
 @dataclass(frozen=True)
 class FieldFingerprint:
     degree: int
@@ -211,20 +204,11 @@ class FieldFingerprint:
         return True
 
 
-def _good_pool_primes(bad: int, pool: list[int], count: int) -> list[int]:
-    """The first `count` primes not dividing `bad` (nonzero): the shared
-    pool in order, extended past its end with the following primes."""
-    extension = primes_from(pool[-1] + 1 if pool else 2)
-    return list(itertools.islice((p for p in itertools.chain(pool, extension) if bad % p), count))
-
-
-def fingerprint(F: IntPolynomial, pool: list[int], count: int = 50) -> FieldFingerprint:
-    """Splitting types at the first `count` primes from the shared pool
-    that are good for F (bad ones skipped, pool extended as needed)."""
-    bad = abs(F.lc) * abs(discriminant(F))
-    if bad == 0:
-        raise ValueError("fingerprint requires a squarefree polynomial")
-    return FieldFingerprint(degree=F.degree, entries=_splitting_entries(F, _good_pool_primes(bad, pool, count)))
+def fingerprint(F: IntPolynomial, count: int = 50) -> FieldFingerprint:
+    """Splitting types at the first `count` primes good for F (not dividing
+    lc(F) * Disc(F)); F must be squarefree."""
+    primes = primes_not_dividing(F.lc * discriminant(F), count)
+    return FieldFingerprint(degree=F.degree, entries=_splitting_entries(F, primes))
 
 
 def _splitting_entries(F: IntPolynomial, primes: list[int]) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -236,7 +220,7 @@ def _splitting_entries(F: IntPolynomial, primes: list[int]) -> tuple[tuple[int, 
 
 
 IRREDUCIBILITY_PRIMES = 5  # fingerprint primes whose splitting types screen for irreducibility
-POLYGON_PRIMES = (2, 3, 5, 7, 11, 13)
+POLYGON_PRIMES = 6  # Newton polygons tried at the first primes not dividing lc(F)
 ISO_CAP = 6  # largest degree at which field classes are confirmed by isomorphic_exact
 
 
@@ -263,9 +247,7 @@ class CensusRecord:
 def _np_irreducible(F: IntPolynomial) -> bool:
     """Full-length segment with coprime reduced slope at some small prime."""
     n = F.degree
-    for q in POLYGON_PRIMES:
-        if F.lc % q == 0:
-            continue
+    for q in primes_not_dividing(F.lc, POLYGON_PRIMES):
         np_ = newton_polygon(F, q)
         if np_.x_power:
             continue
@@ -279,7 +261,6 @@ def classify_record(
     curve: HyperellipticCurve,
     shape: FamilyShape,
     s: Specialization,
-    pool: list[int],
     cfg: CensusConfig,
 ) -> CensusRecord:
     F = build_family_member(curve, shape, s)
@@ -290,7 +271,7 @@ def classify_record(
     disc_F = discriminant(F)
     if disc_F == 0:
         return CensusRecord(s, F, 0, REDUCIBLE)
-    good = _good_pool_primes(abs(F.lc) * abs(disc_F), pool, cfg.fingerprint_primes)
+    good = primes_not_dividing(F.lc * disc_F, cfg.fingerprint_primes)
     # Two kernel calls: the screening primes, then (for irreducible F only)
     # the rest of the fingerprint, which a reducible F never needs.
     entries = _splitting_entries(F, good[:IRREDUCIBILITY_PRIMES])
@@ -336,24 +317,23 @@ def _capped_box(shape: FamilyShape, Y, cfg: CensusConfig) -> CoefficientBox:
 def _classify_box(curve: HyperellipticCurve, box: CoefficientBox, cfg: CensusConfig, workers: int):
     """Classified records of the whole box, in odometer order: streamed in
     this process, or classified in chunks by a pool of `workers` processes."""
-    pool = shared_prime_pool(cfg.fingerprint_primes + 10)
     specs = box.specializations()
     if workers <= 1:
         for s in specs:
-            yield classify_record(curve, box.shape, s, pool, cfg)
+            yield classify_record(curve, box.shape, s, cfg)
         return
     from concurrent.futures import ProcessPoolExecutor
 
     size = max(64, box.cardinality // (workers * 8) + 1)
     chunks = iter(lambda: list(itertools.islice(specs, size)), [])
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        for part in ex.map(_classify_chunk, ((curve, box.shape, c, pool, cfg) for c in chunks)):
+        for part in ex.map(_classify_chunk, ((curve, box.shape, c, cfg) for c in chunks)):
             yield from part
 
 
 def _classify_chunk(args):
-    curve, shape, specs, pool, cfg = args
-    return [classify_record(curve, shape, s, pool, cfg) for s in specs]
+    curve, shape, specs, cfg = args
+    return [classify_record(curve, shape, s, cfg) for s in specs]
 
 
 # -- (g, h) collision multiplicities ------------------------------------------

@@ -187,29 +187,28 @@ def cmd_census(args) -> int:
     curve_text = args.curve or opts.get("curve")
     if not curve_text:
         raise E.PolyParseError("census needs --curve or a config file with curve=")
-    n = args.n if args.n is not None else int(opts["n"])
+    n = args.n if args.n is not None else opts.get("n")
+    if n is None:
+        raise E.PolyParseError("census needs --n or a config file with n=")
+    n = int(n)
     f = parse_poly(curve_text)
     if (args.monicize or opts.get("monicize") == "true") and f.lc != 1:
         f = monicize(f)
     curve = HyperellipticCurve(f)
-    try:
-        fingerprint_primes = _positive_int(opts.get("fingerprint_primes", args.fingerprint_primes))
-    except argparse.ArgumentTypeError as e:
-        raise E.PolyParseError(f"fingerprint_primes {e}") from None
     cfg = CensusConfig(
-        fingerprint_primes=fingerprint_primes,
-        factor_cap=int(opts.get("factor_cap", args.factor_cap)),
+        fingerprint_primes=_positive_option(opts, args, "fingerprint_primes"),
+        factor_cap=_positive_option(opts, args, "factor_cap"),
         box_cap=int(opts.get("box_cap", args.box_cap)),
-        workers=int(opts.get("workers", args.workers)),
+        workers=_positive_option(opts, args, "workers"),
     )
     sweep_text = args.sweep or opts.get("sweep")
     if sweep_text:
-        ys = [Fraction(tok) for tok in sweep_text.split(",")]
+        ys = [_height(tok) for tok in sweep_text.split(",")]
     else:
         y_text = args.Y if args.Y is not None else opts.get("Y")
         if y_text is None:
             raise E.PolyParseError("census needs --Y or --sweep")
-        ys = [Fraction(y_text)]
+        ys = [_height(y_text)]
     summaries = []
     csv_path = args.out_csv or opts.get("out_csv")
     csv_lines_all = [CSV_HEADER]
@@ -241,6 +240,21 @@ def cmd_exponents(args) -> int:
     return EXIT_OK
 
 
+def _positive_option(opts: dict, args, key: str) -> int:
+    """A census setting from the config file, else from its flag; at least 1."""
+    try:
+        return _positive_int(opts.get(key, getattr(args, key)))
+    except argparse.ArgumentTypeError as e:
+        raise E.PolyParseError(f"{key} {e}") from None
+
+
+def _height(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise E.PolyParseError(f"height {text!r} has a zero denominator") from None
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -268,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="S_n certificate from Frobenius sampling")
     p.add_argument("--poly", required=True)
     p.add_argument("--primes", type=_positive_int, default=100, help="number of good primes to sample")
-    p.add_argument("--factor-cap", type=int, default=12)
+    p.add_argument("--factor-cap", type=_positive_int, default=12)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("witness", help="generate and verify a recipe witness")
@@ -288,9 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Y", default=None)
     p.add_argument("--sweep", default=None, help="comma-separated Y values")
     p.add_argument("--fingerprint-primes", type=_positive_int, default=50)
-    p.add_argument("--factor-cap", type=int, default=12)
+    p.add_argument("--factor-cap", type=_positive_int, default=12)
     p.add_argument("--box-cap", type=int, default=100_000_000)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--out-csv", default=None)
     p.add_argument("--out-json", default=None)
     p.set_defaults(func=cmd_census)

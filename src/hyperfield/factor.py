@@ -11,6 +11,7 @@ degrees above its cap (default 12).
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -55,24 +56,32 @@ def next_prime(n: int) -> int:
     return n
 
 
+# Every prime up to _PRIMES[-1], ascending; grown on demand by next_prime.
+_PRIMES = [2]
+
+
 def primes_from(start: int):
-    """Ascending primes >= start."""
-    p = start - 1
+    """Ascending primes >= start, read from the prime table."""
+    i = bisect.bisect_left(_PRIMES, start)
     while True:
-        p = next_prime(p)
-        yield p
+        if i == len(_PRIMES):
+            _PRIMES.append(next_prime(_PRIMES[-1]))
+        if _PRIMES[i] >= start:
+            yield _PRIMES[i]
+        i += 1
+
+
+def primes_not_dividing(bad: int, count: int, start: int = 2) -> list[int]:
+    """The first `count` primes >= start that do not divide `bad`: the one
+    good-prime walk (bad = lc * Disc of the polynomial in question)."""
+    if bad == 0:
+        raise ValueError("every prime divides 0; no good primes exist")
+    return list(itertools.islice((q for q in primes_from(start) if bad % q), count))
 
 
 def good_primes(p: IntPolynomial, count: int, start: int = 2) -> list[int]:
     """First `count` primes q >= start with q not dividing lc(p)*Disc(p)."""
-    bad = abs(p.lc) * abs(discriminant(p))
-    if bad == 0:
-        raise ValueError("polynomial is not squarefree; no good primes exist")
-    return _primes_not_dividing(bad, count, start)
-
-
-def _primes_not_dividing(bad: int, count: int, start: int) -> list[int]:
-    return list(itertools.islice((q for q in primes_from(start) if bad % q), count))
+    return primes_not_dividing(p.lc * discriminant(p), count, start)
 
 
 def factor_mod_p(p: IntPolynomial, q: int) -> tuple[int, ...]:
@@ -299,7 +308,7 @@ def lift_and_recombine(g: IntPolynomial, disc: int, degrees) -> list[IntPolynomi
     irreducible factor of lower degree outside the search: degrees
     1..deg/2 give the factorization into irreducibles.
     """
-    primes = _primes_not_dividing(g.lc * disc, _MUSSER_PRIMES, 3)
+    primes = primes_not_dividing(g.lc * disc, _MUSSER_PRIMES, 3)
     types = kernels.splitting_types(g.coeffs, primes)
     possible = -1  # bit d: d is a subset sum at every prime
     for parts in types:

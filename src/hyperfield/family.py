@@ -213,23 +213,31 @@ def select_bertrand_prime(n: int) -> int:
     """Smallest prime q with (n-1)/2 < q < n-1 (exists for odd n > 3)."""
     if n <= 3 or n % 2 == 0:
         raise HypothesisViolated("Bertrand prime selection needs odd n > 3")
-    q = (n - 1) // 2 + 1
-    while q < n - 1:
-        if is_prime(q):
-            return q
-        q += 1
-    raise AssertionError(f"no prime in (({n}-1)/2, {n}-1)")  # Bertrand says unreachable
+    q = next(primes_from((n - 1) // 2 + 1))
+    assert q < n - 1, f"no prime in (({n}-1)/2, {n}-1)"  # Bertrand says unreachable
+    return q
 
 
 def _sqrt_mod(a: int, p: int) -> int | None:
-    """Smallest m in [1, p) with m^2 = a (mod p), or None."""
+    """Smallest m in [1, p) with m^2 = a (mod p), or None; p prime. Euler's
+    criterion, then Tonelli-Shanks for a root r: O(log p) multiplications."""
     a %= p
-    if a == 0:
+    if a == 0 or pow(a, (p - 1) // 2, p) != 1:
         return None
-    for m in range(1, p):
-        if m * m % p == a:
-            return m
-    return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 1, t * t % p
+        while t2 != 1:
+            i, t2 = i + 1, t2 * t2 % p
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return min(r, p - r)
 
 
 def _is_normalized_at(f: IntPolynomial, p: int) -> bool:
@@ -395,8 +403,9 @@ def _congruence_witness(curve, shape, k, p, rng, skip_avoid=False):
     if not skip_avoid:
         forbidden = (-known(k) * inv2a0) % p
         if k == d_g and lead_free:
-            allowed = [r for r in range(1, p) if r != forbidden]
-            a[k] = allowed[rng.randrange(len(allowed))]
+            # A uniform draw from [1, p) minus `forbidden`, by index arithmetic.
+            r = 1 + rng.randrange(p - 2 if forbidden else p - 1)
+            a[k] = r + 1 if forbidden and r >= forbidden else r
         else:
             a[k] = (forbidden + 1 + rng.randrange(p - 1)) % p
     for i in range(k + 1, d_g + 1):

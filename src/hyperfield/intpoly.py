@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import PolyParseError, ZeroInput, ZeroScale
 
@@ -219,17 +219,6 @@ class IntPolynomial:
             else:
                 parts.append((" - " if c < 0 else " + ") + term)
         return "".join(parts)
-
-
-X = IntPolynomial((0, 1))
-ONE = IntPolynomial((1,))
-
-
-def poly_from_int_roots(roots: Sequence[int]) -> IntPolynomial:
-    out = ONE
-    for r in roots:
-        out = out * IntPolynomial((-r, 1))
-    return out
 
 
 def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:

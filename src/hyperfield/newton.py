@@ -50,11 +50,6 @@ class Segment:
     length: int
     slope: Fraction
 
-    @property
-    def rise(self) -> int:
-        """Total valuation change across the segment."""
-        return int(self.slope * self.length)
-
 
 @dataclass(frozen=True)
 class NewtonPolygon:

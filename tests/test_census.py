@@ -26,7 +26,6 @@ from hyperfield.census import (
     isomorphic_exact,
     root_bound_box,
     run_census,
-    shared_prime_pool,
 )
 from hyperfield.errors import BoxTooLarge, DegreeCapExceeded, HypothesisViolated, NonMonic, SearchExhausted
 from hyperfield.family import FamilyShape, HyperellipticCurve
@@ -183,14 +182,12 @@ class TestDedupe:
 
 class TestFingerprint:
     def test_translation_invariant(self):
-        pool = shared_prime_pool(60)
         F = P((1, 1, 0, 1))
-        assert fingerprint(F, pool).entries == fingerprint(translate(F, 1), pool).entries
+        assert fingerprint(F).entries == fingerprint(translate(F, 1)).entries
 
     def test_separates_quadratics(self):
-        pool = shared_prime_pool(60)
-        f2 = fingerprint(P((-2, 0, 1)), pool)
-        f3 = fingerprint(P((-3, 0, 1)), pool)
+        f2 = fingerprint(P((-2, 0, 1)))
+        f3 = fingerprint(P((-3, 0, 1)))
         assert f2.entries != f3.entries
         # both 2 and 3 are non-residues mod 5; the first separating prime is 7
         d2, d3 = dict(f2.entries), dict(f3.entries)
@@ -198,14 +195,20 @@ class TestFingerprint:
         assert d2[7] == (1, 1) and d3[7] == (2,)
 
     def test_separates_cubics(self):
-        pool = shared_prime_pool(60)
-        a = fingerprint(P((1, 1, 0, 1)), pool)
-        b = fingerprint(P((1, 2, 0, 1)), pool)
+        a = fingerprint(P((1, 1, 0, 1)))
+        b = fingerprint(P((1, 2, 0, 1)))
         assert a.entries != b.entries
 
     def test_hash_stable(self):
-        pool = shared_prime_pool(60)
-        assert fingerprint(P((1, 1, 0, 1)), pool).hash_hex == fingerprint(P((1, 1, 0, 1)), pool).hash_hex
+        assert fingerprint(P((1, 1, 0, 1))).hash_hex == fingerprint(P((1, 1, 0, 1))).hash_hex
+
+    def test_census_records_carry_fingerprint(self):
+        # classify_record builds the fingerprint in two kernel calls from
+        # its own walk; it must equal fingerprint(F) on every irreducible record.
+        records = [r for r in enumerate_box(C3, FamilyShape.census_shape(3, 4), 2) if r.fingerprint]
+        assert len(records) > 20
+        for r in records:
+            assert r.fingerprint == fingerprint(r.F), r.F
 
     def test_compatibility_semantics(self):
         from hyperfield.census import FieldFingerprint
@@ -226,7 +229,7 @@ class TestClassIndex:
 
     def _records(self, count, seed):
         rng = random.Random(seed)
-        pool = shared_prime_pool(16)
+        pool = factor.primes_not_dividing(1, 16)
         fresh, fingerprints = [], []
         for _ in range(count):
             if fresh and rng.random() < 0.3:
@@ -331,11 +334,10 @@ class TestIsomorphicExact:
             isomorphic_exact(P((-2, 0, 1)), P((-8, 0, 1)))  # isomorphic: must lift
 
     def test_consistent_with_fingerprints(self):
-        pool = shared_prime_pool(60)
         polys = [P((1, 1, 0, 1)), P((-2, 0, 0, 1)), P((2, 3, 0, 1)), P((11, 13, 6, 1)), P((-1, -1, 0, 1))]
         for A, B in itertools.combinations(polys, 2):
             iso = isomorphic_exact(A, B)
-            fpa, fpb = fingerprint(A, pool), fingerprint(B, pool)
+            fpa, fpb = fingerprint(A), fingerprint(B)
             if iso:
                 assert fpa.compatible(fpb)
             if not fpa.compatible(fpb):

@@ -177,6 +177,30 @@ class TestCensus:
         assert out == ""
         assert "fingerprint_primes must be at least 1" in err
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("workers=0", "workers must be at least 1"),
+            ("workers=-2", "workers must be at least 1"),
+            ("factor_cap=-1", "factor_cap must be at least 1"),
+        ],
+    )
+    def test_config_settings_below_1_exit_2(self, capsys, tmp_path, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"curve=1,1,0,1\nn=3\nY=2\n{line}\n", encoding="utf-8")
+        code, out, err = run_cli(["census", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    def test_config_without_n_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("curve=1,1,0,1\nY=2\n", encoding="utf-8")
+        code, out, err = run_cli(["census", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "census needs --n" in err
+
     def test_golden_digests(self, capsys, tmp_path):
         """CSV and summary JSON of a small census, byte for byte, against
         SHA-256 digests recorded when class grouping was a pairwise merge."""
@@ -238,6 +262,16 @@ class TestBoundary:
             (["witness", "--curve", "1,1,0,1", "--n", "5", "--recipe", "ODD_ODD_QCYCLE", "--prime", "4"], 3),
             (["census", "--curve", "1,1,0,1", "--n", "3", "--Y", "2", "--fingerprint-primes", "0"], 2),
             (["census", "--curve", "1,1,0,1", "--n", "3", "--Y", "2", "--fingerprint-primes", "-3"], 2),
+            (["census", "--curve", "1,1,0,1", "--n", "3", "--Y", "2", "--workers", "0"], 2),
+            (["census", "--curve", "1,1,0,1", "--n", "3", "--Y", "2", "--workers", "-2"], 2),
+            (["census", "--curve", "1,1,0,1", "--n", "3", "--Y", "2", "--factor-cap", "-1"], 2),
+            (["certify", "--poly", "1,1,0,1", "--factor-cap", "-1"], 2),
+            (["certify", "--poly", "1,1,0,1", "--factor-cap", "0"], 2),
+            (["census", "--curve", "1,1,0,1", "--Y", "2"], 2),
+            (["census", "--curve", "1,1,0,1", "--n", "3", "--Y", "1/0"], 2),
+            (["census", "--curve", "1,1,0,1", "--n", "3", "--sweep", "2,1/0"], 2),
+            (["witness", "--curve", "2,1,0,1", "--n", "4", "--recipe", "ODD_EVEN_TRANSP", "--prime", "1000000000061"], 3),
+            (["witness", "--curve", "1,1,0,1", "--n", "4", "--recipe", "ODD_EVEN_TRANSP", "--prime", "1000000000061"], 0),
         ],
     )
     def test_exit_code_within_10_s(self, args, code):

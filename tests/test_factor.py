@@ -16,6 +16,7 @@ from hyperfield.factor import (
     good_primes,
     is_irreducible,
     is_prime,
+    primes_not_dividing,
     squarefree_decomposition,
 )
 from hyperfield.intpoly import IntPolynomial
@@ -42,6 +43,36 @@ class TestPrimes:
         # disc(x^2+1) = -4: p=2 skipped
         assert good_primes(P((1, 0, 1)), 3) == [3, 5, 7]
         assert good_primes(P((1, 0, 1)), 0) == []
+
+    @staticmethod
+    def _naive(bad, count, start):
+        out, q = [], start
+        while len(out) < count:
+            if is_prime(q) and bad % q:
+                out.append(q)
+            q += 1
+        return out
+
+    @pytest.mark.parametrize("table", [None, [2], [2, 3, 5, 7, 11]])
+    def test_walk_matches_naive(self, monkeypatch, table):
+        # From the full table, and from short tables that every walk below
+        # must grow, with start before, inside and past the table's end.
+        if table is not None:
+            monkeypatch.setattr(factor, "_PRIMES", list(table))
+        rng = random.Random(len(table or ()))
+        for _ in range(200):
+            bad = rng.choice([1, -1]) * rng.randint(1, 10**12) * rng.choice([1, 6, 30, 210, 2310])
+            count, start = rng.randint(0, 40), rng.choice([2, 3, rng.randint(2, 60), rng.randint(100, 400)])
+            assert primes_not_dividing(bad, count, start) == self._naive(bad, count, start)
+        assert factor._PRIMES == sorted(set(factor._PRIMES))
+        assert all(is_prime(q) for q in factor._PRIMES)
+        assert self._naive(1, len(factor._PRIMES), 2) == factor._PRIMES
+
+    def test_walk_refuses_zero(self):
+        with pytest.raises(ValueError):
+            primes_not_dividing(0, 5)
+        with pytest.raises(ValueError):
+            good_primes(P((0, 0, 1)), 3)  # x^2: Disc = 0
 
 
 class TestFactorModP:

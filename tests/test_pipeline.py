@@ -3,8 +3,8 @@ import math
 import random
 
 from hyperfield import _kernels as kernels
-from hyperfield.census import CoefficientBox, shared_prime_pool
-from hyperfield.factor import factor_over_q, next_prime
+from hyperfield.census import CoefficientBox
+from hyperfield.factor import factor_over_q, primes_not_dividing
 from hyperfield.family import (
     D3N3_TRANSP,
     EVEN_N2CYCLE,
@@ -100,7 +100,6 @@ class TestEmpiricalHilbert:
         # Canonical placements of sampled Frobenius types generate the full
         # symmetric group for >= 95% of 200 pointed box specializations.
         cases = [(C3, 3, 24), (C3, 4, 8), (C3, 5, 8), (C5, 5, 8), (C5, 6, 6), (C6, 8, 4)]
-        pool = shared_prime_pool(80)
         for curve, n, Y in cases:
             rng = random.Random(0)
             shape, specs = _random_specs(curve, n, Y, 200, rng)
@@ -110,15 +109,7 @@ class TestEmpiricalHilbert:
                 disc = discriminant(F)
                 if disc == 0:
                     continue
-                bad = abs(F.lc) * abs(disc)
-                types = set()
-                i, p, sampled = 0, None, 0
-                while sampled < 60:
-                    p = pool[i] if i < len(pool) else next_prime(p)
-                    i += 1
-                    if bad % p:
-                        types.add(tuple(kernels.ddf_degrees(F.coeffs, p)))
-                        sampled += 1
+                types = {tuple(kernels.ddf_degrees(F.coeffs, p)) for p in primes_not_dividing(F.lc * disc, 60)}
                 gens = [canonical_of_type(t, n) for t in types]
                 if group_order(gens, cap=16) == math.factorial(n):
                     ok += 1
