@@ -8,10 +8,10 @@ each coordinate swept from -bound to +bound.
 
 Every record carries the discriminant and a certification status:
 REDUCIBLE, IRREDUCIBLE_UNCERTIFIED, or SN_CERTIFIED. Irreducibility is
-decided by (in order) degree partitions mod the first
-IRREDUCIBILITY_PRIMES good primes, a full-length coprime-slope
-Newton-polygon segment at one of the first POLYGON_PRIMES primes not
-dividing lc(F), then factor_over_q below the degree cap. S_n
+decided by (in order) Musser's degree-set intersection over the
+splitting types at the first IRREDUCIBILITY_PRIMES good primes, a Newton
+polygon that is one irreducible block at one of the first POLYGON_PRIMES
+primes not dividing lc(F), then factor_over_q below the degree cap. S_n
 certification runs the recognition rules on Frobenius cycle types at the
 first fingerprint_primes good primes (not dividing lc(F) * Disc(F)),
 read from factor's prime table; they double as the field fingerprint.
@@ -50,10 +50,11 @@ from .errors import (
     DegreeCapExceeded,
     HypothesisViolated,
     NonMonic,
+    PolyParseError,
     SearchExhausted,
     SearchWindowExceeded,
 )
-from .factor import DEFAULT_DEGREE_CAP, factor_over_q, lift_and_recombine, primes_not_dividing
+from .factor import DEFAULT_DEGREE_CAP, factor_over_q, lift_and_recombine, musser_degrees, primes_not_dividing
 from .family import (
     EVEN_D_EVEN_N,
     ODD_D_EVEN_N,
@@ -64,8 +65,8 @@ from .family import (
     build_family_member,
 )
 from .intpoly import IntPolynomial, discriminant, format_poly, scale_x, translate
-from .newton import newton_polygon
-from .perms import SN, GroupCertificate, recognize_sn
+from .newton import factorization_shape, newton_polygon
+from .perms import SN, recognize_sn
 
 REDUCIBLE = "REDUCIBLE"
 IRREDUCIBLE_UNCERTIFIED = "IRREDUCIBLE_UNCERTIFIED"
@@ -206,7 +207,9 @@ class FieldFingerprint:
 
 def fingerprint(F: IntPolynomial, count: int = 50) -> FieldFingerprint:
     """Splitting types at the first `count` primes good for F (not dividing
-    lc(F) * Disc(F)); F must be squarefree."""
+    lc(F) * Disc(F)), from one kernel call; F must be squarefree. Census
+    records are screened and S_n-certified from these types, and certify
+    reads them too."""
     primes = primes_not_dividing(F.lc * discriminant(F), count)
     return FieldFingerprint(degree=F.degree, entries=_splitting_entries(F, primes))
 
@@ -239,22 +242,17 @@ class CensusRecord:
     disc_F: int
     status: str
     fingerprint: FieldFingerprint | None = None
-    group_certificate: GroupCertificate | None = None
     no_point: bool = False
     class_id: int | None = None
 
 
 def _np_irreducible(F: IntPolynomial) -> bool:
-    """Full-length segment with coprime reduced slope at some small prime."""
-    n = F.degree
-    for q in primes_not_dividing(F.lc, POLYGON_PRIMES):
-        np_ = newton_polygon(F, q)
-        if np_.x_power:
-            continue
-        segs = np_.segments
-        if len(segs) == 1 and segs[0].length == n and segs[0].slope.denominator == n:
-            return True
-    return False
+    """The Newton polygon at some small prime is one irreducible block."""
+    return any(
+        block.length == F.degree and block.irreducible
+        for q in primes_not_dividing(F.lc, POLYGON_PRIMES)
+        for block in factorization_shape(newton_polygon(F, q))
+    )
 
 
 def classify_record(
@@ -276,10 +274,7 @@ def classify_record(
     # the rest of the fingerprint, which a reducible F never needs.
     entries = _splitting_entries(F, good[:IRREDUCIBILITY_PRIMES])
 
-    irreducible = any(t == (n,) for _, t in entries)
-    if not irreducible:
-        irreducible = _np_irreducible(F)
-    if not irreducible:
+    if musser_degrees((t for _, t in entries), range(1, n // 2 + 1)) and not _np_irreducible(F):
         if n > cfg.factor_cap:
             raise DegreeCapExceeded(
                 f"cannot decide irreducibility at degree {n} above factor cap {cfg.factor_cap}"
@@ -287,14 +282,11 @@ def classify_record(
         factors = factor_over_q(F, cap=cfg.factor_cap)
         if sum(1 for f in factors if f.degree > 0) > 1:
             return CensusRecord(s, F, disc_F, REDUCIBLE)
-        irreducible = True
 
     entries += _splitting_entries(F, good[IRREDUCIBILITY_PRIMES:])
-    fp = FieldFingerprint(degree=n, entries=entries)
-    evidence = [(t, f"frobenius p={q}") for q, t in entries]
-    cert = recognize_sn(n, evidence, transitive=True)
+    cert = recognize_sn(n, [t for _, t in entries], transitive=True)
     status = SN_CERTIFIED if cert.conclusion == SN else IRREDUCIBLE_UNCERTIFIED
-    return CensusRecord(s, F, disc_F, status, fingerprint=fp, group_certificate=cert)
+    return CensusRecord(s, F, disc_F, status, fingerprint=FieldFingerprint(n, entries))
 
 
 def enumerate_box(
@@ -713,7 +705,10 @@ def run_census(curve: HyperellipticCurve, n: int, Y, cfg: CensusConfig = CensusC
     workers = cfg.workers
     env_threads = os.environ.get("HYPERFIELD_THREADS")
     if env_threads:
-        workers = max(1, min(workers, int(env_threads)))
+        try:
+            workers = max(1, min(workers, int(env_threads)))
+        except ValueError:
+            raise PolyParseError(f"HYPERFIELD_THREADS must be an integer, got {env_threads!r}") from None
     records = list(_classify_box(curve, box, cfg, workers))
 
     groups, max_mult = dedupe_gh(records)

@@ -3,12 +3,14 @@
 All output is data (JSON or CSV) for external plotting. Exit codes:
 0 success, 2 parse error, 3 inadmissible input, 4 hypothesis violation,
 5 resource cap. HYPERFIELD_THREADS caps census workers. Config files
-are flat key=value lines (UTF-8); unknown keys are rejected.
+are flat key=value lines (UTF-8); unknown keys are rejected, and a flag
+beats its config key, which beats the default.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -23,9 +25,10 @@ from .census import (
     CensusConfig,
     ev_threshold_search,
     exponents,
+    fingerprint,
     run_census,
 )
-from .factor import factor_over_q, good_primes
+from .factor import factor_over_q
 from .family import (
     ALL_RECIPE_KINDS,
     D3N3_TRANSP,
@@ -43,7 +46,7 @@ from .family import (
 )
 from .intpoly import format_poly, monicize, parse_poly
 from .newton import newton_polygon
-from .perms import frobenius_sample, recognize_sn
+from .perms import recognize_sn
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -51,8 +54,10 @@ EXIT_INADMISSIBLE = 3
 EXIT_HYPOTHESIS = 4
 EXIT_RESOURCE = 5
 
-_PARSE_ERRORS = (E.PolyParseError, ValueError)
-_INADMISSIBLE_ERRORS = (E.InadmissiblePrime, E.BadPrime, E.NonCoprimeH, E.WitnessFailed, E.ZeroPolynomial, E.ZeroInput)
+_PARSE_ERRORS = (E.PolyParseError, E.BadPath)
+_INADMISSIBLE_ERRORS = (
+    E.InadmissiblePrime, E.BadPrime, E.NonCoprimeH, E.WitnessFailed, E.ZeroPolynomial, E.ZeroInput, E.ConstantPolynomial,
+)
 _HYPOTHESIS_ERRORS = (E.HypothesisViolated, E.BadEvidence, E.DegreeDrop, E.NonMonic)
 _RESOURCE_ERRORS = (E.BoxTooLarge, E.DegreeCapExceeded, E.SearchWindowExceeded, E.SearchExhausted)
 
@@ -61,11 +66,11 @@ def _emit(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=False))
 
 
-def _curve_from_args(args) -> HyperellipticCurve:
-    f = parse_poly(args.curve)
-    if getattr(args, "monicize", False):
-        f = monicize(f)
-    return HyperellipticCurve(f)
+def _curve(text: str, monic: bool) -> HyperellipticCurve:
+    """The curve y^2 = f for the coefficients in `text`, checked as given;
+    with `monic`, its monic model."""
+    curve = HyperellipticCurve(parse_poly(text))
+    return HyperellipticCurve(monicize(curve.f)) if monic else curve
 
 
 def cmd_np(args) -> int:
@@ -89,9 +94,7 @@ def cmd_certify(args) -> int:
     if proper:
         print(f"error: input is reducible; found factor {format_poly(proper[0])}", file=sys.stderr)
         return EXIT_INADMISSIBLE
-    primes = good_primes(poly, args.primes)
-    types = frobenius_sample(poly, primes)
-    evidence = [(t, f"frobenius p={q}") for t, q in zip(types, primes)]
+    evidence = [(t, f"frobenius p={q}") for q, t in fingerprint(poly, args.primes).entries]
     cert = recognize_sn(poly.degree, evidence, transitive=True)
     _emit(cert.to_json())
     return EXIT_OK
@@ -101,14 +104,14 @@ def _recipe_from_name(name: str) -> Recipe:
     name = name.strip().upper()
     if name.startswith("K_CYCLE"):
         inner = name[len("K_CYCLE") :].strip("()")
-        return Recipe(K_CYCLE, int(inner))
+        return Recipe(K_CYCLE, _integer("K_CYCLE length", inner))
     if name not in ALL_RECIPE_KINDS or name == K_CYCLE:
         raise E.PolyParseError(f"unknown recipe {name!r}")
     return Recipe(name)
 
 
 def cmd_witness(args) -> int:
-    curve = _curve_from_args(args)
+    curve = _curve(args.curve, args.monicize)
     recipe = _recipe_from_name(args.recipe)
     transform = None
     if recipe.kind in (EVEN_NCYCLE, EVEN_N2CYCLE):
@@ -164,68 +167,92 @@ _CONFIG_KEYS = {
 
 
 def load_config(path: str) -> dict:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise E.PolyParseError(f"{path}: config file is not UTF-8 text") from None
+    except OSError as e:
+        raise E.BadPath(f"cannot read config file {path}: {e.strerror}") from None
     out = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise E.PolyParseError(f"{path}:{line_no}: expected key=value")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in _CONFIG_KEYS:
-                raise E.PolyParseError(f"{path}:{line_no}: unknown key {key!r}")
-            out[key] = value.strip()
+    for line_no, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise E.PolyParseError(f"{path}:{line_no}: expected key=value")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in _CONFIG_KEYS:
+            raise E.PolyParseError(f"{path}:{line_no}: unknown key {key!r}")
+        out[key] = value.strip()
     return out
 
 
 def cmd_census(args) -> int:
-    opts = {}
-    if args.config:
-        opts = load_config(args.config)
-    curve_text = args.curve or opts.get("curve")
+    opts = load_config(args.config) if args.config else {}
+
+    def setting(key: str, default=None):
+        """The flag if one was given, else the config key, else the default."""
+        flag = getattr(args, key)
+        return flag if flag is not None else opts.get(key, default)
+
+    curve_text = setting("curve")
     if not curve_text:
         raise E.PolyParseError("census needs --curve or a config file with curve=")
-    n = args.n if args.n is not None else opts.get("n")
+    n = setting("n")
     if n is None:
         raise E.PolyParseError("census needs --n or a config file with n=")
-    n = int(n)
-    f = parse_poly(curve_text)
-    if (args.monicize or opts.get("monicize") == "true") and f.lc != 1:
-        f = monicize(f)
-    curve = HyperellipticCurve(f)
-    cfg = CensusConfig(
-        fingerprint_primes=_positive_option(opts, args, "fingerprint_primes"),
-        factor_cap=_positive_option(opts, args, "factor_cap"),
-        box_cap=int(opts.get("box_cap", args.box_cap)),
-        workers=_positive_option(opts, args, "workers"),
-    )
-    sweep_text = args.sweep or opts.get("sweep")
-    if sweep_text:
-        ys = [_height(tok) for tok in sweep_text.split(",")]
-    else:
-        y_text = args.Y if args.Y is not None else opts.get("Y")
-        if y_text is None:
-            raise E.PolyParseError("census needs --Y or --sweep")
+    n = _integer("n", n)
+    curve = _curve(curve_text, args.monicize or opts.get("monicize") == "true")
+    defaults = CensusConfig()
+    cfg = CensusConfig(**{
+        key: _positive_option(key, setting(key, getattr(defaults, key)))
+        for key in ("fingerprint_primes", "factor_cap", "box_cap", "workers")
+    })
+    # --sweep and --Y set one thing, the heights: either flag beats the config.
+    height_flags = args.sweep is not None or args.Y is not None
+    sweep, y_text = (args.sweep, args.Y) if height_flags else (opts.get("sweep"), opts.get("Y"))
+    if sweep is not None:
+        ys = [_height(tok) for tok in sweep.split(",")]
+    elif y_text is not None:
         ys = [_height(y_text)]
+    else:
+        raise E.PolyParseError("census needs --Y or --sweep")
+    csv_path, json_path = setting("out_csv"), setting("out_json")
+    for path in filter(None, (csv_path, json_path)):
+        _check_writable(path)
     summaries = []
-    csv_path = args.out_csv or opts.get("out_csv")
     csv_lines_all = [CSV_HEADER]
     for y in ys:
         res = run_census(curve, n, y, cfg)
         summaries.append({"Y": str(y), **res.summary})
         csv_lines_all.extend(res.csv_lines)
     if csv_path:
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(csv_lines_all) + "\n")
-    out_json = args.out_json or opts.get("out_json")
+        _write(csv_path, "\n".join(csv_lines_all) + "\n")
     payload = summaries if len(summaries) > 1 else summaries[0]
-    if out_json:
-        with open(out_json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
+    if json_path:
+        _write(json_path, json.dumps(payload, indent=2))
     _emit(payload)
     return EXIT_OK
+
+
+def _check_writable(path: str) -> None:
+    """Refuse an output path before any census work: it must be a file in
+    an existing folder, writable by this process."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(
+        path if os.path.exists(path) else folder, os.W_OK
+    ):
+        raise E.BadPath(f"cannot write output file {path}")
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise E.BadPath(f"cannot write output file {path}: {e.strerror}") from None
 
 
 def cmd_exponents(args) -> int:
@@ -240,10 +267,17 @@ def cmd_exponents(args) -> int:
     return EXIT_OK
 
 
-def _positive_option(opts: dict, args, key: str) -> int:
-    """A census setting from the config file, else from its flag; at least 1."""
+def _integer(key: str, text) -> int:
     try:
-        return _positive_int(opts.get(key, getattr(args, key)))
+        return int(text)
+    except ValueError:
+        raise E.PolyParseError(f"{key} must be an integer, got {text!r}") from None
+
+
+def _positive_option(key: str, value) -> int:
+    """A count setting, from its flag or the config file: at least 1."""
+    try:
+        return _positive_int(_integer(key, value))
     except argparse.ArgumentTypeError as e:
         raise E.PolyParseError(f"{key} {e}") from None
 
@@ -253,6 +287,8 @@ def _height(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise E.PolyParseError(f"height {text!r} has a zero denominator") from None
+    except ValueError:
+        raise E.PolyParseError(f"height {text!r} is not a rational number") from None
 
 
 def _positive_int(text: str) -> int:
@@ -301,10 +337,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--Y", default=None)
     p.add_argument("--sweep", default=None, help="comma-separated Y values")
-    p.add_argument("--fingerprint-primes", type=_positive_int, default=50)
-    p.add_argument("--factor-cap", type=_positive_int, default=12)
-    p.add_argument("--box-cap", type=int, default=100_000_000)
-    p.add_argument("--workers", type=_positive_int, default=1)
+    # Defaults of these four come from CensusConfig; a flag beats the config file.
+    p.add_argument("--fingerprint-primes", type=_positive_int, default=None)
+    p.add_argument("--factor-cap", type=_positive_int, default=None)
+    p.add_argument("--box-cap", type=_positive_int, default=None)
+    p.add_argument("--workers", type=_positive_int, default=None)
     p.add_argument("--out-csv", default=None)
     p.add_argument("--out-json", default=None)
     p.set_defaults(func=cmd_census)

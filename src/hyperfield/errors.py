@@ -10,7 +10,11 @@ class HyperfieldError(Exception):
 
 
 class PolyParseError(HyperfieldError):
-    """Malformed polynomial text."""
+    """Malformed input text: a polynomial, a number, a recipe or a config file."""
+
+
+class BadPath(HyperfieldError):
+    """A config file cannot be read, or an output file cannot be written."""
 
 
 class ZeroScale(HyperfieldError):
@@ -23,6 +27,10 @@ class ZeroInput(HyperfieldError):
 
 class ZeroPolynomial(HyperfieldError):
     """Newton polygon of the zero polynomial is undefined."""
+
+
+class ConstantPolynomial(HyperfieldError):
+    """Operation defined only for degree >= 1 (discriminant, monicize, ...)."""
 
 
 class BadPrime(HyperfieldError):

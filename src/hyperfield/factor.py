@@ -1,11 +1,12 @@
 """Factorization: degree partitions mod p, Zassenhaus over Q.
 
-factor_mod_p is the Dedekind sampler (partition of factor degrees mod a
-good prime = Frobenius cycle type). lift_and_recombine is the one
-Zassenhaus search, for factor_over_q and the exact isomorphism test:
-Musser's degree-set intersection at six good primes (which alone proves
-most irreducible inputs irreducible), factorization mod the prime with
-the fewest factors, one Hensel lift past the Landau-Mignotte bound, and
+factor_mod_p is the validated single-prime Dedekind sampler (partition
+of factor degrees mod a good prime = Frobenius cycle type).
+musser_degrees is Musser's degree-set intersection over splitting types
+at good primes, for the census screen and lift_and_recombine, the one
+Zassenhaus search (factor_over_q and the exact isomorphism test): the
+intersection at six good primes, factorization mod the prime with the
+fewest factors, one Hensel lift past the Landau-Mignotte bound, and
 recombination of subsets by ascending degree. factor_over_q refuses
 degrees above its cap (default 12).
 """
@@ -18,7 +19,7 @@ import random
 
 from . import _kernels as kernels
 from ._kernels.pure import _ddf_blocks, _divmod_mod, _gcd_mod, _mul_mod, _pow_mod, _prep, _reduce, _trim
-from .errors import BadPrime, DegreeCapExceeded, ZeroInput
+from .errors import BadPrime, ConstantPolynomial, DegreeCapExceeded, ZeroInput
 from .intpoly import IntPolynomial, discriminant, poly_gcd
 
 DEFAULT_DEGREE_CAP = 12
@@ -79,11 +80,6 @@ def primes_not_dividing(bad: int, count: int, start: int = 2) -> list[int]:
     return list(itertools.islice((q for q in primes_from(start) if bad % q), count))
 
 
-def good_primes(p: IntPolynomial, count: int, start: int = 2) -> list[int]:
-    """First `count` primes q >= start with q not dividing lc(p)*Disc(p)."""
-    return primes_not_dividing(p.lc * discriminant(p), count, start)
-
-
 def factor_mod_p(p: IntPolynomial, q: int) -> tuple[int, ...]:
     """Degree partition (descending) of the irreducible factors of p mod q.
 
@@ -93,7 +89,7 @@ def factor_mod_p(p: IntPolynomial, q: int) -> tuple[int, ...]:
     if not is_prime(q):
         raise BadPrime(f"{q} is not prime")
     if p.degree < 1:
-        raise ValueError("factor_mod_p requires degree >= 1")
+        raise ConstantPolynomial("factor_mod_p requires degree >= 1")
     if p.lc % q == 0:
         raise BadPrime(f"{q} divides the leading coefficient")
     try:
@@ -293,14 +289,27 @@ def _degree_subsets(parts: list[int], target: int):
     yield from rec(0, target, [])
 
 
+def musser_degrees(types, degrees) -> list[int]:
+    """The degrees in `degrees` that are a subset sum of every splitting
+    type in `types` (at good primes). The degree of any factor over Q is
+    such a sum (Musser), so an empty list proves there is no factor of a
+    degree in `degrees`."""
+    possible = -1  # bit d: d is a subset sum of every type so far
+    for parts in types:
+        sums = 1
+        for d in parts:
+            sums |= sums << d
+        possible &= sums
+    return [d for d in degrees if possible >> d & 1]
+
+
 def lift_and_recombine(g: IntPolynomial, disc: int, degrees) -> list[IntPolynomial]:
     """Factors of g found at the target `degrees` (each <= deg/2), in
     ascending degree, then the cofactor. g is primitive and squarefree
     with lc > 0, and disc = Disc(g).
 
-    A factor's degree is a subset sum of g's splitting type at every
-    good prime (Musser): target degrees that fail this at one of six odd
-    good primes are dropped, and if none is left nothing is lifted.
+    Target degrees that musser_degrees drops at six odd good primes
+    cannot be factor degrees; if none is left nothing is lifted.
     Otherwise the factors mod the prime with the fewest of them are
     Hensel-lifted once, and for each target degree d, ascending, every
     subset of lifted factors of total degree d is tried by exact
@@ -310,13 +319,7 @@ def lift_and_recombine(g: IntPolynomial, disc: int, degrees) -> list[IntPolynomi
     """
     primes = primes_not_dividing(g.lc * disc, _MUSSER_PRIMES, 3)
     types = kernels.splitting_types(g.coeffs, primes)
-    possible = -1  # bit d: d is a subset sum at every prime
-    for parts in types:
-        sums = 1
-        for d in parts:
-            sums |= sums << d
-        possible &= sums
-    targets = [d for d in degrees if possible >> d & 1]
+    targets = musser_degrees(types, degrees)
     if not targets:
         return [g]
     q = min(zip(primes, types), key=lambda e: len(e[1]))[0]

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import PolyParseError, ZeroInput, ZeroScale
+from .errors import ConstantPolynomial, PolyParseError, ZeroInput, ZeroScale
 
 
 def _trim(coeffs: Iterable) -> tuple:
@@ -266,7 +266,7 @@ def scale_x(p: IntPolynomial, m: int) -> IntPolynomial:
 def monicize(f: IntPolynomial) -> IntPolynomial:
     """The monic model c^(d-1) * f(x/c) for c = lc(f); integral by construction."""
     if f.is_zero() or f.degree < 1:
-        raise ValueError("monicize requires degree >= 1")
+        raise ConstantPolynomial("monicize requires degree >= 1")
     c, d = f.lc, f.degree
     if c == 1:
         return f
@@ -326,7 +326,7 @@ def discriminant(p: IntPolynomial) -> int:
     """(-1)^(d(d-1)/2) Res(p, p') / lc(p); exact integer."""
     d = p.degree
     if d < 1:
-        raise ValueError("discriminant requires degree >= 1")
+        raise ConstantPolynomial("discriminant requires degree >= 1")
     if d == 1:
         return 1
     dp = p.derivative()
@@ -342,7 +342,7 @@ def discriminant(p: IntPolynomial) -> int:
 def squarefree(p: IntPolynomial) -> bool:
     """True iff gcd(p, p') is constant, i.e. Disc(p) != 0."""
     if p.degree < 1:
-        raise ValueError("squarefree check requires degree >= 1")
+        raise ConstantPolynomial("squarefree check requires degree >= 1")
     return poly_gcd(p, p.derivative()).degree == 0
 
 

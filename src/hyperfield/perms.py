@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import BadEvidence, DegreeCapExceeded
-from .factor import factor_mod_p, is_prime
-from .intpoly import IntPolynomial
+# Nothing here calls factor_mod_p; it stays for perfbench/trace_spans.WRAPPED.
+from .factor import factor_mod_p, is_prime  # noqa: F401
 
 Perm = tuple[int, ...]
 CycleType = tuple[int, ...]
@@ -294,7 +294,3 @@ def recognize_sn(n: int, evidence, transitive: bool) -> GroupCertificate:
         return cert(RULE_EVEN, SN)
     return cert(None, INCONCLUSIVE)
 
-
-def frobenius_sample(p: IntPolynomial, primes) -> list[CycleType]:
-    """Cycle types of Frobenius at the given good primes (Dedekind)."""
-    return [factor_mod_p(p, q) for q in primes]

@@ -28,8 +28,11 @@ from hyperfield.census import (
     run_census,
 )
 from hyperfield.errors import BoxTooLarge, DegreeCapExceeded, HypothesisViolated, NonMonic, SearchExhausted
-from hyperfield.family import FamilyShape, HyperellipticCurve
-from hyperfield.intpoly import IntPolynomial, translate
+from hyperfield.factor import factor_mod_p
+from hyperfield.family import FamilyShape, HyperellipticCurve, build_family_member
+from hyperfield.intpoly import IntPolynomial, discriminant, translate
+from hyperfield.newton import newton_polygon
+from hyperfield.perms import recognize_sn
 
 P = IntPolynomial
 C3 = HyperellipticCurve(P((1, 1, 0, 1)))
@@ -141,7 +144,7 @@ class TestEnumerateBox:
         zero = [r for r in records if r.spec.a == (0, 0)][0]
         assert zero.F.coeffs == (-1, -1, 0, -1)
         assert zero.status == SN_CERTIFIED
-        assert zero.group_certificate is not None and zero.group_certificate.conclusion == "SN"
+        assert recognize_sn(3, [t for _, t in zero.fingerprint.entries], transitive=True).conclusion == "SN"
         assert zero.fingerprint is not None and len(zero.fingerprint.entries) == 50
         with pytest.raises(BoxTooLarge):
             list(enumerate_box(C3, FamilyShape.census_shape(3, 3), 2, CensusConfig(box_cap=10)))
@@ -158,6 +161,50 @@ class TestEnumerateBox:
         flagged = [r for r in records if r.no_point]
         assert flagged and all(r.status == REDUCIBLE for r in flagged)
         assert all(r.spec.b == (0,) for r in flagged)
+
+
+class TestIrreducibilityScreen:
+    def test_factor_over_q_only_where_screen_and_polygon_fail(self, monkeypatch):
+        """On --curve 1,1,0,1 --n 4 --Y 7/2, census.factor_over_q runs for
+        exactly the records with h != 0 and Disc F != 0 whose splitting types
+        at the first five good primes leave a factor degree in 1..n/2 (subset
+        sums, recomputed here) and whose Newton polygons at the first six
+        primes not dividing lc(F) are not one segment of length n and slope
+        denominator n."""
+        n, Y = 4, Fraction(7, 2)
+        shape = FamilyShape.census_shape(C3.d, n)
+        real, called = census.factor_over_q, []
+
+        def counting(F, cap):
+            called.append(F.coeffs)
+            return real(F, cap=cap)
+
+        monkeypatch.setattr(census, "factor_over_q", counting)
+        run_census(C3, n, Y)
+
+        def subset_sums(t):
+            return {sum(c) for r in range(len(t) + 1) for c in itertools.combinations(t, r)}
+
+        def polygon_proves(F, q):
+            np_ = newton_polygon(F, q)
+            segs = np_.segments
+            return not np_.x_power and len(segs) == 1 and segs[0].length == n and segs[0].slope.denominator == n
+
+        expected, wider_screen_only = [], 0
+        for s in CoefficientBox.build(shape, Y).specializations():
+            F = build_family_member(C3, shape, s)
+            disc = discriminant(F)
+            if s.h_poly(shape).is_zero() or disc == 0:
+                continue
+            types = [factor_mod_p(F, q) for q in factor.primes_not_dividing(F.lc * disc, 5)]
+            left = set(range(1, n // 2 + 1)).intersection(*map(subset_sums, types))
+            polygon = any(polygon_proves(F, q) for q in factor.primes_not_dividing(F.lc, 6))
+            if left and not polygon:
+                expected.append(F.coeffs)
+            elif not left and not polygon and (n,) not in types:
+                wider_screen_only += 1  # no full cycle: a full-cycle screen would factor F
+        assert called == expected
+        assert wider_screen_only > 0
 
 
 class TestDedupe:

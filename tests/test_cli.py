@@ -1,14 +1,29 @@
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from hyperfield import cli
+from hyperfield.census import CensusConfig, fingerprint
 from hyperfield.cli import main
+from hyperfield.factor import factor_mod_p
+from hyperfield.family import ALL_RECIPE_KINDS
+from hyperfield.intpoly import parse_poly
 
 SRC = str(Path(__file__).parent.parent / "src")
+
+
+class Config(bytes):
+    """The bytes of a config file, in a TestBoundary command."""
 
 
 def run_cli(args, capsys):
@@ -63,6 +78,18 @@ class TestCertify:
         code, _, err = run_cli(["certify", "--poly", poly], capsys)
         assert code == 5
         assert "cap" in err
+
+    @pytest.mark.parametrize("poly", ["1,1,0,1", "1,0,0,0,1", "-1,-1,0,0,0,1", "2,0,2", "0,3", "7,0,0,-3"])
+    def test_evidence_is_the_census_sample(self, capsys, poly):
+        code, out, _ = run_cli(["certify", "--poly", poly, "--primes", "20"], capsys)
+        assert code == 0
+        evidence = [
+            (int(e["source"].removeprefix("frobenius p=")), tuple(e["cycle_type"]))
+            for e in json.loads(out)["evidence"]
+        ]
+        F = parse_poly(poly)
+        assert evidence == list(fingerprint(F, 20).entries)
+        assert evidence == [(q, factor_mod_p(F, q)) for q, _ in evidence]
 
 
 class TestWitness:
@@ -183,6 +210,8 @@ class TestCensus:
             ("workers=0", "workers must be at least 1"),
             ("workers=-2", "workers must be at least 1"),
             ("factor_cap=-1", "factor_cap must be at least 1"),
+            ("box_cap=0", "box_cap must be at least 1"),
+            ("box_cap=-1", "box_cap must be at least 1"),
         ],
     )
     def test_config_settings_below_1_exit_2(self, capsys, tmp_path, line, message):
@@ -224,6 +253,45 @@ class TestCensus:
         )
         assert code == 5
         assert "exceeds cap" in err
+
+    @pytest.mark.parametrize("flag, line, code", [("1000", "box_cap=10", 0), ("10", "box_cap=1000", 5), (None, "box_cap=10", 5)])
+    def test_box_cap_flag_beats_config(self, capsys, tmp_path, flag, line, code):
+        # The n = 3, Y = 2 box has 15 members.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"curve=1,1,0,1\nn=3\nY=2\n{line}\n", encoding="utf-8")
+        args = ["census", "--config", str(cfg)] + (["--box-cap", flag] if flag else [])
+        assert run_cli(args, capsys)[0] == code
+
+    FLAGS = ["--curve", "1,1,0,1", "--n", "3", "--Y", "2", "--fingerprint-primes", "7", "--factor-cap", "9",
+             "--box-cap", "99", "--workers", "2"]
+    CONFIG = "curve=1,0,0,1,1\nn=6\nsweep=3,4\nfingerprint_primes=8\nfactor_cap=10\nbox_cap=999\nworkers=3\n"
+
+    @pytest.mark.parametrize(
+        "flags, config, want",
+        [
+            (FLAGS, None, ((1, 1, 0, 1), 3, [Fraction(2)], CensusConfig(7, 9, 99, 2))),
+            (FLAGS, CONFIG, ((1, 1, 0, 1), 3, [Fraction(2)], CensusConfig(7, 9, 99, 2))),
+            ([], CONFIG, ((1, 0, 0, 1, 1), 6, [Fraction(3), Fraction(4)], CensusConfig(8, 10, 999, 3))),
+            (["--curve", "1,1,0,1", "--n", "3", "--Y", "2"], None, ((1, 1, 0, 1), 3, [Fraction(2)], CensusConfig())),
+            (["--sweep", "2,3"], "curve=1,1,0,1\nn=3\nY=4\n", ((1, 1, 0, 1), 3, [Fraction(2), Fraction(3)], CensusConfig())),
+        ],
+    )
+    def test_flag_beats_config_beats_default(self, capsys, tmp_path, monkeypatch, flags, config, want):
+        """Every census setting: an explicit flag, else the config key, else the default."""
+        seen = []
+
+        def fake_census(curve, n, y, cfg):
+            seen.append((curve.f.coeffs, n, y, cfg))
+            return SimpleNamespace(summary={}, csv_lines=[])
+
+        monkeypatch.setattr(cli, "run_census", fake_census)
+        args = ["census", *flags]
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config, encoding="utf-8")
+            args += ["--config", str(tmp_path / "run.cfg")]
+        assert run_cli(args, capsys)[0] == 0
+        curve, n, ys, cfg = want
+        assert seen == [(curve, n, y, cfg) for y in ys]
 
 
 class TestEntryPoint:
@@ -272,15 +340,89 @@ class TestBoundary:
             (["census", "--curve", "1,1,0,1", "--n", "3", "--sweep", "2,1/0"], 2),
             (["witness", "--curve", "2,1,0,1", "--n", "4", "--recipe", "ODD_EVEN_TRANSP", "--prime", "1000000000061"], 3),
             (["witness", "--curve", "1,1,0,1", "--n", "4", "--recipe", "ODD_EVEN_TRANSP", "--prime", "1000000000061"], 0),
+            (["certify", "--poly", "5"], 3),
+            (["census", "--curve", "5", "--n", "4", "--Y", "2"], 4),
+            (["census", "--curve", "5", "--monicize", "--n", "4", "--Y", "2"], 4),
+            (["witness", "--curve", "5", "--monicize", "--n", "4", "--recipe", "ODD_EVEN_TRANSP"], 4),
+            (["census", "--curve", "1,1,0,1", "--n", "3", "--Y", "abc"], 2),
+            (["census", "--curve", "1,1,0,1", "--n", "3", "--sweep", ","], 2),
+            (["witness", "--curve", "1,1,0,1", "--n", "6", "--recipe", "K_CYCLE(x)"], 2),
+            (["witness", "--curve", "1,1,0,1", "--n", "6", "--recipe", "K_CYCLE()"], 2),
+            (["census", "--config", Config(b"curve=1,1,0,1\nn=abc\nY=2\n")], 2),
+            (["census", "--config", Config(b"curve=1,1,0,1\nn=3\nY=2\nbox_cap=abc\n")], 2),
+            (["census", "--config", Config(b"curve=1,1,0,1\nn=3\nY=2\n# caf\xe9\n")], 2),
+            (["HYPERFIELD_THREADS=x", "census", "--curve", "1,1,0,1", "--n", "3", "--Y", "2"], 2),
+            (["census", "--config", "/nonexistent/run.cfg"], 2),
+            (["census", "--curve", "1,1,0,1", "--n", "4", "--Y", "8", "--out-csv", "/nonexistent/dir/a.csv"], 2),
+            (["census", "--curve", "1,1,0,1", "--n", "4", "--Y", "8", "--out-json", "/nonexistent/dir/a.json"], 2),
+            (["census", "--curve", "1,1,0,1", "--n", "3", "--Y", "2", "--box-cap", "0"], 2),
+            (["census", "--curve", "1,1,0,1", "--n", "3", "--Y", "2", "--box-cap", "-1"], 2),
         ],
     )
-    def test_exit_code_within_10_s(self, args, code):
+    def test_exit_code_within_10_s(self, args, code, tmp_path):
+        """Leading NAME=value tokens go to the environment, as in a shell;
+        a Config is written to a file whose path replaces it."""
+        env = {"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin", "HYPERFIELD_PURE": "1"}
+        while "=" in args[0]:
+            key, _, value = args[0].partition("=")
+            env[key], args = value, args[1:]
+        argv = []
+        for i, arg in enumerate(args):
+            if isinstance(arg, Config):
+                (tmp_path / f"{i}.cfg").write_bytes(arg)
+                arg = str(tmp_path / f"{i}.cfg")
+            argv.append(arg)
         proc = subprocess.run(
-            [sys.executable, "-m", "hyperfield", *args],
+            [sys.executable, "-m", "hyperfield", *argv],
             capture_output=True,
             text=True,
-            env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin", "HYPERFIELD_PURE": "1"},
+            env=env,
             timeout=10,
         )
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def _coeff_text(max_size):
+    return st.one_of(
+        st.lists(st.integers(-6, 6), max_size=max_size).map(lambda cs: ",".join(map(str, cs))),
+        st.sampled_from(["", "x", "1,,2", " 1, 2 ", "1/2,1"]),
+    )
+
+
+_SMALL = st.integers(-3, 40).map(str)
+_RECIPES = st.sampled_from(
+    [*ALL_RECIPE_KINDS, "K_CYCLE(-1)", "K_CYCLE(0)", "K_CYCLE(2)", "K_CYCLE(5)", "K_CYCLE(x)", "K_CYCLE()", "nope"]
+)
+
+
+def _optional(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+_NP = st.tuples(_coeff_text(7), _SMALL, st.sampled_from([[], ["--json"]])).map(
+    lambda t: ["np", "--poly", t[0], "--prime", t[1], *t[2]]
+)
+_CERTIFY = st.tuples(
+    _coeff_text(8), _optional("--primes", st.integers(-1, 20).map(str)), _optional("--factor-cap", _SMALL)
+).map(lambda t: ["certify", "--poly", t[0], *t[1], *t[2]])
+_CURVES = st.sampled_from(["1,1,0,1", "-1,1,0,-1", "2,1,0,1", "1,-1,0,0,0,1", "1,0,0,0,1", "3,1,0,0,0,0,1"])
+_WITNESS = st.tuples(
+    st.one_of(_CURVES, _coeff_text(6)),
+    st.integers(-1, 8).map(str),
+    _RECIPES,
+    _optional("--prime", _SMALL),
+    _optional("--seed", st.integers(0, 3).map(str)),
+    st.sampled_from([[], ["--monicize"]]),
+).map(lambda t: ["witness", "--curve", t[0], "--n", t[1], "--recipe", t[2], *t[3], *t[4], *t[5]])
+
+
+class TestFuzz:
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(argv=st.one_of(_NP, _CERTIFY, _WITNESS))
+    def test_main_returns_a_documented_exit_code(self, argv):
+        """Small coefficients and primes: cli.main answers with an exit code
+        of the table, and no exception escapes it."""
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in {0, 2, 3, 4, 5}, argv

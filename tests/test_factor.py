@@ -13,13 +13,12 @@ from hyperfield.errors import BadPrime, DegreeCapExceeded
 from hyperfield.factor import (
     factor_mod_p,
     factor_over_q,
-    good_primes,
     is_irreducible,
     is_prime,
     primes_not_dividing,
     squarefree_decomposition,
 )
-from hyperfield.intpoly import IntPolynomial
+from hyperfield.intpoly import IntPolynomial, discriminant
 
 P = IntPolynomial
 X = sympy.Symbol("x")
@@ -33,16 +32,21 @@ def product(polys):
     return functools.reduce(operator.mul, polys, P((1,)))
 
 
+def good_for(p, count, start=2):
+    """The first `count` primes >= start not dividing lc(p) * Disc(p)."""
+    return primes_not_dividing(p.lc * discriminant(p), count, start)
+
+
 class TestPrimes:
     def test_is_prime(self):
         assert [n for n in range(2, 40) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
         assert is_prime(2**31 - 1)
         assert not is_prime(2**32 + 1)
 
-    def test_good_primes_skip_disc(self):
+    def test_good_walk_skips_disc(self):
         # disc(x^2+1) = -4: p=2 skipped
-        assert good_primes(P((1, 0, 1)), 3) == [3, 5, 7]
-        assert good_primes(P((1, 0, 1)), 0) == []
+        assert good_for(P((1, 0, 1)), 3) == [3, 5, 7]
+        assert good_for(P((1, 0, 1)), 0) == []
 
     @staticmethod
     def _naive(bad, count, start):
@@ -72,7 +76,7 @@ class TestPrimes:
         with pytest.raises(ValueError):
             primes_not_dividing(0, 5)
         with pytest.raises(ValueError):
-            good_primes(P((0, 0, 1)), 3)  # x^2: Disc = 0
+            good_for(P((0, 0, 1)), 3)  # x^2: Disc = 0
 
 
 class TestFactorModP:
@@ -95,7 +99,7 @@ class TestFactorModP:
             p = P([rng.randint(-30, 30) for _ in range(rng.randint(2, 9))] + [1])
             if p.degree < 1:
                 continue
-            for q in good_primes(p, 3):
+            for q in good_for(p, 3):
                 part = factor_mod_p(p, q)
                 assert sum(part) == p.degree
                 assert part == tuple(sorted(part, reverse=True))
@@ -104,7 +108,7 @@ class TestFactorModP:
         rng = random.Random(1)
         for _ in range(150):
             p = P([rng.randint(-20, 20) for _ in range(rng.randint(2, 7))] + [1])
-            q = good_primes(p, 1)[0]
+            q = good_for(p, 1)[0]
             mine = sorted(factor_mod_p(p, q))
             theirs = []
             for fac, mult in sympy.factor_list(sympy.Poly(to_sympy(p), X, modulus=q))[1]:
@@ -281,7 +285,7 @@ class TestFactorOverQ:
         # good primes is (4), but every one has subset sums without 1 and 2
         # ((3,1) and (2,2) share only 0 and 4): irreducible, nothing lifted.
         quartic = P((-3, -1, 1, -2, 1))
-        primes = good_primes(quartic, 6, start=3)
+        primes = good_for(quartic, 6, start=3)
         types = {factor_mod_p(quartic, q) for q in primes}
         assert (4,) not in types and {(3, 1), (2, 2)} <= types
 
@@ -314,10 +318,10 @@ class TestFullCycleFrequency:
             if p.degree < 2 or not is_irreducible(p):
                 continue
             tested += 1
-            parts = {factor_mod_p(p, q) for q in good_primes(p, 200)}
+            parts = {factor_mod_p(p, q) for q in good_for(p, 200)}
             if (p.degree,) in parts:
                 found += 1
         assert found == 100
         v4 = P((1, 0, 0, 0, 1))
-        parts = {factor_mod_p(v4, q) for q in good_primes(v4, 200)}
+        parts = {factor_mod_p(v4, q) for q in good_for(v4, 200)}
         assert (4,) not in parts

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from hyperfield.census import fingerprint
 from hyperfield.errors import BadEvidence, DegreeCapExceeded
 from hyperfield.intpoly import IntPolynomial
 from hyperfield.perms import (
@@ -17,7 +18,6 @@ from hyperfield.perms import (
     compose,
     cycle_type,
     from_cycles,
-    frobenius_sample,
     group_order,
     identity,
     inverse,
@@ -213,15 +213,17 @@ class TestRecognizeSn:
 
 
 class TestFrobeniusSample:
+    """The Frobenius sample every caller reads: census.fingerprint."""
+
     def test_cubic(self):
         # x^3+x+1: irreducible mod 2 and 5; x=1 is a root mod 3
-        types = frobenius_sample(IntPolynomial((1, 1, 0, 1)), [2, 3, 5])
-        assert types == [(3,), (2, 1), (3,)]
+        entries = fingerprint(IntPolynomial((1, 1, 0, 1)), 3).entries
+        assert entries == ((2, (3,)), (3, (2, 1)), (5, (3,)))
 
     def test_split_prime_gives_identity_type(self):
-        # x^2-1 is not squarefree-friendly; use x^2-2 at p=7 (2 = 3^2 mod 7)
-        types = frobenius_sample(IntPolynomial((-2, 0, 1)), [7])
-        assert types == [(1, 1)]
+        # x^2-2 at p=7 (2 = 3^2 mod 7); Disc = 8 leaves out p=2
+        entries = fingerprint(IntPolynomial((-2, 0, 1)), 3).entries
+        assert entries[-1] == (7, (1, 1))
 
     def test_quadratic(self):
-        assert frobenius_sample(IntPolynomial((1, 0, 1)), [5]) == [(1, 1)]
+        assert fingerprint(IntPolynomial((1, 0, 1)), 2).entries[1] == (5, (1, 1))
