@@ -1,13 +1,23 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled C kernel against the pure-Python kernels.
+"""Benchmark the compiled C kernel against the pure-Python kernels, and
+packed against schoolbook products in the mod-m toolkit.
 
-The workload mirrors the census hot path: degree partitions mod small
-primes one call at a time (irreducibility screening) and the same
+The kernel workload mirrors the census hot path: degree partitions mod
+small primes one call at a time (irreducibility screening) and the same
 partitions at its good primes among the first 50 in one
 ``splitting_types`` call per polynomial (the record's fingerprint). Both
 backends run on identical inputs and must agree. The compiled module is
 the one ``hyperfield._kernels`` loads (compiled on first use into the
 user cache).
+
+The toolkit rows time ``pure._mul_mod`` on two operands of degree d and
+``pure._pow_mod`` (a^13 modulo a monic f of degree d, building the
+packed table once per call, the most a caller pays for it) at degrees
+4, 8, 12, 36 and 72 and moduli 13, 2^61 - 1 and 13^23, once with every
+product schoolbook and once with every product packed. Both must give
+identical output. The crossover printed after the rows is the least
+listed degree from which packing wins every row; ``pure._PACK_MIN`` is
+set to it.
 
 Usage: python benchmarks/bench_kernels.py [--trials N]
 """
@@ -16,6 +26,7 @@ import pathlib
 import random
 import sys
 import time
+import timeit
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "src"))
 
@@ -61,10 +72,70 @@ def run(backend, cases):
     return outs, times
 
 
+TOOLKIT_DEGREES = (4, 8, 12, 36, 72)
+TOOLKIT_MODULI = (("13", 13), ("2^61-1", 2**61 - 1), ("13^23", 13**23))
+TOOLKIT_EXPONENT = 13
+NEVER, ALWAYS = 1 << 30, 0  # pure._PACK_MIN values: every product schoolbook, or every one packed
+
+
+def _best_time(fn) -> float:
+    """Seconds per call: the best of three timings of about 0.05 s each."""
+    timer = timeit.Timer(fn)
+    reps = max(1, int(0.05 / max(timer.timeit(1), 1e-7)))
+    return min(timer.repeat(3, reps)) / reps
+
+
+def toolkit_rows(seed: int = 0):
+    """(kind, degree, modulus name, schoolbook s, packed s) per toolkit row;
+    asserts that both give identical output."""
+    rng = random.Random(seed)
+    rows = []
+    saved = pure._PACK_MIN
+    try:
+        for d in TOOLKIT_DEGREES:
+            for name, m in TOOLKIT_MODULI:
+                a = [rng.randrange(m) for _ in range(d + 1)]
+                b = [rng.randrange(m) for _ in range(d + 1)]
+                f = [rng.randrange(m) for _ in range(d)] + [1]
+                x = [rng.randrange(m) for _ in range(d)]
+                calls = {
+                    "multiply": lambda: pure._mul_mod(a, b, m),
+                    "power": lambda: pure._pow_mod(x, TOOLKIT_EXPONENT, f, m, pure._power_table(f, m)),
+                }
+                for kind, call in calls.items():
+                    times, outs = [], []
+                    for pack_min in (NEVER, ALWAYS):
+                        pure._PACK_MIN = pack_min
+                        outs.append(call())
+                        times.append(_best_time(call))
+                    assert outs[0] == outs[1], f"packed {kind} differs from schoolbook at degree {d} mod {name}"
+                    rows.append((kind, d, name, *times))
+    finally:
+        pure._PACK_MIN = saved
+    return rows
+
+
+def crossover(rows) -> int | None:
+    """The least listed degree from which packing wins every row, or None."""
+    for d in TOOLKIT_DEGREES:
+        if all(packed < school for _, deg, _, school, packed in rows if deg >= d):
+            return d
+    return None
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--trials", type=int, default=20_000)
     args = ap.parse_args()
+
+    rows = toolkit_rows()
+    print(f"{'toolkit':<10}{'degree':>7}{'modulus':>9}{'schoolbook (us)':>17}{'packed (us)':>13}{'speedup':>9}")
+    for kind, d, name, school, packed in rows:
+        print(f"{kind:<10}{d:>7}{name:>9}{school * 1e6:>17.1f}{packed * 1e6:>13.1f}{school / packed:>8.2f}x")
+    found = crossover(rows)
+    verdict = "matches" if found == pure._PACK_MIN else "DIFFERS from"
+    print(f"\npacked and schoolbook outputs identical; packing wins every row from degree {found}, "
+          f"which {verdict} pure._PACK_MIN = {pure._PACK_MIN}\n")
 
     cases = workload(args.trials)
     pure_out, pure_times = run(pure, cases)

@@ -43,6 +43,7 @@ import math
 import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import add, mul
 
 from . import _kernels as kernels
 from .errors import (
@@ -64,7 +65,7 @@ from .family import (
     Specialization,
     build_family_member,
 )
-from .intpoly import IntPolynomial, discriminant, format_poly, scale_x, translate
+from .intpoly import IntPolynomial, discriminant, format_poly, monicize
 from .newton import factorization_shape, newton_polygon
 from .perms import SN, recognize_sn
 
@@ -343,30 +344,59 @@ def dedupe_gh(records) -> tuple[dict[tuple[int, ...], list[CensusRecord]], int]:
 # -- exact isomorphism ---------------------------------------------------------
 
 
-def _resultant_in_x(F1: IntPolynomial, F2: IntPolynomial, t: int) -> IntPolynomial:
-    """R_t(x) = Res_y(F1(y), F2(x + t*y)), interpolated at deg + 1
-    consecutive integers. R_t has integer coefficients, so its Newton
-    divided differences there are integers and each division is exact."""
-    from .intpoly import resultant  # looked up per call, so wrappers on intpoly see it
+def _power_sums(f: IntPolynomial, count: int) -> list[int]:
+    """Power sums p_0..p_count of the roots of the monic f, by Newton's
+    identities (no division: f is monic)."""
+    n, a = f.degree, f.coeffs
+    sums = [n]
+    for k in range(1, count + 1):
+        # p_k = -k a_(n-k) - sum_(i=1..min(k-1, n)) a_(n-i) p_(k-i)
+        j = min(k - 1, n)
+        s = sum(map(mul, a[n - j:n], sums[k - j:k]))
+        sums.append(-(k * a[n - k] if k <= n else 0) - s)
+    return sums
 
-    deg = F1.degree * F2.degree
-    xs = range(-(deg // 2), deg - deg // 2 + 1)
-    # F2(t*y + x0) as a polynomial in y, at each node x0.
-    dd = [resultant(F1, scale_x(translate(F2, x0), t)) for x0 in xs]
-    # In place: dd[k] becomes the divided difference R_t[x_0, ..., x_k].
+
+def _resultant_in_x(F1: IntPolynomial, F2: IntPolynomial, t: int) -> IntPolynomial:
+    """R_t(x) = Res_y(F1(y), F2(x + t*y)) for t != 0, which is
+    lc1^m * lc2^n * prod (x - (beta_j - t*alpha_i)) over the n roots
+    alpha_i of F1 and the m roots beta_j of F2.
+
+    A composed sum (Bostan-Flajolet-Salvy-Schost, J. Symb. Comp. 41,
+    2006): with a_i = lc1*alpha_i and b_j = lc2*beta_j, the roots of the
+    monic integer models of F1 and F2, the N = nm numbers
+    lc1*b_j - t*lc2*a_i = lc1*lc2*(beta_j - t*alpha_i) are algebraic
+    integers whose power sums follow from those of a and b by the
+    binomial theorem. Newton's identities turn them into the monic
+    H(x) = prod (x - lc1*lc2*(beta_j - t*alpha_i)) in Z[x], and
+    R_t(x) = lc1^m * lc2^n * H(lc1*lc2*x) / (lc1*lc2)^N. Both steps
+    divide integers exactly; a remainder raises ArithmeticError."""
+    n, m = F1.degree, F2.degree
+    deg = n * m
+    u, v = F1.lc, -t * F2.lc
+    sa = [s * v**k for k, s in enumerate(_power_sums(monicize(F1), deg))]
+    sb = [s * u**k for k, s in enumerate(_power_sums(monicize(F2), deg))]
+    # Power sums of u*b_j + v*a_i: P_k = sum_l C(k, l) (u^l pb_l) (v^(k-l) pa_(k-l)).
+    power, binom = [], [1]  # binom: row k of Pascal's triangle
+    for k in range(deg + 1):
+        power.append(sum(map(mul, map(mul, binom, sb), reversed(sa[:k + 1]))))
+        binom = [1, *map(add, binom, binom[1:]), 1]
+    # Newton's identities for h[k], the coefficient of x^(deg-k) in the
+    # monic H: k h[k] = -sum_(i=1..k) h[k-i] P_i.
+    h = [1]
     for k in range(1, deg + 1):
-        for i in range(deg, k - 1, -1):
-            dd[i], rem = divmod(dd[i] - dd[i - 1], k)  # x_i - x_{i-k} = k
-            if rem:
-                raise ArithmeticError("R_t divided differences must be integers")
-    # Horner on the Newton form: R_t = dd[0] + (x - x_0)(dd[1] + (x - x_1)(...)).
-    coeffs = [dd[deg]]
-    for k in range(deg - 1, -1, -1):
-        shifted = [0] + coeffs
-        for j, c in enumerate(coeffs):
-            shifted[j] -= xs[k] * c
-        shifted[0] += dd[k]
-        coeffs = shifted
+        hk, rem = divmod(-sum(map(mul, reversed(h), power[1:k + 1])), k)
+        if rem:
+            raise ArithmeticError("composed-sum Newton identities must divide exactly")
+        h.append(hk)
+    # R_t = lc1^m lc2^n H(L x) / L^deg for L = lc1*lc2.
+    lcs, scale = F1.lc**m * F2.lc**n, F1.lc * F2.lc
+    coeffs = []
+    for k in range(deg, -1, -1):
+        c, rem = divmod(lcs * h[k], scale**k)
+        if rem:
+            raise ArithmeticError("R_t must have integer coefficients")
+        coeffs.append(c)
     return IntPolynomial(coeffs)
 
 

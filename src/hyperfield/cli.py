@@ -204,7 +204,8 @@ def cmd_census(args) -> int:
     if n is None:
         raise E.PolyParseError("census needs --n or a config file with n=")
     n = _integer("n", n)
-    curve = _curve(curve_text, args.monicize or opts.get("monicize") == "true")
+    monic = _switch("monicize", opts.get("monicize", "false"))
+    curve = _curve(curve_text, args.monicize or monic)
     defaults = CensusConfig()
     cfg = CensusConfig(**{
         key: _positive_option(key, setting(key, getattr(defaults, key)))
@@ -272,6 +273,13 @@ def _integer(key: str, text) -> int:
         return int(text)
     except ValueError:
         raise E.PolyParseError(f"{key} must be an integer, got {text!r}") from None
+
+
+def _switch(key: str, text: str) -> bool:
+    """A config switch: exactly true or false."""
+    if text not in ("true", "false"):
+        raise E.PolyParseError(f"{key} must be true or false, got {text!r}")
+    return text == "true"
 
 
 def _positive_option(key: str, value) -> int:

@@ -6,9 +6,9 @@ musser_degrees is Musser's degree-set intersection over splitting types
 at good primes, for the census screen and lift_and_recombine, the one
 Zassenhaus search (factor_over_q and the exact isomorphism test): the
 intersection at six good primes, factorization mod the prime with the
-fewest factors, one Hensel lift past the Landau-Mignotte bound, and
-recombination of subsets by ascending degree. factor_over_q refuses
-degrees above its cap (default 12).
+fewest factors, one Hensel lift past Mignotte's bound for the largest
+target degree, and recombination of subsets by ascending degree.
+factor_over_q refuses degrees above its cap (default 12).
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ import math
 import random
 
 from . import _kernels as kernels
-from ._kernels.pure import _ddf_blocks, _divmod_mod, _gcd_mod, _mul_mod, _pow_mod, _prep, _reduce, _trim
+from ._kernels.pure import _ddf_blocks, _divmod_mod, _gcd_mod, _mul_mod, _pow_mod, _power_table, _prep, _reduce, _trim
 from .errors import BadPrime, ConstantPolynomial, DegreeCapExceeded, ZeroInput
 from .intpoly import IntPolynomial, discriminant, poly_gcd
 
@@ -142,6 +142,7 @@ def _factor_mod_full(coeffs, q: int, rng: random.Random) -> list[list[int]]:
                 factors.append(w)
                 continue
             e = (q**d - 1) // 2
+            table = _power_table(w, q)
             while True:
                 r = [rng.randrange(q) for _ in range(len(w) - 1)]
                 r = _trim(r)
@@ -150,7 +151,7 @@ def _factor_mod_full(coeffs, q: int, rng: random.Random) -> list[list[int]]:
                 g = _gcd_mod(r, w, q)
                 if 0 < len(g) - 1 < len(w) - 1:
                     break
-                rp = _pow_mod(r, e, w, q)
+                rp = _pow_mod(r, e, w, q, table)
                 rp = list(rp) + [0] * max(0, 1 - len(rp))
                 rp[0] = (rp[0] - 1) % q
                 g = _gcd_mod(_trim(rp), w, q)
@@ -262,9 +263,15 @@ def _center(c: int, m: int) -> int:
     return c - m if c > m // 2 else c
 
 
-def _mignotte_modulus(g: IntPolynomial, q: int) -> int:
+def _mignotte_modulus(g: IntPolynomial, q: int, degree: int) -> int:
+    """The least power of q above 2 * binom(D, D // 2) * ||g||_2 * |lc g|
+    for D = `degree`. For a factor h of g of degree at most D, Mignotte's
+    bound puts every coefficient of (lc g / lc h) * h within
+    binom(D, D // 2) * ||g||_2 of 0, so the centered residues of
+    lc(g) * (its lifted factors) mod the returned modulus are exact.
+    Factors of higher degree are not rebuilt from residues."""
     norm2 = math.isqrt(sum(c * c for c in g.coeffs)) + 1
-    bound = 2 ** g.degree * norm2 * abs(g.lc)
+    bound = math.comb(degree, degree // 2) * norm2 * abs(g.lc)
     target = q
     while target <= 2 * bound:
         target *= q
@@ -323,7 +330,9 @@ def lift_and_recombine(g: IntPolynomial, disc: int, degrees) -> list[IntPolynomi
     if not targets:
         return [g]
     q = min(zip(primes, types), key=lambda e: len(e[1]))[0]
-    m = _mignotte_modulus(g, q)
+    # Only factors of degree <= max(targets) are rebuilt from the lift; the
+    # cofactor comes from exact division, so the bound is sized to them.
+    m = _mignotte_modulus(g, q, max(targets))
     rng = random.Random(hash(g.coeffs) & 0xFFFFFFFF)
     pool = hensel_lift_factors(list(g.coeffs), _factor_mod_full(g.coeffs, q, rng), q, m)
 

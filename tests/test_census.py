@@ -354,6 +354,10 @@ class TestIsomorphicExact:
             ((1, 1, 0, 1), (5, 4, 3, 1), 2),
             ((1, 0, 0, 0, 1), (2, -1, 0, 3, 1), 3),
             ((1, 1, 0, 1), (-7, 0, 0, 0, 0, 0, 1), 1),
+            ((1, 2, 3), (-2, 0, 0, 1), 2),  # non-monic F1
+            ((5, 0, 1, -2), (3, -1, 0, 4, -3), 1),  # negative leading coefficients
+            ((1, -1, 0, 0, 0, 1), (2, -1, 0, 3), 3),  # 5 x 3 (sympy 1.14 drops the sign (-1)^15 of 3 x 5)
+            ((-1, 0, 1, -2, -2, 2, 1), (-1, 0, 1, 2, -2, -2, 1), 2),  # a census-quartic-iso pair
         ],
     )
     def test_resultant_in_x_matches_sympy(self, F1, F2, t):

@@ -222,6 +222,30 @@ class TestCensus:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize("value", ["1", "yes", "True", "TRUE", "0", "no", ""])
+    def test_config_monicize_not_true_or_false_exit_2(self, capsys, tmp_path, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"curve=1,1,0,2\nn=3\nY=1\nmonicize={value}\n", encoding="utf-8")
+        code, out, err = run_cli(["census", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "monicize must be true or false" in err
+
+    @pytest.mark.parametrize("value, flags", [("true", ["--monicize"]), ("false", [])])
+    def test_config_monicize_true_or_false(self, capsys, tmp_path, value, flags):
+        # monicize=true runs the monic model, as --monicize does; false, the curve as given.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"curve=1,1,0,2\nn=3\nY=1\nmonicize={value}\n", encoding="utf-8")
+        code, out, _ = run_cli(["census", "--config", str(cfg)], capsys)
+        assert code == 0
+        want_code, want, _ = run_cli(["census", "--curve", "1,1,0,2", "--n", "3", "--Y", "1", *flags], capsys)
+        assert want_code == 0
+        assert out == want
+        other_code, other, _ = run_cli(
+            ["census", "--curve", "1,1,0,2", "--n", "3", "--Y", "1", *({"--monicize"} - set(flags))], capsys)
+        assert other_code == 0
+        assert other != want
+
     def test_config_without_n_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("curve=1,1,0,1\nY=2\n", encoding="utf-8")

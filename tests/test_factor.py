@@ -1,11 +1,15 @@
 import functools
+import math
 import operator
 import os
 import random
 import shutil
+from unittest import mock
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperfield import _kernels, factor
 from hyperfield._kernels import pure
@@ -15,6 +19,7 @@ from hyperfield.factor import (
     factor_over_q,
     is_irreducible,
     is_prime,
+    lift_and_recombine,
     primes_not_dividing,
     squarefree_decomposition,
 )
@@ -35,6 +40,19 @@ def product(polys):
 def good_for(p, count, start=2):
     """The first `count` primes >= start not dividing lc(p) * Disc(p)."""
     return primes_not_dividing(p.lc * discriminant(p), count, start)
+
+
+def sympy_factors(p):
+    """sympy's factor_list of p: (content, sorted coefficient tuples of the
+    irreducible factors with lc > 0, repeated by multiplicity)."""
+    content, theirs = sympy.factor_list(to_sympy(p))
+    want = []
+    for fac, mult in theirs:
+        coeffs = [int(c) for c in reversed(fac.all_coeffs())]
+        if coeffs[-1] < 0:
+            coeffs, content = [-c for c in coeffs], content * (-1) ** mult
+        want.extend([tuple(coeffs)] * mult)
+    return int(content), sorted(want)
 
 
 class TestPrimes:
@@ -182,6 +200,83 @@ class TestKernelParity:
         assert pure.ddf_degrees((1, 0, 1), 5) == [1, 1]
 
 
+TOOLKIT_MODULI = [2, 3, 13, 2**31 - 1, 2**61 - 1, 13**23, 2**127 - 1]
+
+
+def school_mul(a, b, m):
+    """Schoolbook a * b mod m: the reference for the packed products."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return pure._trim([c % m for c in out])
+
+
+def school_rem(a, f, m):
+    """a mod (f, m) for monic f, by schoolbook long division."""
+    r = [c % m for c in a]
+    while len(r) >= len(f):
+        top, shift = r.pop(), len(r) - (len(f) - 1)
+        for i, c in enumerate(f[:-1]):
+            r[shift + i] = (r[shift + i] - top * c) % m
+    return pure._trim(r)
+
+
+def school_pow(a, e, f, m):
+    """a^e mod (f, m), left-to-right square and multiply."""
+    out = school_rem([1], f, m)
+    for bit in bin(e)[2:] if e else "":
+        out = school_rem(school_mul(out, out, m), f, m)
+        if bit == "1":
+            out = school_rem(school_mul(out, a, m), f, m)
+    return out
+
+
+@st.composite
+def toolkit_case(draw, max_len=80):
+    """(m, a, b, f, pack_min): operands of length 0..max_len with coefficients
+    in [-3m, 3m], a monic f reduced mod m, and _PACK_MIN as set (packing
+    from degree 8) or 1 (every product of nonconstants packed)."""
+    m = draw(st.sampled_from(TOOLKIT_MODULI))
+    coeffs = st.lists(st.integers(-3 * m, 3 * m), max_size=max_len)
+    f = [c % m for c in draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=max_len))] + [1]
+    return m, draw(coeffs), draw(coeffs), f, draw(st.sampled_from([pure._PACK_MIN, 1]))
+
+
+class TestModToolkit:
+    """The packed products of the mod-m toolkit equal schoolbook ones, on
+    both sides of the crossover, for small, word-sized and big moduli."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(toolkit_case())
+    def test_mul_mod(self, case):
+        m, a, b, _, pack_min = case
+        with mock.patch.object(pure, "_PACK_MIN", pack_min):
+            assert pure._mul_mod(a, b, m) == school_mul(a, b, m)
+            assert pure._mul_mod(a, a, m) == school_mul(a, a, m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(toolkit_case(), st.integers(0, 70))
+    def test_pow_mod(self, case, e):
+        m, a, _, f, pack_min = case
+        with mock.patch.object(pure, "_PACK_MIN", pack_min):
+            table = pure._power_table(f, m)
+            assert (table is None) == (len(f) - 1 < pack_min)
+            want = school_pow(a, e, f, m)
+            assert pure._pow_mod(a, e, f, m, table) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(toolkit_case())
+    def test_table_reduction(self, case):
+        m, a, b, f, _ = case
+        with mock.patch.object(pure, "_PACK_MIN", 1):
+            table = pure._power_table(f, m)
+        a, b = school_rem(a, f, m), school_rem(b, f, m)
+        want = school_rem(school_mul(a, b, m), f, m)
+        assert pure._mul_rem(a, b, table, m) == want
+        assert pure._mul_rem(a, a, table, m) == school_rem(school_mul(a, a, m), f, m)
+
+
 class TestYun:
     def test_multiplicities(self):
         f = P((-1, 1)) ** 3 * P((1, 1)) * P((1, 0, 1)) ** 2
@@ -270,15 +365,9 @@ class TestFactorOverQ:
             if p.degree > 12 or p.is_zero():
                 continue
             fs = factor_over_q(p)
-            content, theirs = sympy.factor_list(to_sympy(p))
-            want = []
-            for fac, mult in theirs:
-                coeffs = [int(c) for c in reversed(fac.all_coeffs())]
-                if coeffs[-1] < 0:
-                    coeffs, content = [-c for c in coeffs], content * (-1) ** mult
-                want.extend([tuple(coeffs)] * mult)
-            assert sorted(f.coeffs for f in fs if f.degree > 0) == sorted(want), p
-            assert product([f for f in fs if f.degree == 0]).coeffs == (int(content),)
+            content, want = sympy_factors(p)
+            assert sorted(f.coeffs for f in fs if f.degree > 0) == want, p
+            assert product([f for f in fs if f.degree == 0]).coeffs == (content,)
 
     def test_musser_degree_sets_prove_irreducibility_without_lifting(self, monkeypatch):
         # No splitting type of x^4 - 2x^3 + x^2 - x - 3 at its first six odd
@@ -296,6 +385,72 @@ class TestFactorOverQ:
         assert factor_over_q(quartic) == [quartic]
         with pytest.raises(AssertionError):
             factor_over_q(P((1, 0, -10, 0, 1)))  # splits mod every prime: must lift
+
+    # Squarefree g with an irreducible factor that has a coefficient larger
+    # than ||g||_2. The first 14 are every x^d + a x^i + c and
+    # x^d + a x^i + b x^j + c with a, b, c in {-2, -1, 1, 2} and 3 <= d <= 12
+    # that has one (a scan of all 15,120); the rest are products h * k found
+    # by a seeded random search.
+    BIG_FACTOR = [
+        (-2, 0, 0, 0, -1, 2, 0, 1), (2, 0, 0, 0, 1, 2, 0, 1),
+        (2, 0, 0, 0, 0, -1, 0, -2, 1), (2, 0, 0, 0, 0, 1, 0, 2, 1),
+        (-1, 0, -2, 0, 0, 0, 0, 2, 0, 1), (1, 0, 2, 0, 0, 0, 0, 2, 0, 1),
+        (2, 0, 0, 0, 0, -2, 0, -1, 0, 0, 1), (2, 0, 0, 0, 0, 2, 0, 1, 0, 0, 1),
+        (-2, 0, -1, 0, 0, 0, 0, 2, 0, 0, 0, 1), (2, 0, 1, 0, 0, 0, 0, 2, 0, 0, 0, 1),
+        (-2, 0, 0, 0, 0, 1, 0, 0, 0, 0, -2, 1), (2, 0, 0, 0, 0, 1, 0, 0, 0, 0, 2, 1),
+        (-2, 0, 0, 0, 0, 0, 0, 2, -1, 0, 0, 1), (2, 0, 0, 0, 0, 0, 0, 2, 1, 0, 0, 1),
+        (-2, -1, -1, -1, 1, 0, 1, 2, 1), (-2, -1, 0, 0, 0, 2, 0, -2, 1),
+        (-2, 0, 0, -1, -2, -2, 1), (-2, 0, 0, 1, -2, 2, 1), (-2, 1, 1, 0, 2, 1, -1, -1, 1),
+    ]
+
+    def test_mignotte_modulus_exceeds_twice_the_degree_bound(self):
+        rng = random.Random(12)
+        for _ in range(300):
+            g = P([rng.randint(-10**6, 10**6) for _ in range(rng.randint(1, 40))] + [rng.choice([1, 2, -3, 7])])
+            degree = rng.randint(1, g.degree)
+            q = rng.choice([3, 5, 13, 101, 65537])
+            m = factor._mignotte_modulus(g, q, degree)
+            twice_bound = 2 * math.comb(degree, degree // 2) * abs(g.lc)
+            assert m * m > twice_bound**2 * sum(c * c for c in g.coeffs)  # m > 2 binom ||g||_2 |lc g|, exactly
+            assert m // q <= twice_bound * (math.isqrt(sum(c * c for c in g.coeffs)) + 1)  # the least such power
+            assert q ** round(math.log(m, q)) == m
+
+    def test_factors_larger_than_the_norm_equal_sympy(self):
+        # The factors over Q of the BIG_FACTOR cases and of seeded random
+        # products equal sympy's, and enough cases have a factor with a
+        # coefficient above ||g||_2 to exercise the degree-sized bound.
+        rng = random.Random(13)
+        corpus = [P(c) for c in self.BIG_FACTOR]
+        while len(corpus) < 60:
+            parts = [P([rng.randint(-5, 5) for _ in range(rng.randint(1, 4))] + [rng.choice([1, 1, 2, -3])])
+                     for _ in range(rng.randint(2, 3))]
+            p = product(parts)
+            if 1 <= p.degree <= 12:
+                corpus.append(p)
+        big = 0
+        for p in corpus:
+            content, want = sympy_factors(p)
+            fs = factor_over_q(p)
+            assert sorted(f.coeffs for f in fs if f.degree > 0) == want, p
+            assert product([f for f in fs if f.degree == 0]).coeffs == (content,)
+            norm2 = sum(c * c for c in p.primitive().coeffs)
+            big += any(c * c > norm2 for f in want for c in f)
+        assert big >= 19
+
+    @pytest.mark.parametrize("coeffs, h", [
+        ((-2, 0, 0, -1, -2, -2, 1), (-2, 4, -4, 1)),
+        ((-2, -1, -1, -1, 1, 0, 1, 2, 1), (2, 3, 4, 3, 1)),
+        ((-2, -1, 0, 0, 0, 2, 0, -2, 1), (2, -3, 4, -3, 1)),
+        ((-2, 1, 1, 0, 2, 1, -1, -1, 1), (2, -3, 4, -3, 1)),
+    ])
+    def test_factor_above_the_norm_rebuilt_from_the_lift(self, coeffs, h):
+        # Searching the degree of h alone, h (a coefficient above ||g||_2)
+        # is rebuilt from the lifted factors, not left as the cofactor.
+        g = P(coeffs)
+        assert max(c * c for c in h) > sum(c * c for c in coeffs)
+        found = lift_and_recombine(g, discriminant(g), (len(h) - 1,))
+        assert found[0].coeffs == h
+        assert product(found).coeffs == g.coeffs
 
     def test_cyclotomic_twelfth(self):
         c12 = P([-1] + [0] * 11 + [1])
