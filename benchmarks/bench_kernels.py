@@ -19,6 +19,13 @@ identical output. The crossover printed after the rows is the least
 listed degree from which packing wins every row; ``pure._PACK_MIN`` is
 set to it.
 
+The splitting-type rows time one batched ``splitting_types`` call per
+polynomial at its first good primes (not dividing lc * Disc), in three
+shapes: census (degree 4, 50 primes, the census fingerprint), iso
+(degree 6, 50 primes, the census-quartic-iso records) and certify
+(degrees 8 to 12, 100 primes, ``certify``'s default). Each row prints
+microseconds per prime for both backends, best of three.
+
 Usage: python benchmarks/bench_kernels.py [--trials N]
 """
 import argparse
@@ -31,6 +38,8 @@ import timeit
 sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "src"))
 
 from hyperfield._kernels import load_compiled, pure  # noqa: E402
+from hyperfield.factor import primes_not_dividing  # noqa: E402
+from hyperfield.intpoly import IntPolynomial, discriminant  # noqa: E402
 
 PRIMES = [2, 3, 5, 7, 11, 13, 101, 257, 997, 65537]
 POOL = [p for p in range(2, 230) if all(p % d for d in range(2, p))]  # the first 50 primes
@@ -123,6 +132,42 @@ def crossover(rows) -> int | None:
     return None
 
 
+SPLITTING_SHAPES = (("census", (4,), 50), ("iso", (6,), 50), ("certify", (8, 9, 10, 11, 12), 100))
+SPLITTING_POLYS = 20  # per degree
+
+
+def splitting_cases(degrees, count: int, seed: int = 0):
+    """(coeffs, the first `count` good primes) for SPLITTING_POLYS random
+    squarefree polynomials of each degree (coefficients up to 10^3, lc 1 to 3)."""
+    rng = random.Random(seed)
+    cases = []
+    for d in degrees:
+        found = 0
+        while found < SPLITTING_POLYS:
+            F = IntPolynomial([rng.randint(-1000, 1000) for _ in range(d)] + [rng.randint(1, 3)])
+            disc = discriminant(F)
+            if disc:
+                cases.append((list(F.coeffs), primes_not_dividing(F.lc * disc, count)))
+                found += 1
+    return cases
+
+
+def splitting_rows(backends):
+    """(shape, degrees, primes, microseconds per prime for each backend) per
+    SPLITTING_SHAPES entry; asserts that the backends agree."""
+    rows = []
+    for name, degrees, count in SPLITTING_SHAPES:
+        cases = splitting_cases(degrees, count)
+        outs, times = [], []
+        for backend in backends:
+            outs.append([backend.splitting_types(c, ps) for c, ps in cases])
+            best = min(timeit.repeat(lambda: [backend.splitting_types(c, ps) for c, ps in cases], number=1, repeat=3))
+            times.append(best / (len(cases) * count) * 1e6)
+        assert all(out == outs[0] for out in outs), f"backends disagree on the {name} splitting types"
+        rows.append((name, degrees, count, times))
+    return rows
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--trials", type=int, default=20_000)
@@ -137,9 +182,17 @@ def main():
     print(f"\npacked and schoolbook outputs identical; packing wins every row from degree {found}, "
           f"which {verdict} pure._PACK_MIN = {pure._PACK_MIN}\n")
 
+    compiled, why = load_compiled()
+    backends = [pure] if compiled is None else [pure, compiled]
+    print(f"{'splitting_types':<16}{'degrees':>9}{'primes':>8}{'pure (us/prime)':>17}{'c (us/prime)':>14}")
+    for name, degrees, count, times in splitting_rows(backends):
+        span = f"{degrees[0]}-{degrees[-1]}" if len(degrees) > 1 else str(degrees[0])
+        c_time = f"{times[1]:>14.2f}" if compiled else f"{'n/a':>14}"
+        print(f"{name:<16}{span:>9}{count:>8}{times[0]:>17.2f}{c_time}")
+    print()
+
     cases = workload(args.trials)
     pure_out, pure_times = run(pure, cases)
-    compiled, why = load_compiled()
     print(f"{'kernel':<22}{'pure (s)':>12}{'c (s)':>14}{'speedup':>10}")
     if compiled is None:
         for name, tp in zip(KERNELS, pure_times):

@@ -8,6 +8,29 @@
  * mirrors pure.py, so results and ValueError messages agree with it even
  * for composite moduli, where a leading coefficient may not be invertible.
  *
+ * Distinct-degree factorization iterates the Frobenius matrix (Berlekamp's
+ * Q; von zur Gathen and Shoup, Comput. Complexity 2, 1992). For monic F of
+ * degree n, x^p mod F is computed once by powering, row i of Q is
+ * x^(ip) mod F (0 <= i < n), and each later degree costs one product
+ * h <- Q h in place of log2(p) squarings, since for h = sum h_i x^i,
+ * h^p = sum h_i^p x^(ip) = sum h_i x^(ip). That identity needs p prime:
+ * the cross terms of the p-th power vanish, and h_i^p = h_i (Fermat). A
+ * composite modulus takes the same steps as in pure.py; its "degrees" mean
+ * nothing. h stays modulo the original F, and each gcd(h - x, f) is taken
+ * against the part f of F left once the factors of lower degree are
+ * divided out.
+ *
+ * Delayed reduction. In one ddf call every operand of a product is reduced
+ * mod F, so it has at most n coefficients, and every divisor has degree at
+ * most n. So a coefficient of a product, or of Q h, is a sum of at most n
+ * terms below (p-1)^2. In a division the leading coefficient t is reduced
+ * at each step and the others receive (p - t) * f_i <= (p-1)^2, so each
+ * remainder coefficient is a residue below p plus at most n such terms.
+ * When n (p-1)^2 + (p-1) < 2^64 (lazy_fits), these sums are accumulated in
+ * u64 and each coefficient is reduced once; otherwise each product is
+ * reduced on its own (mulm). Below 2^32, reductions are Barrett's (a
+ * multiply by floor(2^64 / p) and a shift), not a hardware division.
+ *
  * __init__.py compiles this file on first import:
  *     cc -O2 -shared -fPIC -I<Python include> _speed.c -o <cache file>
  */
@@ -21,9 +44,39 @@ typedef unsigned __int128 u128;
 
 static const char NOT_INVERTIBLE[] = "base is not invertible for the given modulus";
 
-static inline u64 mulm(u64 a, u64 b, u64 p) { return p >> 32 ? (u64)((u128)a * b % p) : a * b % p; }
 static inline u64 subm(u64 a, u64 b, u64 p) { return a >= b ? a - b : a + (p - b); }
 static inline u64 addm(u64 a, u64 b, u64 p) { return subm(a, p - b, p); }
+
+/* Scratch buffers of one call: 2n + 2 residues each for n coefficients,
+ * and n^2 for Q. F is the prepared polynomial, f the part of it still
+ * unfactored in the distinct-degree loop. */
+typedef struct {
+    u64 p, *F, *f, *h, *g, *t, *u, *v, *w, *degs, *q;
+    u64 m; /* floor(2^64 / p), for reduce */
+    int lazy; /* lazy_fits(p, deg F): sums are reduced once (see the header) */
+} Work;
+
+/* Whether n terms of at most (p-1)^2 plus one of at most p - 1 sum below
+ * 2^64. */
+static int lazy_fits(u64 p, Py_ssize_t n)
+{
+    u64 s = p - 1;
+    return s <= UINT32_MAX && (n < 1 || s * s <= (UINT64_MAX - s) / (u64)n);
+}
+
+/* x mod p by Barrett's method, for any x < 2^64 and p < 2^63: as
+ * 2^64 / p - 1 < m <= 2^64 / p, the quotient estimate floor(x m / 2^64) is
+ * floor(x / p) or one less, so one correction step suffices. */
+static inline u64 reduce(u64 x, const Work *k)
+{
+    u64 r = x - (u64)(((u128)x * k->m) >> 64) * k->p;
+    return r >= k->p ? r - k->p : r;
+}
+
+static inline u64 mulm(u64 a, u64 b, const Work *k)
+{
+    return k->p >> 32 ? (u64)((u128)a * b % k->p) : reduce(a * b, k);
+}
 
 static Py_ssize_t trim(const u64 *a, Py_ssize_t n)
 {
@@ -49,57 +102,70 @@ static u64 inv_mod(u64 a, u64 p)
 
 /* Scales a to a monic polynomial in place; -1 (error set) if its
  * leading coefficient is not invertible mod p. */
-static int make_monic(u64 *a, Py_ssize_t n, u64 p)
+static int make_monic(u64 *a, Py_ssize_t n, const Work *k)
 {
     u64 inv;
     if (n == 0 || a[n - 1] == 1)
         return 0;
-    if (!(inv = inv_mod(a[n - 1], p))) {
+    if (!(inv = inv_mod(a[n - 1], k->p))) {
         PyErr_SetString(PyExc_ValueError, NOT_INVERTIBLE);
         return -1;
     }
     for (Py_ssize_t i = 0; i < n; i++)
-        a[i] = mulm(a[i], inv, p);
+        a[i] = mulm(a[i], inv, k);
     return 0;
 }
 
 /* out = a * b; out has room for la + lb - 1 and aliases neither. */
-static Py_ssize_t mul(const u64 *a, Py_ssize_t la, const u64 *b, Py_ssize_t lb, u64 *out, u64 p)
+static Py_ssize_t mul(const u64 *a, Py_ssize_t la, const u64 *b, Py_ssize_t lb, u64 *out, const Work *k)
 {
+    u64 p = k->p;
+    Py_ssize_t lo = la + lb - 1;
     if (la == 0 || lb == 0)
         return 0;
-    memset(out, 0, (la + lb - 1) * sizeof *out);
-    for (Py_ssize_t i = 0; i < la; i++)
-        if (a[i])
+    memset(out, 0, lo * sizeof *out);
+    for (Py_ssize_t i = 0; i < la; i++) {
+        if (!a[i])
+            continue;
+        if (k->lazy)
             for (Py_ssize_t j = 0; j < lb; j++)
-                out[i + j] = addm(out[i + j], mulm(a[i], b[j], p), p);
-    return trim(out, la + lb - 1);
+                out[i + j] += a[i] * b[j];
+        else
+            for (Py_ssize_t j = 0; j < lb; j++)
+                out[i + j] = addm(out[i + j], mulm(a[i], b[j], k), p);
+    }
+    if (k->lazy)
+        for (Py_ssize_t i = 0; i < lo; i++)
+            out[i] = reduce(out[i], k);
+    return trim(out, lo);
 }
 
 /* r mod f in place, for monic f; returns the remainder's length. With q
  * non-NULL the quotient goes there (room for lr - lf + 1, aliasing nothing). */
-static Py_ssize_t divide(u64 *r, Py_ssize_t lr, const u64 *f, Py_ssize_t lf, u64 *q, u64 p)
+static Py_ssize_t divide(u64 *r, Py_ssize_t lr, const u64 *f, Py_ssize_t lf, u64 *q, const Work *k)
 {
+    u64 p = k->p;
     Py_ssize_t df = lf - 1, lq = lr - df;
     if (q && lq > 0)
         memset(q, 0, lq * sizeof *q);
     while (lr - 1 >= df) {
-        u64 t = r[lr - 1];
+        u64 t = k->lazy ? reduce(r[lr - 1], k) : r[lr - 1];
         Py_ssize_t shift = lr - 1 - df;
         if (q)
             q[shift] = t;
-        if (t)
+        if (t && k->lazy)
             for (Py_ssize_t i = 0; i < df; i++)
-                r[shift + i] = subm(r[shift + i], mulm(t, f[i], p), p);
-        lr = trim(r, lr - 1);
+                r[shift + i] += (p - t) * f[i];
+        else if (t)
+            for (Py_ssize_t i = 0; i < df; i++)
+                r[shift + i] = subm(r[shift + i], mulm(t, f[i], k), p);
+        lr = k->lazy ? lr - 1 : trim(r, lr - 1);
     }
-    return lr;
+    if (k->lazy)
+        for (Py_ssize_t i = 0; i < lr; i++)
+            r[i] = reduce(r[i], k);
+    return trim(r, lr);
 }
-
-/* Scratch buffers of one call, 2n + 2 residues each for n coefficients. */
-typedef struct {
-    u64 p, *f, *h, *g, *t, *u, *v, *w;
-} Work;
 
 /* Monic gcd(a, b) into out, or -1 (error set); a and b may alias out. */
 static Py_ssize_t gcd(const u64 *a, Py_ssize_t la, const u64 *b, Py_ssize_t lb, u64 *out, Work *k)
@@ -109,13 +175,13 @@ static Py_ssize_t gcd(const u64 *a, Py_ssize_t la, const u64 *b, Py_ssize_t lb, 
     memcpy(x, a, la * sizeof *x);
     memcpy(y, b, lb * sizeof *y);
     while (lb) {
-        if (make_monic(y, lb, k->p) < 0)
+        if (make_monic(y, lb, k) < 0)
             return -1;
-        la = divide(x, la, y, lb, NULL, k->p);
+        la = divide(x, la, y, lb, NULL, k);
         s = x, x = y, y = s;
         n = la, la = lb, lb = n;
     }
-    if (make_monic(x, la, k->p) < 0)
+    if (make_monic(x, la, k) < 0)
         return -1;
     memcpy(out, x, la * sizeof *x);
     return la;
@@ -127,21 +193,61 @@ static Py_ssize_t pow_mod(const u64 *a, Py_ssize_t la, u64 e, const u64 *f, Py_s
     u64 *base = k->u, *w = k->v;
     Py_ssize_t lb, lo = 1, lw;
     memcpy(base, a, la * sizeof *base);
-    lb = divide(base, la, f, lf, NULL, k->p);
+    lb = divide(base, la, f, lf, NULL, k);
     out[0] = 1;
     for (; e; e >>= 1) {
         if (e & 1) {
-            lw = mul(out, lo, base, lb, w, k->p);
-            lo = divide(w, lw, f, lf, NULL, k->p);
+            lw = mul(out, lo, base, lb, w, k);
+            lo = divide(w, lw, f, lf, NULL, k);
             memcpy(out, w, lo * sizeof *w);
         }
         if (e > 1) {
-            lw = mul(base, lb, base, lb, w, k->p);
-            lb = divide(w, lw, f, lf, NULL, k->p);
+            lw = mul(base, lb, base, lb, w, k);
+            lb = divide(w, lw, f, lf, NULL, k);
             memcpy(base, w, lb * sizeof *w);
         }
     }
     return lo;
+}
+
+/* Q into k->q, row i (n residues) = x^(ip) mod (F, p) for 0 <= i < n =
+ * deg F >= 2, from xp = x^p mod F. */
+static void frobenius_rows(const u64 *xp, Py_ssize_t lxp, Py_ssize_t lF, Work *k)
+{
+    Py_ssize_t n = lF - 1, lr = lxp, lw;
+    u64 *q = k->q;
+    memset(q, 0, n * n * sizeof *q);
+    q[0] = 1;
+    memcpy(q + n, xp, lxp * sizeof *xp);
+    for (Py_ssize_t i = 2; i < n; i++) {
+        lw = mul(q + (i - 1) * n, lr, xp, lxp, k->w, k);
+        lr = divide(k->w, lw, k->F, lF, NULL, k);
+        memcpy(q + i * n, k->w, lr * sizeof *k->w);
+    }
+}
+
+/* h <- Q h, that is h^p mod (F, p) for p prime (see the header), for h of
+ * length lh <= n = deg F. */
+static Py_ssize_t frobenius(u64 *h, Py_ssize_t lh, Py_ssize_t n, Work *k)
+{
+    u64 p = k->p, *out = k->w;
+    memset(out, 0, n * sizeof *out);
+    for (Py_ssize_t i = 0; i < lh; i++) {
+        const u64 *row = k->q + i * n;
+        if (!h[i])
+            continue;
+        if (k->lazy)
+            for (Py_ssize_t j = 0; j < n; j++)
+                out[j] += h[i] * row[j];
+        else
+            for (Py_ssize_t j = 0; j < n; j++)
+                out[j] = addm(out[j], mulm(h[i], row[j], k), p);
+    }
+    if (k->lazy)
+        for (Py_ssize_t j = 0; j < n; j++)
+            out[j] = reduce(out[j], k);
+    memcpy(h, out, n * sizeof *h);
+    return trim(h, n);
 }
 
 /* gcd(h - x, f) into k->g, or -1 (error set). */
@@ -171,10 +277,11 @@ static int set_modulus(Work *k, PyObject *p)
         return -1;
     }
     k->p = (u64)v;
+    k->m = (u64)(((u128)1 << 64) / k->p);
     return 0;
 }
 
-/* pure._prep: coeffs (a PySequence_Fast) reduced mod p into k->f, checked
+/* pure._prep: coeffs (a PySequence_Fast) reduced mod p into k->F, checked
  * and made monic. Returns the length, or -1 (error set). */
 static Py_ssize_t prep(PyObject *coeffs, PyObject *p, Work *k)
 {
@@ -188,59 +295,66 @@ static Py_ssize_t prep(PyObject *coeffs, PyObject *p, Work *k)
         if (v == -1 && PyErr_Occurred())
             return -1;
         if (!overflow) {
-            k->f[i] = v >= 0 ? (u64)v % k->p : k->p - 1 - (u64)(-(v + 1)) % k->p;
+            k->F[i] = v >= 0 ? (u64)v % k->p : k->p - 1 - (u64)(-(v + 1)) % k->p;
         } else {
             PyObject *r = PyNumber_Remainder(items[i], p);
             if (!r)
                 return -1;
-            k->f[i] = PyLong_AsUnsignedLongLong(r);
+            k->F[i] = PyLong_AsUnsignedLongLong(r);
             Py_DECREF(r);
             if (PyErr_Occurred())
                 return -1;
         }
     }
-    if (n == 0 || k->f[n - 1] == 0) {
+    if (n == 0 || k->F[n - 1] == 0) {
         PyErr_SetString(PyExc_ValueError, "leading coefficient divisible by p");
         return -1;
     }
-    return make_monic(k->f, n, k->p) < 0 ? -1 : n;
+    return make_monic(k->F, n, k) < 0 ? -1 : n;
 }
 
 /* pure.ddf_degrees on k: the descending factor degrees as a new list. */
 static PyObject *ddf(PyObject *coeffs, PyObject *p, Work *k)
 {
-    Py_ssize_t lf = prep(coeffs, p, k), lh, lg, nd = 0;
-    u64 *f = k->f, *h = k->h, *g = k->g, *t = k->t, *degs = k->w;
+    Py_ssize_t lF = prep(coeffs, p, k), lf, lh = 0, lg, nd = 0;
+    u64 *F = k->F, *f = k->f, *h = k->h, *g = k->g, *degs = k->degs;
     PyObject *out;
-    if (lf < 0)
+    if (lF < 0)
         return NULL;
-    if (lf == 1) {
+    if (lF == 1) {
         PyErr_SetString(PyExc_ValueError, "constant polynomial mod p");
         return NULL;
     }
-    for (Py_ssize_t i = 1; i < lf; i++)
-        h[i - 1] = mulm((u64)i % k->p, f[i], k->p);
-    if ((lg = gcd(f, lf, h, trim(h, lf - 1), g, k)) < 0)
+    k->lazy = lazy_fits(k->p, lF - 1);
+    for (Py_ssize_t i = 1; i < lF; i++)
+        h[i - 1] = mulm((u64)i % k->p, F[i], k);
+    if ((lg = gcd(F, lF, h, trim(h, lF - 1), g, k)) < 0)
         return NULL;
     if (lg != 1) {
         PyErr_SetString(PyExc_ValueError, "not squarefree mod p");
         return NULL;
     }
-    /* Distinct-degree factorization: h = x^(p^d) mod f, and gcd(h - x, f)
+    /* Distinct-degree factorization: h = x^(p^d) mod F, and gcd(h - x, f)
      * is the product of the factors of degree d, divided out of f. */
-    h[0] = 0, h[1] = 1;
-    lh = divide(h, 2, f, lf, NULL, k->p);
+    memcpy(f, F, lF * sizeof *F);
+    lf = lF;
     for (Py_ssize_t d = 1; lf - 1 >= 2 * d; d++) {
-        lh = pow_mod(h, lh, k->p, f, lf, h, k);
+        if (d == 1) {
+            h[0] = 0, h[1] = 1;
+            lh = pow_mod(h, 2, k->p, F, lF, h, k);
+        } else {
+            if (d == 2)
+                frobenius_rows(h, lh, lF, k);
+            lh = frobenius(h, lh, lF - 1, k);
+        }
         if ((lg = gcd_minus_x(h, lh, f, lf, k)) < 0)
             return NULL;
         if (lg > 1) {
             for (Py_ssize_t c = (lg - 1) / d; c > 0; c--)
                 degs[nd++] = d;
-            memcpy(t, f, lf * sizeof *f);
-            divide(t, lf, g, lg, f, k->p);
+            memcpy(k->t, f, lf * sizeof *f);
+            divide(k->t, lf, g, lg, f, k);
             lf = trim(f, lf - lg + 1);
-            lh = divide(h, lh, f, lf, NULL, k->p);
         }
     }
     if (lf > 1)
@@ -286,19 +400,22 @@ static PyObject *types(PyObject *coeffs, PyObject *primes, Work *k)
 static PyObject *with_work(PyObject *args, const char *format, PyObject *(*body)(PyObject *, PyObject *, Work *))
 {
     PyObject *coeffs, *arg, *seq, *out = NULL;
-    Py_ssize_t width;
+    Py_ssize_t n, width;
     Work k;
     u64 *buf;
     if (!PyArg_ParseTuple(args, format, &coeffs, &arg))
         return NULL;
     if (!(seq = PySequence_Fast(coeffs, "coefficients must be a sequence")))
         return NULL;
-    width = 2 * PySequence_Fast_GET_SIZE(seq) + 2;
-    if (!(buf = PyMem_Calloc(7 * width, sizeof *buf))) {
+    n = PySequence_Fast_GET_SIZE(seq);
+    width = 2 * n + 2;
+    if (!(buf = PyMem_Calloc(9 * width + n * n, sizeof *buf))) {
         PyErr_NoMemory();
     } else {
-        k.f = buf, k.h = buf + width, k.g = buf + 2 * width, k.t = buf + 3 * width;
-        k.u = buf + 4 * width, k.v = buf + 5 * width, k.w = buf + 6 * width;
+        u64 **slots[] = {&k.F, &k.f, &k.h, &k.g, &k.t, &k.u, &k.v, &k.w, &k.degs};
+        for (size_t i = 0; i < sizeof slots / sizeof *slots; i++)
+            *slots[i] = buf + i * width;
+        k.q = buf + 9 * width;
         out = body(seq, arg, &k);
         PyMem_Free(buf);
     }
@@ -325,7 +442,7 @@ static PyMethodDef methods[] = {
 };
 
 static struct PyModuleDef module = {
-    PyModuleDef_HEAD_INIT, "_speed", "Compiled mod-p polynomial kernels.", -1, methods,
+    PyModuleDef_HEAD_INIT, "_speed", "Compiled mod-p polynomial kernels.", -1, methods, NULL, NULL, NULL, NULL,
 };
 
 PyMODINIT_FUNC PyInit__speed(void)

@@ -19,6 +19,17 @@ modulo a monic f of degree at least ``_PACK_MIN`` reduces each product
 through ``_power_table(f, m)``, the packed x^i mod f, which the caller
 builds once per f. Shorter operands keep the schoolbook loops, which are
 faster there.
+
+The distinct-degree loop (``_ddf_blocks``) powers only once: x^p mod f.
+Each later x^(p^d) is Q h, for Berlekamp's Frobenius matrix Q (row i is
+x^(ip) mod f; von zur Gathen and Shoup, Comput. Complexity 2, 1992),
+since (sum h_i x^i)^p = sum h_i x^(ip) when p is prime. The rows are
+packed like the products above, in slots wide enough for a sum of
+deg f products of residues (below deg f * (p-1)^2), so Q h is a sum of
+big-integer row multiples and one ``% p`` per slot. h stays modulo the
+original f; each gcd(h - x, f) is against the part of f left. A
+composite modulus runs the same steps (and the C kernel mirrors them),
+so both backends still agree there, though the degrees mean nothing.
 """
 from __future__ import annotations
 
@@ -156,23 +167,51 @@ def _mul_rem(a: list[int], b: list[int], table, p: int) -> list[int]:
     return _trim(_unpack(acc, k, n, p))
 
 
-def _pow_mod(a: list[int], e: int, f: list[int], p: int, table) -> list[int]:
-    """a^e mod (f, p), f monic, for table = _power_table(f, p): products
-    reduce through it, or by schoolbook division when it is None."""
-    def mul(x, y):
-        if table is None:
-            return _rem_mod(_mul_mod(x, y, p), f, p)
-        return _mul_rem(x, y, table, p)
+def _mul_rem_f(a: list[int], b: list[int], f: list[int], p: int, table) -> list[int]:
+    """a * b mod (f, p) for f monic: through table = _power_table(f, p),
+    or by schoolbook division when it is None."""
+    if table is None:
+        return _rem_mod(_mul_mod(a, b, p), f, p)
+    return _mul_rem(a, b, table, p)
 
+
+def _pow_mod(a: list[int], e: int, f: list[int], p: int, table) -> list[int]:
+    """a^e mod (f, p), f monic, for table = _power_table(f, p)."""
     out = [1]
     base = _rem_mod(_reduce(a, p), f, p)
     while e:
         if e & 1:
-            out = mul(out, base)
+            out = _mul_rem_f(out, base, f, p, table)
         e >>= 1
         if e:
-            base = mul(base, base)
+            base = _mul_rem_f(base, base, f, p, table)
     return out
+
+
+def _frobenius_rows(f: list[int], xp: list[int], p: int, table):
+    """Berlekamp's Q for monic f of degree n >= 2, from xp = x^p mod f and
+    table = _power_table(f, p): the slot width k and the rows x^(ip) mod f
+    packed, 0 <= i < n, with slots wide enough for a sum of n products of
+    residues."""
+    n = len(f) - 1
+    k = _slot_bytes(n * (p - 1) ** 2)
+    row, rows = xp, [1, _pack(xp, k)]
+    for _ in range(n - 2):
+        row = _mul_rem_f(row, xp, f, p, table)
+        rows.append(_pack(row, k))
+    return k, rows
+
+
+def _frobenius(h: list[int], q, p: int) -> list[int]:
+    """Q h for q = _frobenius_rows(f, ...) and h reduced mod (f, p): the
+    packed rows times the coefficients of h, summed, then unpacked. For p
+    prime this is h^p mod (f, p)."""
+    k, rows = q
+    acc = 0
+    for c, row in zip(h, rows):
+        if c:
+            acc += c * row
+    return _trim(_unpack(acc, k, len(rows), p))
 
 
 def _deriv_mod(a: list[int], p: int) -> list[int]:
@@ -213,23 +252,29 @@ def _ddf_blocks(f: list[int], p: int) -> list[tuple[list[int], int]]:
     """Distinct-degree factorization of monic f, squarefree mod p.
 
     Pairs (block, k): block is the monic product of all irreducible
-    factors of degree k, found by iterated gcd(x^(p^k) - x, f).
+    factors of degree k, found by iterated gcd(x^(p^k) - x, f). x^p mod f
+    is one powering; each later x^(p^k) is one product with Berlekamp's
+    Q (_frobenius), which needs p prime. h = x^(p^k) stays modulo the
+    original f, and the gcd is taken against the part of f still left.
     """
     blocks: list[tuple[list[int], int]] = []
-    h = _rem_mod([0, 1], f, p)
-    table = _power_table(f, p)
+    full = f
     k = 0
     while len(f) - 1 >= 2 * (k + 1):
         k += 1
-        h = _pow_mod(h, p, f, p, table)
+        if k == 1:
+            table = _power_table(full, p)
+            h = _pow_mod([0, 1], p, full, p, table)
+        else:
+            if k == 2:
+                q = _frobenius_rows(full, h, p, table)
+            h = _frobenius(h, q, p)
         hx = list(h) + [0] * max(0, 2 - len(h))
         hx[1] = (hx[1] - 1) % p
         g = _gcd_mod(_trim(hx), f, p)
         if len(g) > 1:
             blocks.append((g, k))
             f = _divmod_mod(f, g, p)[0]
-            table = _power_table(f, p)
-            h = _rem_mod(h, f, p)
     if len(f) > 1:
         blocks.append((f, len(f) - 1))
     return blocks

@@ -206,12 +206,13 @@ class FieldFingerprint:
         return True
 
 
-def fingerprint(F: IntPolynomial, count: int = 50) -> FieldFingerprint:
+def fingerprint(F: IntPolynomial, count: int = 50, disc: int | None = None) -> FieldFingerprint:
     """Splitting types at the first `count` primes good for F (not dividing
-    lc(F) * Disc(F)), from one kernel call; F must be squarefree. Census
-    records are screened and S_n-certified from these types, and certify
-    reads them too."""
-    primes = primes_not_dividing(F.lc * discriminant(F), count)
+    lc(F) * Disc(F)), from one kernel call; F must be squarefree. A caller
+    that already holds Disc(F) passes it as `disc`. Census records are
+    screened and S_n-certified from these types, and certify reads them
+    too."""
+    primes = primes_not_dividing(F.lc * (discriminant(F) if disc is None else disc), count)
     return FieldFingerprint(degree=F.degree, entries=_splitting_entries(F, primes))
 
 
@@ -280,7 +281,7 @@ def classify_record(
             raise DegreeCapExceeded(
                 f"cannot decide irreducibility at degree {n} above factor cap {cfg.factor_cap}"
             )
-        factors = factor_over_q(F, cap=cfg.factor_cap)
+        factors = factor_over_q(F, cap=cfg.factor_cap, disc=disc_F)
         if sum(1 for f in factors if f.degree > 0) > 1:
             return CensusRecord(s, F, disc_F, REDUCIBLE)
 

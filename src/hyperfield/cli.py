@@ -28,7 +28,7 @@ from .census import (
     fingerprint,
     run_census,
 )
-from .factor import factor_over_q
+from .factor import check_prime_count, factor_over_q
 from .family import (
     ALL_RECIPE_KINDS,
     D3N3_TRANSP,
@@ -44,7 +44,7 @@ from .family import (
     verify_witness,
     witness,
 )
-from .intpoly import format_poly, monicize, parse_poly
+from .intpoly import discriminant, format_poly, monicize, parse_poly
 from .newton import newton_polygon
 from .perms import recognize_sn
 
@@ -59,7 +59,7 @@ _INADMISSIBLE_ERRORS = (
     E.InadmissiblePrime, E.BadPrime, E.NonCoprimeH, E.WitnessFailed, E.ZeroPolynomial, E.ZeroInput, E.ConstantPolynomial,
 )
 _HYPOTHESIS_ERRORS = (E.HypothesisViolated, E.BadEvidence, E.DegreeDrop, E.NonMonic)
-_RESOURCE_ERRORS = (E.BoxTooLarge, E.DegreeCapExceeded, E.SearchWindowExceeded, E.SearchExhausted)
+_RESOURCE_ERRORS = (E.BoxTooLarge, E.DegreeCapExceeded, E.SearchWindowExceeded, E.SearchExhausted, E.TooManyPrimes)
 
 
 def _emit(obj) -> None:
@@ -88,13 +88,17 @@ def cmd_np(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    check_prime_count(args.primes)
     poly = parse_poly(args.poly)
-    factors = factor_over_q(poly, cap=args.factor_cap)
+    # One discriminant for the Musser primes and the Frobenius primes.
+    # Outside factor_over_q's degree range, its own error comes first.
+    disc = discriminant(poly) if 1 <= poly.degree <= args.factor_cap else None
+    factors = factor_over_q(poly, cap=args.factor_cap, disc=disc)
     proper = [f for f in factors if 0 < f.degree < poly.degree]
     if proper:
         print(f"error: input is reducible; found factor {format_poly(proper[0])}", file=sys.stderr)
         return EXIT_INADMISSIBLE
-    evidence = [(t, f"frobenius p={q}") for q, t in fingerprint(poly, args.primes).entries]
+    evidence = [(t, f"frobenius p={q}") for q, t in fingerprint(poly, args.primes, disc).entries]
     cert = recognize_sn(poly.degree, evidence, transitive=True)
     _emit(cert.to_json())
     return EXIT_OK
@@ -211,6 +215,7 @@ def cmd_census(args) -> int:
         key: _positive_option(key, setting(key, getattr(defaults, key)))
         for key in ("fingerprint_primes", "factor_cap", "box_cap", "workers")
     })
+    check_prime_count(cfg.fingerprint_primes)
     # --sweep and --Y set one thing, the heights: either flag beats the config.
     height_flags = args.sweep is not None or args.Y is not None
     sweep, y_text = (args.sweep, args.Y) if height_flags else (opts.get("sweep"), opts.get("Y"))

@@ -70,6 +70,10 @@ class BoxTooLarge(HyperfieldError):
     """Census box cardinality above the configured cap."""
 
 
+class TooManyPrimes(HyperfieldError):
+    """More good primes requested than factor.MAX_PRIME_COUNT."""
+
+
 class NonMonic(HyperfieldError):
     """Root bound requires a monic polynomial."""
 

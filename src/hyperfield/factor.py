@@ -19,7 +19,7 @@ import random
 
 from . import _kernels as kernels
 from ._kernels.pure import _ddf_blocks, _divmod_mod, _gcd_mod, _mul_mod, _pow_mod, _power_table, _prep, _reduce, _trim
-from .errors import BadPrime, ConstantPolynomial, DegreeCapExceeded, ZeroInput
+from .errors import BadPrime, ConstantPolynomial, DegreeCapExceeded, TooManyPrimes, ZeroInput
 from .intpoly import IntPolynomial, discriminant, poly_gcd
 
 DEFAULT_DEGREE_CAP = 12
@@ -72,9 +72,23 @@ def primes_from(start: int):
         i += 1
 
 
+# The most primes one walk may take (certify --primes, census
+# fingerprint_primes). The table then reaches the 10,000th prime, 104,729,
+# in about 0.2 s; a million primes did not finish in 30 s, so larger
+# counts are refused (exit 5) instead.
+MAX_PRIME_COUNT = 10_000
+
+
+def check_prime_count(count: int) -> None:
+    """Raise TooManyPrimes if count is above MAX_PRIME_COUNT."""
+    if count > MAX_PRIME_COUNT:
+        raise TooManyPrimes(f"{count} primes requested; at most {MAX_PRIME_COUNT} are sampled")
+
+
 def primes_not_dividing(bad: int, count: int, start: int = 2) -> list[int]:
     """The first `count` primes >= start that do not divide `bad`: the one
     good-prime walk (bad = lc * Disc of the polynomial in question)."""
+    check_prime_count(count)
     if bad == 0:
         raise ValueError("every prime divides 0; no good primes exist")
     return list(itertools.islice((q for q in primes_from(start) if bad % q), count))
@@ -359,12 +373,13 @@ def lift_and_recombine(g: IntPolynomial, disc: int, degrees) -> list[IntPolynomi
     return found + [cur]
 
 
-def factor_over_q(p: IntPolynomial, cap: int = DEFAULT_DEGREE_CAP) -> list[IntPolynomial]:
+def factor_over_q(p: IntPolynomial, cap: int = DEFAULT_DEGREE_CAP, disc: int | None = None) -> list[IntPolynomial]:
     """Complete factorization over Q into primitive irreducible factors.
 
     Content (with sign) is returned as a leading degree-0 polynomial when
     it is not 1, so the product of the returned list equals p exactly.
-    Repeated factors are repeated in the list.
+    Repeated factors are repeated in the list. A caller that already
+    holds Disc(p) passes it as `disc`, so it is not computed again.
     """
     if p.is_zero():
         raise ZeroInput("cannot factor the zero polynomial")
@@ -374,8 +389,11 @@ def factor_over_q(p: IntPolynomial, cap: int = DEFAULT_DEGREE_CAP) -> list[IntPo
     prim = p.primitive()
     factors: list[IntPolynomial] = []
     if prim.degree >= 1:
-        for part, mult in squarefree_decomposition(prim):
-            for irr in lift_and_recombine(part, discriminant(part), range(1, part.degree // 2 + 1)):
+        # Disc(p) != 0: p is squarefree, so prim is its one squarefree part.
+        for part, mult in [(prim, 1)] if disc else squarefree_decomposition(prim):
+            # Disc(c * g) = c^(2 deg g - 2) * Disc(g)
+            part_disc = disc // content ** (2 * part.degree - 2) if disc else discriminant(part)
+            for irr in lift_and_recombine(part, part_disc, range(1, part.degree // 2 + 1)):
                 factors.extend([irr] * mult)
     factors.sort(key=lambda f: (f.degree, f.coeffs))
     if content != 1:

@@ -175,9 +175,10 @@ class TestIrreducibilityScreen:
         shape = FamilyShape.census_shape(C3.d, n)
         real, called = census.factor_over_q, []
 
-        def counting(F, cap):
+        def counting(F, cap, disc):
+            assert disc == discriminant(F)  # the record's Disc F, passed through
             called.append(F.coeffs)
-            return real(F, cap=cap)
+            return real(F, cap=cap, disc=disc)
 
         monkeypatch.setattr(census, "factor_over_q", counting)
         run_census(C3, n, Y)

@@ -381,6 +381,11 @@ class TestBoundary:
             (["census", "--curve", "1,1,0,1", "--n", "4", "--Y", "8", "--out-json", "/nonexistent/dir/a.json"], 2),
             (["census", "--curve", "1,1,0,1", "--n", "3", "--Y", "2", "--box-cap", "0"], 2),
             (["census", "--curve", "1,1,0,1", "--n", "3", "--Y", "2", "--box-cap", "-1"], 2),
+            (["certify", "--poly", "1,1,0,1", "--primes", "10000"], 0),
+            (["certify", "--poly", "1,1,0,1", "--primes", "10001"], 5),
+            (["certify", "--poly", "1,1,0,1", "--primes", "1000000"], 5),
+            (["census", "--curve", "1,1,0,1", "--n", "3", "--Y", "2", "--fingerprint-primes", "100000000"], 5),
+            (["census", "--config", Config(b"curve=1,1,0,1\nn=3\nY=2\nfingerprint_primes=100000000\n")], 5),
         ],
     )
     def test_exit_code_within_10_s(self, args, code, tmp_path):

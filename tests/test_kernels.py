@@ -1,12 +1,18 @@
+import math
 import os
+import random
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from sympy import nextprime, prevprime
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_ddf_zassenhaus, gf_irreducible_p, gf_mul, gf_sqf_p
 
 from hyperfield import _kernels
+from hyperfield._kernels import pure
 
 SRC = Path(__file__).parent.parent / "src"
 SYSTEM_PATH = "/usr/bin:/bin"
@@ -145,3 +151,78 @@ def test_cache_open_to_other_users_is_not_loaded(tmp_path):
     if os.getuid() == 0:  # only root can hand the file to another user
         os.chown(built, 65534, 65534)
         assert _probe(env).split()[0] == "pure"
+
+
+@needs_cc
+def test_kernel_compiles_without_warnings(tmp_path):
+    command = [*_kernels._COMPILE_COMMAND, "-Wall", "-Wextra", "-Werror", _kernels._SOURCE, "-o", str(tmp_path / "k.so")]
+    proc = subprocess.run(command, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _backends():
+    """pure.py, and the C kernel wherever it can be built."""
+    if shutil.which("cc") is None or not HAS_HEADERS:
+        return [pure]
+    compiled, why = _kernels.load_compiled()
+    assert compiled is not None, f"a C compiler and Python.h exist but _speed.c did not compile or load: {why}"
+    return [pure, compiled]
+
+
+def _lazy_bound(n: int) -> int:
+    """The largest modulus p with n (p-1)^2 + (p-1) < 2^64 and p - 1 < 2^32:
+    up to it the C kernel delays reduction at degree n (lazy_fits)."""
+    s = min(math.isqrt((2**64 - 1) // n), 2**32 - 1)
+    while n * s * s + s > 2**64 - 1:
+        s -= 1
+    return s + 1
+
+
+def _irreducible(rng, p: int, d: int, avoid) -> list[int]:
+    """A monic irreducible of degree d mod p (descending, as in sympy), not
+    in avoid; certified by sympy's irreducibility test."""
+    while True:
+        f = [1] + [rng.randrange(p) for _ in range(d)]
+        if f not in avoid and gf_irreducible_p(f, p, ZZ):
+            return f
+
+
+class TestKnownSplittingTypes:
+    """Both backends against factor-degree multisets that neither computes:
+    products of distinct irreducibles mod p with known degrees, and sympy's
+    own distinct-degree factorization at the moduli on either side of the
+    C kernel's delayed-reduction bound."""
+
+    PRIMES = [2, 3, 547, 65537, 2**31 - 1, 2**61 - 1]
+    # Repeated degrees, so that factors are divided out of f inside the loop;
+    # the R_t shapes of degree 36 (the orbits 6 + 30 of S_6 on ordered pairs).
+    # One irreducible of degree 36 only at p = 2 and 3: sympy takes seconds
+    # to find one at the larger primes.
+    SHAPES = [(1, 1, 2, 3, 3, 4, 4), (1, 1, 5, 5), (3, 3, 4, 4, 4), (6, 30), (6, 6, 12, 12)]
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_products_of_irreducibles(self, p):
+        rng = random.Random(p)
+        for shape in self.SHAPES + [(36,)] * (p <= 3):
+            factors = []
+            for d in shape:
+                factors.append(_irreducible(rng, p, d, factors))
+            product = [1]
+            for f in factors:
+                product = gf_mul(product, f, p, ZZ)
+            coeffs = product[::-1]
+            expected = sorted(shape, reverse=True)
+            for backend in _backends():
+                assert backend.ddf_degrees(coeffs, p) == expected, (backend.BACKEND, p, shape)
+                assert backend.splitting_types(coeffs, [p, p]) == [expected, expected]
+
+    @pytest.mark.parametrize("n", [4, 12, 36])
+    def test_moduli_at_the_delayed_reduction_bound(self, n):
+        bound = _lazy_bound(n)
+        for p in (prevprime(bound + 1), nextprime(bound)):
+            coeffs = [p - 1] * n + [1]  # every residue below the top at its largest
+            f = coeffs[::-1]
+            assert gf_sqf_p(f, p, ZZ)
+            expected = sorted((d for g, d in gf_ddf_zassenhaus(f, p, ZZ) for _ in range((len(g) - 1) // d)), reverse=True)
+            for backend in _backends():
+                assert backend.ddf_degrees(coeffs, p) == expected, (backend.BACKEND, n, p)
