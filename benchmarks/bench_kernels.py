@@ -15,9 +15,12 @@ The toolkit rows time ``pure._mul_mod`` on two operands of degree d and
 packed table once per call, the most a caller pays for it) at degrees
 4, 8, 12, 36 and 72 and moduli 13, 2^61 - 1 and 13^23, once with every
 product schoolbook and once with every product packed. Both must give
-identical output. The crossover printed after the rows is the least
-listed degree from which packing wins every row; ``pure._PACK_MIN`` is
-set to it.
+identical output. Each side is timed TIMINGS times; a row names a winner
+only when each side's median lies outside the other side's range of
+timings, and is unresolved otherwise. The crossover printed after the
+rows is the least listed degree from which packing wins every row,
+given as a range when unresolved rows leave it open; ``pure._PACK_MIN``
+must lie in it.
 
 The splitting-type rows time one batched ``splitting_types`` call per
 polynomial at its first good primes (not dividing lc * Disc), in three
@@ -31,6 +34,7 @@ Usage: python benchmarks/bench_kernels.py [--trials N]
 import argparse
 import pathlib
 import random
+import statistics
 import sys
 import time
 import timeit
@@ -85,18 +89,30 @@ TOOLKIT_DEGREES = (4, 8, 12, 36, 72)
 TOOLKIT_MODULI = (("13", 13), ("2^61-1", 2**61 - 1), ("13^23", 13**23))
 TOOLKIT_EXPONENT = 13
 NEVER, ALWAYS = 1 << 30, 0  # pure._PACK_MIN values: every product schoolbook, or every one packed
+TIMINGS = 5
 
 
-def _best_time(fn) -> float:
-    """Seconds per call: the best of three timings of about 0.05 s each."""
+def _timings(fn) -> list[float]:
+    """Seconds per call: TIMINGS timings of about 0.05 s each."""
     timer = timeit.Timer(fn)
     reps = max(1, int(0.05 / max(timer.timeit(1), 1e-7)))
-    return min(timer.repeat(3, reps)) / reps
+    return [t / reps for t in timer.repeat(TIMINGS, reps)]
+
+
+def winner(school: list[float], packed: list[float]) -> str:
+    """"packed" or "schoolbook", the side with the lower median, when each
+    side's median lies outside the other's range of timings; else
+    "unresolved"."""
+    ms, mp = statistics.median(school), statistics.median(packed)
+    if min(school) <= mp <= max(school) or min(packed) <= ms <= max(packed):
+        return "unresolved"
+    return "packed" if mp < ms else "schoolbook"
 
 
 def toolkit_rows(seed: int = 0):
-    """(kind, degree, modulus name, schoolbook s, packed s) per toolkit row;
-    asserts that both give identical output."""
+    """(kind, degree, modulus name, schoolbook timings, packed timings) per
+    toolkit row, in seconds per call; asserts that both give identical
+    output."""
     rng = random.Random(seed)
     rows = []
     saved = pure._PACK_MIN
@@ -116,7 +132,7 @@ def toolkit_rows(seed: int = 0):
                     for pack_min in (NEVER, ALWAYS):
                         pure._PACK_MIN = pack_min
                         outs.append(call())
-                        times.append(_best_time(call))
+                        times.append(_timings(call))
                     assert outs[0] == outs[1], f"packed {kind} differs from schoolbook at degree {d} mod {name}"
                     rows.append((kind, d, name, *times))
     finally:
@@ -124,12 +140,16 @@ def toolkit_rows(seed: int = 0):
     return rows
 
 
-def crossover(rows) -> int | None:
-    """The least listed degree from which packing wins every row, or None."""
-    for d in TOOLKIT_DEGREES:
-        if all(packed < school for _, deg, _, school, packed in rows if deg >= d):
-            return d
-    return None
+def crossover(rows) -> tuple[int | None, int | None]:
+    """(lo, hi): the least listed degrees from which schoolbook wins no row,
+    and from which packing wins every row; None where there is none. They
+    differ only when unresolved rows leave the crossover open."""
+    verdicts = [(deg, winner(school, packed)) for _, deg, _, school, packed in rows]
+
+    def least(ok):
+        return next((d for d in TOOLKIT_DEGREES if all(ok(v) for deg, v in verdicts if deg >= d)), None)
+
+    return least(lambda v: v != "schoolbook"), least(lambda v: v == "packed")
 
 
 SPLITTING_SHAPES = (("census", (4,), 50), ("iso", (6,), 50), ("certify", (8, 9, 10, 11, 12), 100))
@@ -174,12 +194,21 @@ def main():
     args = ap.parse_args()
 
     rows = toolkit_rows()
-    print(f"{'toolkit':<10}{'degree':>7}{'modulus':>9}{'schoolbook (us)':>17}{'packed (us)':>13}{'speedup':>9}")
+    print(f"medians of {TIMINGS} timings")
+    print(f"{'toolkit':<10}{'degree':>7}{'modulus':>9}{'schoolbook (us)':>17}{'packed (us)':>13}{'speedup':>9}"
+          f"{'winner':>12}")
     for kind, d, name, school, packed in rows:
-        print(f"{kind:<10}{d:>7}{name:>9}{school * 1e6:>17.1f}{packed * 1e6:>13.1f}{school / packed:>8.2f}x")
-    found = crossover(rows)
-    verdict = "matches" if found == pure._PACK_MIN else "DIFFERS from"
-    print(f"\npacked and schoolbook outputs identical; packing wins every row from degree {found}, "
+        ms, mp = statistics.median(school), statistics.median(packed)
+        print(f"{kind:<10}{d:>7}{name:>9}{ms * 1e6:>17.1f}{mp * 1e6:>13.1f}{ms / mp:>8.2f}x"
+              f"{winner(school, packed):>12}")
+    lo, hi = crossover(rows)
+    if lo == hi:
+        found = f"degree {lo}"
+    else:
+        found = f"a degree from {lo} to {hi or f'past {TOOLKIT_DEGREES[-1]}'}, with unresolved rows between"
+    inside = lo is not None and lo <= pure._PACK_MIN and (hi is None or pure._PACK_MIN <= hi)
+    verdict = "matches" if inside else "DIFFERS from"
+    print(f"\npacked and schoolbook outputs identical; packing wins every row from {found}, "
           f"which {verdict} pure._PACK_MIN = {pure._PACK_MIN}\n")
 
     compiled, why = load_compiled()

@@ -9,8 +9,10 @@ timeout) selects the pure-Python kernels, and so does a cache directory
 or file that another user owns or may write. Set HYPERFIELD_PURE=1 to
 force them. PURE_REASON says why the pure kernels are in use (the
 compiler's error line, for a failed compile), and is None on the C
-backend. The C kernel takes moduli below 2^63; larger ones go to
-pure.py.
+backend. The C kernel takes a modulus p for a polynomial of degree n
+when n (p-1)^2 + (p-1) < 2^64, so that it can delay reduction (p <= 2^31
+at degree 4, about 7.2e8 at degree 36); it raises OverflowError for any
+other, and those go to pure.py.
 
 Kernels: ddf_degrees(coeffs, p), the factor degrees mod p, and
 splitting_types(coeffs, primes), the same at each prime from one call.
@@ -99,13 +101,13 @@ def load_compiled():
         return None, f"cannot build or load the C kernel: {e}"
 
 
-def _pure_above_2_63(name: str):
+def _pure_where_declined(name: str):
     compiled, fallback = getattr(impl, name), getattr(pure, name)
 
     def kernel(coeffs, p):
         try:
             return compiled(coeffs, p)
-        except OverflowError:  # a modulus of 2^63 or more
+        except OverflowError:  # a modulus past the C kernel's bound
             return fallback(coeffs, p)
 
     return kernel
@@ -117,7 +119,7 @@ if impl is None:
     impl = pure
     ddf_degrees, splitting_types = pure.ddf_degrees, pure.splitting_types
 else:
-    ddf_degrees, splitting_types = _pure_above_2_63("ddf_degrees"), _pure_above_2_63("splitting_types")
+    ddf_degrees, splitting_types = _pure_where_declined("ddf_degrees"), _pure_where_declined("splitting_types")
 BACKEND = impl.BACKEND
 
 __all__ = ["BACKEND", "PURE_REASON", "ddf_degrees", "splitting_types"]

@@ -1,12 +1,15 @@
 /* Compiled mod-p polynomial kernels; the same contract as pure.py.
  *
  * Polynomials are arrays of residues in [0, p), ascending in degree, with
- * a nonzero top coefficient (length 0 is the zero polynomial). Any
- * modulus p < 2^63 is accepted: residues and their sums fit 64 bits and
- * products are reduced in 128 bits. A larger p raises OverflowError,
- * which the loader in __init__.py answers by calling pure.py. Each step
- * mirrors pure.py, so results and ValueError messages agree with it even
- * for composite moduli, where a leading coefficient may not be invertible.
+ * a nonzero top coefficient (length 0 is the zero polynomial). A modulus
+ * p is accepted for F of degree n when n (p-1)^2 + (p-1) < 2^64
+ * (lazy_fits; see Delayed reduction below): p <= 2^31 at degree 4, about
+ * 1.24e9 at degree 12 and 7.2e8 at degree 36, far above the primes near
+ * the 10,000th (104,729) where the census and certify stop. A larger p
+ * raises OverflowError, which the loader in __init__.py answers by
+ * calling pure.py. Each step mirrors pure.py, so results and ValueError
+ * messages agree with it even for composite moduli, where a leading
+ * coefficient may not be invertible.
  *
  * Distinct-degree factorization iterates the Frobenius matrix (Berlekamp's
  * Q; von zur Gathen and Shoup, Comput. Complexity 2, 1992). For monic F of
@@ -26,9 +29,8 @@
  * terms below (p-1)^2. In a division the leading coefficient t is reduced
  * at each step and the others receive (p - t) * f_i <= (p-1)^2, so each
  * remainder coefficient is a residue below p plus at most n such terms.
- * When n (p-1)^2 + (p-1) < 2^64 (lazy_fits), these sums are accumulated in
- * u64 and each coefficient is reduced once; otherwise each product is
- * reduced on its own (mulm). Below 2^32, reductions are Barrett's (a
+ * As n (p-1)^2 + (p-1) < 2^64 (lazy_fits), these sums are accumulated in
+ * u64 and each coefficient is reduced once. Reductions are Barrett's (a
  * multiply by floor(2^64 / p) and a shift), not a hardware division.
  *
  * __init__.py compiles this file on first import:
@@ -45,7 +47,6 @@ typedef unsigned __int128 u128;
 static const char NOT_INVERTIBLE[] = "base is not invertible for the given modulus";
 
 static inline u64 subm(u64 a, u64 b, u64 p) { return a >= b ? a - b : a + (p - b); }
-static inline u64 addm(u64 a, u64 b, u64 p) { return subm(a, p - b, p); }
 
 /* Scratch buffers of one call: 2n + 2 residues each for n coefficients,
  * and n^2 for Q. F is the prepared polynomial, f the part of it still
@@ -53,11 +54,10 @@ static inline u64 addm(u64 a, u64 b, u64 p) { return subm(a, p - b, p); }
 typedef struct {
     u64 p, *F, *f, *h, *g, *t, *u, *v, *w, *degs, *q;
     u64 m; /* floor(2^64 / p), for reduce */
-    int lazy; /* lazy_fits(p, deg F): sums are reduced once (see the header) */
 } Work;
 
 /* Whether n terms of at most (p-1)^2 plus one of at most p - 1 sum below
- * 2^64. */
+ * 2^64. As it needs p <= 2^32, any product of two residues fits 64 bits. */
 static int lazy_fits(u64 p, Py_ssize_t n)
 {
     u64 s = p - 1;
@@ -71,11 +71,6 @@ static inline u64 reduce(u64 x, const Work *k)
 {
     u64 r = x - (u64)(((u128)x * k->m) >> 64) * k->p;
     return r >= k->p ? r - k->p : r;
-}
-
-static inline u64 mulm(u64 a, u64 b, const Work *k)
-{
-    return k->p >> 32 ? (u64)((u128)a * b % k->p) : reduce(a * b, k);
 }
 
 static Py_ssize_t trim(const u64 *a, Py_ssize_t n)
@@ -112,31 +107,23 @@ static int make_monic(u64 *a, Py_ssize_t n, const Work *k)
         return -1;
     }
     for (Py_ssize_t i = 0; i < n; i++)
-        a[i] = mulm(a[i], inv, k);
+        a[i] = reduce(a[i] * inv, k);
     return 0;
 }
 
 /* out = a * b; out has room for la + lb - 1 and aliases neither. */
 static Py_ssize_t mul(const u64 *a, Py_ssize_t la, const u64 *b, Py_ssize_t lb, u64 *out, const Work *k)
 {
-    u64 p = k->p;
     Py_ssize_t lo = la + lb - 1;
     if (la == 0 || lb == 0)
         return 0;
     memset(out, 0, lo * sizeof *out);
-    for (Py_ssize_t i = 0; i < la; i++) {
-        if (!a[i])
-            continue;
-        if (k->lazy)
+    for (Py_ssize_t i = 0; i < la; i++)
+        if (a[i])
             for (Py_ssize_t j = 0; j < lb; j++)
                 out[i + j] += a[i] * b[j];
-        else
-            for (Py_ssize_t j = 0; j < lb; j++)
-                out[i + j] = addm(out[i + j], mulm(a[i], b[j], k), p);
-    }
-    if (k->lazy)
-        for (Py_ssize_t i = 0; i < lo; i++)
-            out[i] = reduce(out[i], k);
+    for (Py_ssize_t i = 0; i < lo; i++)
+        out[i] = reduce(out[i], k);
     return trim(out, lo);
 }
 
@@ -148,22 +135,17 @@ static Py_ssize_t divide(u64 *r, Py_ssize_t lr, const u64 *f, Py_ssize_t lf, u64
     Py_ssize_t df = lf - 1, lq = lr - df;
     if (q && lq > 0)
         memset(q, 0, lq * sizeof *q);
-    while (lr - 1 >= df) {
-        u64 t = k->lazy ? reduce(r[lr - 1], k) : r[lr - 1];
+    for (; lr - 1 >= df; lr--) {
+        u64 t = reduce(r[lr - 1], k);
         Py_ssize_t shift = lr - 1 - df;
         if (q)
             q[shift] = t;
-        if (t && k->lazy)
+        if (t)
             for (Py_ssize_t i = 0; i < df; i++)
                 r[shift + i] += (p - t) * f[i];
-        else if (t)
-            for (Py_ssize_t i = 0; i < df; i++)
-                r[shift + i] = subm(r[shift + i], mulm(t, f[i], k), p);
-        lr = k->lazy ? lr - 1 : trim(r, lr - 1);
     }
-    if (k->lazy)
-        for (Py_ssize_t i = 0; i < lr; i++)
-            r[i] = reduce(r[i], k);
+    for (Py_ssize_t i = 0; i < lr; i++)
+        r[i] = reduce(r[i], k);
     return trim(r, lr);
 }
 
@@ -230,22 +212,16 @@ static void frobenius_rows(const u64 *xp, Py_ssize_t lxp, Py_ssize_t lF, Work *k
  * length lh <= n = deg F. */
 static Py_ssize_t frobenius(u64 *h, Py_ssize_t lh, Py_ssize_t n, Work *k)
 {
-    u64 p = k->p, *out = k->w;
+    u64 *out = k->w;
     memset(out, 0, n * sizeof *out);
     for (Py_ssize_t i = 0; i < lh; i++) {
         const u64 *row = k->q + i * n;
-        if (!h[i])
-            continue;
-        if (k->lazy)
+        if (h[i])
             for (Py_ssize_t j = 0; j < n; j++)
                 out[j] += h[i] * row[j];
-        else
-            for (Py_ssize_t j = 0; j < n; j++)
-                out[j] = addm(out[j], mulm(h[i], row[j], k), p);
     }
-    if (k->lazy)
-        for (Py_ssize_t j = 0; j < n; j++)
-            out[j] = reduce(out[j], k);
+    for (Py_ssize_t j = 0; j < n; j++)
+        out[j] = reduce(out[j], k);
     memcpy(h, out, n * sizeof *h);
     return trim(h, n);
 }
@@ -260,20 +236,20 @@ static Py_ssize_t gcd_minus_x(const u64 *h, Py_ssize_t lh, const u64 *f, Py_ssiz
     return gcd(k->t, trim(k->t, lt), f, lf, k->g, k);
 }
 
-/* Sets k->p from the Python int p: -1 with ValueError if p < 2, with
- * OverflowError if p >= 2^63. */
-static int set_modulus(Work *k, PyObject *p)
+/* Sets k->p from the Python int p, for F of degree n: -1 with ValueError
+ * if p < 2, with OverflowError if lazy_fits(p, n) fails. */
+static int set_modulus(Work *k, PyObject *p, Py_ssize_t n)
 {
     int overflow;
     long long v = PyLong_AsLongLongAndOverflow(p, &overflow);
     if (v == -1 && PyErr_Occurred())
         return -1;
-    if (overflow > 0) {
-        PyErr_SetString(PyExc_OverflowError, "modulus too large for the compiled kernel");
+    if (overflow < 0 || (!overflow && v < 2)) {
+        PyErr_SetString(PyExc_ValueError, "modulus must be a prime >= 2");
         return -1;
     }
-    if (overflow < 0 || v < 2) {
-        PyErr_SetString(PyExc_ValueError, "modulus must be a prime >= 2");
+    if (overflow || !lazy_fits((u64)v, n)) {
+        PyErr_SetString(PyExc_OverflowError, "modulus too large for the compiled kernel");
         return -1;
     }
     k->p = (u64)v;
@@ -287,7 +263,7 @@ static Py_ssize_t prep(PyObject *coeffs, PyObject *p, Work *k)
 {
     Py_ssize_t n = PySequence_Fast_GET_SIZE(coeffs);
     PyObject **items = PySequence_Fast_ITEMS(coeffs);
-    if (set_modulus(k, p) < 0)
+    if (set_modulus(k, p, n - 1) < 0)
         return -1;
     for (Py_ssize_t i = 0; i < n; i++) {
         int overflow;
@@ -325,9 +301,8 @@ static PyObject *ddf(PyObject *coeffs, PyObject *p, Work *k)
         PyErr_SetString(PyExc_ValueError, "constant polynomial mod p");
         return NULL;
     }
-    k->lazy = lazy_fits(k->p, lF - 1);
     for (Py_ssize_t i = 1; i < lF; i++)
-        h[i - 1] = mulm((u64)i % k->p, F[i], k);
+        h[i - 1] = reduce((u64)i % k->p * F[i], k);
     if ((lg = gcd(F, lF, h, trim(h, lF - 1), g, k)) < 0)
         return NULL;
     if (lg != 1) {

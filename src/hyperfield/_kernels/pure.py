@@ -104,22 +104,6 @@ def _mul_mod(a: list[int], b: list[int], p: int) -> list[int]:
     return _trim(_unpack(pa * pb, k, len(a) + len(b) - 1, p))
 
 
-def _rem_mod(a: list[int], f: list[int], p: int) -> list[int]:
-    """a mod f, with f monic."""
-    r = list(a)
-    df = len(f) - 1
-    while len(r) - 1 >= df:
-        t = r[-1]
-        if t:
-            shift = len(r) - 1 - df
-            for i in range(df):
-                r[shift + i] = (r[shift + i] - t * f[i]) % p
-        r.pop()
-        _trim(r)
-        if not r:
-            break
-    return r
-
 def _monic(a: list[int], p: int) -> list[int]:
     if not a or a[-1] == 1:
         return a
@@ -131,7 +115,7 @@ def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
     a, b = list(a), list(b)
     while b:
         b = _monic(b, p)
-        a, b = b, _rem_mod(a, b, p)
+        a, b = b, _divmod_mod(a, b, p)[1]
     return _monic(a, p)
 
 
@@ -171,14 +155,14 @@ def _mul_rem_f(a: list[int], b: list[int], f: list[int], p: int, table) -> list[
     """a * b mod (f, p) for f monic: through table = _power_table(f, p),
     or by schoolbook division when it is None."""
     if table is None:
-        return _rem_mod(_mul_mod(a, b, p), f, p)
+        return _divmod_mod(_mul_mod(a, b, p), f, p)[1]
     return _mul_rem(a, b, table, p)
 
 
 def _pow_mod(a: list[int], e: int, f: list[int], p: int, table) -> list[int]:
     """a^e mod (f, p), f monic, for table = _power_table(f, p)."""
     out = [1]
-    base = _rem_mod(_reduce(a, p), f, p)
+    base = _divmod_mod(_reduce(a, p), f, p)[1]
     while e:
         if e & 1:
             out = _mul_rem_f(out, base, f, p, table)
@@ -284,14 +268,13 @@ def _divmod_mod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int
     """(q, r) with a = q*b + r mod m, for monic b and a reduced mod m."""
     r = list(a)
     db = len(b) - 1
-    q = [0] * max(0, len(a) - db)
-    while len(r) - 1 >= db:
-        t = r[-1]
-        shift = len(r) - 1 - db
+    if len(r) <= db:
+        return [], r
+    q = [0] * (len(r) - db)
+    for shift in range(len(r) - 1 - db, -1, -1):
+        t = r.pop()
         q[shift] = t
         if t:
             for i in range(db):
                 r[shift + i] = (r[shift + i] - t * b[i]) % m
-        r.pop()
-        _trim(r)
-    return _trim(q), r
+    return _trim(q), _trim(r)

@@ -33,7 +33,10 @@ Hilbert-proportion diagnostics are reported both with and without them.
 Field discriminants are never computed (no maximal-order machinery in
 scope): the census records the polynomial discriminant Disc(F), an
 upper-bound proxy since Disc(F) = [O_K : Z[alpha]]^2 * Disc(K). The
-log-scale counting diagnostics are unaffected at this scale.
+proxy is often wrong: at n=4, Y=4, Disc(K) != Disc(F) for 277 of the 526
+distinct irreducible F that sympy's round_two could handle. So the
+counting diagnostics (disc_histogram, mk_ratio_max, count_disc_slope)
+are measured on the Disc(F) axis, not on the paper's Disc(K) axis.
 """
 from __future__ import annotations
 

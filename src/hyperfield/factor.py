@@ -180,26 +180,9 @@ def _factor_mod_full(coeffs, q: int, rng: random.Random) -> list[list[int]]:
 # -- Hensel lifting -----------------------------------------------------------
 
 
-def _add_m(a, b, m):
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % m
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _sub_m(a, b, m):
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % m
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+def _add_m(a, b, m, sign=1):
+    """a + sign * b mod m, every coefficient reduced, trimmed."""
+    return _trim([(x + sign * y) % m for x, y in itertools.zip_longest(a, b, fillvalue=0)])
 
 
 def _bezout_mod(g, h, q):
@@ -213,8 +196,8 @@ def _bezout_mod(g, h, q):
         qq, rr = _divmod_mod(r0, r1m, q)
         qq = [(c * lead) % q for c in qq]
         r0, r1 = r1, _trim(rr)
-        s0, s1 = s1, _sub_m(s0, _mul_mod(qq, s1, q), q)
-        t0, t1 = t1, _sub_m(t0, _mul_mod(qq, t1, q), q)
+        s0, s1 = s1, _add_m(s0, _mul_mod(qq, s1, q), q, -1)
+        t0, t1 = t1, _add_m(t0, _mul_mod(qq, t1, q), q, -1)
     if len(r0) != 1:
         raise ValueError("factors not coprime mod q")
     inv = pow(r0[-1], -1, q)
@@ -232,14 +215,14 @@ def _hensel_step(f, g, h, s, t, m, cap):
     """
     m2 = min(m * m, cap)
     fm = _reduce(f, m2)
-    e = _sub_m(fm, _mul_mod(g, h, m2), m2)
+    e = _add_m(fm, _mul_mod(g, h, m2), m2, -1)
     qq, r = _divmod_mod(_mul_mod(s, e, m2), h, m2)
     g1 = _add_m(g, _add_m(_mul_mod(t, e, m2), _mul_mod(qq, g, m2), m2), m2)
     h1 = _add_m(h, r, m2)
-    b = _sub_m(_add_m(_mul_mod(s, g1, m2), _mul_mod(t, h1, m2), m2), [1], m2)
+    b = _add_m(_add_m(_mul_mod(s, g1, m2), _mul_mod(t, h1, m2), m2), [1], m2, -1)
     cc, d = _divmod_mod(_mul_mod(s, b, m2), h1, m2)
-    s1 = _sub_m(s, d, m2)
-    t1 = _sub_m(t, _add_m(_mul_mod(t, b, m2), _mul_mod(cc, g1, m2), m2), m2)
+    s1 = _add_m(s, d, m2, -1)
+    t1 = _add_m(t, _add_m(_mul_mod(t, b, m2), _mul_mod(cc, g1, m2), m2), m2, -1)
     return g1, h1, s1, t1, m2
 
 

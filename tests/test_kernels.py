@@ -160,13 +160,23 @@ def test_kernel_compiles_without_warnings(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def _backends():
-    """pure.py, and the C kernel wherever it can be built."""
+def _compiled():
+    """The compiled C kernel module, or None where it cannot be built."""
     if shutil.which("cc") is None or not HAS_HEADERS:
-        return [pure]
+        return None
     compiled, why = _kernels.load_compiled()
     assert compiled is not None, f"a C compiler and Python.h exist but _speed.c did not compile or load: {why}"
-    return [pure, compiled]
+    return compiled
+
+
+def _backends(p: int, n: int):
+    """pure.py, and the C kernel wherever it can be built: the compiled
+    module where it takes p at degree n, else the dispatcher in
+    hyperfield._kernels, which hands p to pure.py."""
+    compiled = _compiled()
+    if compiled is None:
+        return [pure]
+    return [pure, compiled if p <= _lazy_bound(n) else _kernels]
 
 
 def _lazy_bound(n: int) -> int:
@@ -191,7 +201,8 @@ class TestKnownSplittingTypes:
     """Both backends against factor-degree multisets that neither computes:
     products of distinct irreducibles mod p with known degrees, and sympy's
     own distinct-degree factorization at the moduli on either side of the
-    C kernel's delayed-reduction bound."""
+    C kernel's delayed-reduction bound, past which the compiled module
+    declines and the dispatcher answers from pure.py."""
 
     PRIMES = [2, 3, 547, 65537, 2**31 - 1, 2**61 - 1]
     # Repeated degrees, so that factors are divided out of f inside the loop;
@@ -212,17 +223,24 @@ class TestKnownSplittingTypes:
                 product = gf_mul(product, f, p, ZZ)
             coeffs = product[::-1]
             expected = sorted(shape, reverse=True)
-            for backend in _backends():
+            for backend in _backends(p, sum(shape)):
                 assert backend.ddf_degrees(coeffs, p) == expected, (backend.BACKEND, p, shape)
                 assert backend.splitting_types(coeffs, [p, p]) == [expected, expected]
 
     @pytest.mark.parametrize("n", [4, 12, 36])
     def test_moduli_at_the_delayed_reduction_bound(self, n):
         bound = _lazy_bound(n)
+        compiled = _compiled()
         for p in (prevprime(bound + 1), nextprime(bound)):
             coeffs = [p - 1] * n + [1]  # every residue below the top at its largest
             f = coeffs[::-1]
             assert gf_sqf_p(f, p, ZZ)
             expected = sorted((d for g, d in gf_ddf_zassenhaus(f, p, ZZ) for _ in range((len(g) - 1) // d)), reverse=True)
-            for backend in _backends():
+            for backend in dict.fromkeys([*_backends(p, n), _kernels]):
                 assert backend.ddf_degrees(coeffs, p) == expected, (backend.BACKEND, n, p)
+                assert backend.splitting_types(coeffs, [p]) == [expected], (backend.BACKEND, n, p)
+            if compiled is not None and p > bound:
+                with pytest.raises(OverflowError):
+                    compiled.ddf_degrees(coeffs, p)
+                with pytest.raises(OverflowError):
+                    compiled.splitting_types(coeffs, [p])
