@@ -7,7 +7,13 @@ odometer, most-significant coefficient first (a descending, then b),
 each coordinate swept from -bound to +bound.
 
 Every record carries the discriminant and a certification status:
-REDUCIBLE, IRREDUCIBLE_UNCERTIFIED, or SN_CERTIFIED. Irreducibility is
+REDUCIBLE, IRREDUCIBLE_UNCERTIFIED, or SN_CERTIFIED. These depend on F
+alone, and F = g^2 - f h^2 does not change under g -> -g or h -> -h, so
+many records repeat an F. Each distinct F is classified once: the census
+keeps one table entry per F (status, Disc(F), fingerprint and its hash,
+multiplicity, class id), which all its records share. A sweep reuses
+the classifications of its smaller boxes; only the multiplicities and
+field classes are computed again at each height. Irreducibility is
 decided by (in order) Musser's degree-set intersection over the
 splitting types at the first IRREDUCIBILITY_PRIMES good primes, a Newton
 polygon that is one irreducible block at one of the first POLYGON_PRIMES
@@ -240,15 +246,48 @@ class CensusConfig:
     workers: int = 1
 
 
-@dataclass(frozen=True)
-class CensusRecord:
-    spec: Specialization
+@dataclass(eq=False)
+class FieldEntry:
+    """The table entry of one distinct F: its classification (status, Disc F,
+    fingerprint and its hash), then, for one box, the number of records with
+    this F and its field class. Every record with this F shares the entry."""
+
     F: IntPolynomial
     disc_F: int
     status: str
     fingerprint: FieldFingerprint | None = None
-    no_point: bool = False
+    hash_hex: str = ""
+    multiplicity: int = 0
     class_id: int | None = None
+
+    # Classification reads F alone. An h = 0 member has F = g^2, which has
+    # Disc F = 0 and is REDUCIBLE like any other square; the record carries
+    # its own no_point flag.
+    no_point = False
+
+
+@dataclass(frozen=True, slots=True)
+class CensusRecord:
+    spec: Specialization
+    F: IntPolynomial
+    no_point: bool
+    entry: FieldEntry
+
+    @property
+    def disc_F(self) -> int:
+        return self.entry.disc_F
+
+    @property
+    def status(self) -> str:
+        return self.entry.status
+
+    @property
+    def fingerprint(self) -> FieldFingerprint | None:
+        return self.entry.fingerprint
+
+    @property
+    def class_id(self) -> int | None:
+        return self.entry.class_id
 
 
 def _np_irreducible(F: IntPolynomial) -> bool:
@@ -260,20 +299,13 @@ def _np_irreducible(F: IntPolynomial) -> bool:
     )
 
 
-def classify_record(
-    curve: HyperellipticCurve,
-    shape: FamilyShape,
-    s: Specialization,
-    cfg: CensusConfig,
-) -> CensusRecord:
-    F = build_family_member(curve, shape, s)
-    h = s.h_poly(shape)
+def classify_record(F: IntPolynomial, cfg: CensusConfig) -> FieldEntry:
+    """Classify one distinct F: the census calls this once per F, and every
+    record with that F shares the entry it returns."""
     n = F.degree
-    if h.is_zero():
-        return CensusRecord(s, F, 0, REDUCIBLE, no_point=True)
     disc_F = discriminant(F)
     if disc_F == 0:
-        return CensusRecord(s, F, 0, REDUCIBLE)
+        return FieldEntry(F, 0, REDUCIBLE)
     good = primes_not_dividing(F.lc * disc_F, cfg.fingerprint_primes)
     # Two kernel calls: the screening primes, then (for irreducible F only)
     # the rest of the fingerprint, which a reducible F never needs.
@@ -286,12 +318,13 @@ def classify_record(
             )
         factors = factor_over_q(F, cap=cfg.factor_cap, disc=disc_F)
         if sum(1 for f in factors if f.degree > 0) > 1:
-            return CensusRecord(s, F, disc_F, REDUCIBLE)
+            return FieldEntry(F, disc_F, REDUCIBLE)
 
     entries += _splitting_entries(F, good[IRREDUCIBILITY_PRIMES:])
     cert = recognize_sn(n, [t for _, t in entries], transitive=True)
     status = SN_CERTIFIED if cert.conclusion == SN else IRREDUCIBLE_UNCERTIFIED
-    return CensusRecord(s, F, disc_F, status, fingerprint=FieldFingerprint(n, entries))
+    fp = FieldFingerprint(n, entries)
+    return FieldEntry(F, disc_F, status, fingerprint=fp, hash_hex=fp.hash_hex)
 
 
 def enumerate_box(
@@ -300,8 +333,9 @@ def enumerate_box(
     Y,
     cfg: CensusConfig = CensusConfig(),
 ):
-    """Stream of classified CensusRecords in deterministic odometer order."""
-    return _classify_box(curve, _capped_box(shape, Y, cfg), cfg, workers=1)
+    """Stream of CensusRecords in deterministic odometer order, each F
+    classified once. An entry's multiplicity is final once the stream ends."""
+    return _box_records(curve, _capped_box(shape, Y, cfg), cfg, {}, {})
 
 
 def _capped_box(shape: FamilyShape, Y, cfg: CensusConfig) -> CoefficientBox:
@@ -311,38 +345,48 @@ def _capped_box(shape: FamilyShape, Y, cfg: CensusConfig) -> CoefficientBox:
     return box
 
 
-def _classify_box(curve: HyperellipticCurve, box: CoefficientBox, cfg: CensusConfig, workers: int):
-    """Classified records of the whole box, in odometer order: streamed in
-    this process, or classified in chunks by a pool of `workers` processes."""
-    specs = box.specializations()
-    if workers <= 1:
-        for s in specs:
-            yield classify_record(curve, box.shape, s, cfg)
-        return
+def _box_records(
+    curve: HyperellipticCurve,
+    box: CoefficientBox,
+    cfg: CensusConfig,
+    table: dict[tuple[int, ...], FieldEntry],
+    classified: dict[tuple[int, ...], FieldEntry],
+    workers: int = 1,
+):
+    """Records of the whole box, in odometer order. `table` gets one entry
+    per distinct F of the box. An F in `classified` (entries from smaller boxes
+    of the same census) takes a copy of that classification; any other F
+    is classified once, here or, with `workers` > 1, in a pool of that many
+    processes fed only the F not classified yet."""
+    shape = box.shape
+    members = ((s, build_family_member(curve, shape, s)) for s in box.specializations())
+    if workers > 1:
+        members = list(members)
+        unseen = {F.coeffs: F for _, F in members if F.coeffs not in classified}
+        table.update(zip(unseen, _classify_in_pool(list(unseen.values()), cfg, workers)))
+    for s, F in members:
+        entry = table.get(F.coeffs)
+        if entry is None:
+            old = classified.get(F.coeffs)
+            entry = classify_record(F, cfg) if old is None else replace(old, multiplicity=0, class_id=None)
+            table[F.coeffs] = entry
+        entry.multiplicity += 1
+        yield CensusRecord(s, F, s.h_poly(shape).is_zero(), entry)
+
+
+def _classify_in_pool(Fs: list[IntPolynomial], cfg: CensusConfig, workers: int) -> list[FieldEntry]:
+    """classify_record on each F, in order, by a pool of `workers` processes."""
     from concurrent.futures import ProcessPoolExecutor
 
-    size = max(64, box.cardinality // (workers * 8) + 1)
-    chunks = iter(lambda: list(itertools.islice(specs, size)), [])
+    size = max(64, len(Fs) // (workers * 8) + 1)
+    chunks = (Fs[i:i + size] for i in range(0, len(Fs), size))
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        for part in ex.map(_classify_chunk, ((curve, box.shape, c, cfg) for c in chunks)):
-            yield from part
+        return [e for part in ex.map(_classify_chunk, ((c, cfg) for c in chunks)) for e in part]
 
 
 def _classify_chunk(args):
-    curve, shape, specs, cfg = args
-    return [classify_record(curve, shape, s, cfg) for s in specs]
-
-
-# -- (g, h) collision multiplicities ------------------------------------------
-
-
-def dedupe_gh(records) -> tuple[dict[tuple[int, ...], list[CensusRecord]], int]:
-    """Group records by F; return groups and the max (g,h)-multiplicity."""
-    groups: dict[tuple[int, ...], list[CensusRecord]] = {}
-    for r in records:
-        groups.setdefault(r.F.coeffs, []).append(r)
-    max_mult = max((len(v) for v in groups.values()), default=0)
-    return groups, max_mult
+    Fs, cfg = args
+    return [classify_record(F, cfg) for F in Fs]
 
 
 # -- exact isomorphism ---------------------------------------------------------
@@ -691,14 +735,14 @@ def _compatible_pairs(keys: list[tuple]):
             candidates ^= low
 
 
-def _class_groups(records: list[CensusRecord]):
-    """Group irreducible records into field classes via fingerprints,
+def _class_groups(entries: list[FieldEntry]):
+    """Group the entries of irreducible F into field classes via fingerprints,
     merging compatible keys and exact-confirming collisions below the cap."""
-    keyed: dict[tuple, list[CensusRecord]] = {}
-    for r in records:
-        if r.fingerprint is None:
+    keyed: dict[tuple, list[FieldEntry]] = {}
+    for e in entries:
+        if e.fingerprint is None:
             continue
-        keyed.setdefault(r.fingerprint.entries, []).append(r)
+        keyed.setdefault(e.fingerprint.entries, []).append(e)
     keys = list(keyed)
     parent = list(range(len(keys)))
 
@@ -710,15 +754,15 @@ def _class_groups(records: list[CensusRecord]):
 
     for i, j in _compatible_pairs(keys):
         parent[find(i)] = find(j)
-    merged: dict[int, list[CensusRecord]] = {}
+    merged: dict[int, list[FieldEntry]] = {}
     for i, k in enumerate(keys):
         merged.setdefault(find(i), []).extend(keyed[k])
-    classes = [sorted(v, key=lambda r: r.F.coeffs) for v in merged.values()]
+    classes = [sorted(v, key=lambda e: e.F.coeffs) for v in merged.values()]
     classes.sort(key=lambda g: g[0].F.coeffs)
     unconfirmed = 0
-    n = records[0].F.degree if records else 0
+    n = entries[0].F.degree if entries else 0
     for group in classes:
-        distinct = sorted({r.F.coeffs for r in group})
+        distinct = sorted({e.F.coeffs for e in group})
         if len(distinct) <= 1:
             continue
         if n > ISO_CAP:
@@ -732,7 +776,16 @@ def _class_groups(records: list[CensusRecord]):
     return classes, unconfirmed
 
 
-def run_census(curve: HyperellipticCurve, n: int, Y, cfg: CensusConfig = CensusConfig()) -> CensusResult:
+def run_census(
+    curve: HyperellipticCurve,
+    n: int,
+    Y,
+    cfg: CensusConfig = CensusConfig(),
+    classified: dict[tuple[int, ...], FieldEntry] | None = None,
+) -> CensusResult:
+    """The census of one box. `classified` maps F.coeffs to the entries of
+    earlier runs with the same curve, n and cfg (a sweep's smaller boxes):
+    their F are not classified again, and this run adds its own entries."""
     shape = FamilyShape.census_shape(curve.d, n)
     Y = Fraction(Y)
     box = _capped_box(shape, Y, cfg)
@@ -743,29 +796,23 @@ def run_census(curve: HyperellipticCurve, n: int, Y, cfg: CensusConfig = CensusC
             workers = max(1, min(workers, int(env_threads)))
         except ValueError:
             raise PolyParseError(f"HYPERFIELD_THREADS must be an integer, got {env_threads!r}") from None
-    records = list(_classify_box(curve, box, cfg, workers))
+    if classified is None:
+        classified = {}
+    table: dict[tuple[int, ...], FieldEntry] = {}
+    records = list(_box_records(curve, box, cfg, table, classified, workers))
+    classified.update(table)
+    entries = list(table.values())
 
-    groups, max_mult = dedupe_gh(records)
-    irreducible = [r for r in records if r.status in (IRREDUCIBLE_UNCERTIFIED, SN_CERTIFIED)]
-    # One representative per distinct F for class counting.
-    seen_F: dict[tuple[int, ...], CensusRecord] = {}
-    for r in irreducible:
-        seen_F.setdefault(r.F.coeffs, r)
-    classes, unconfirmed = _class_groups(list(seen_F.values()))
-
-    class_of: dict[tuple[int, ...], int] = {}
+    classes, unconfirmed = _class_groups(entries)
     for cid, group in enumerate(classes):
-        for r in group:
-            class_of[r.F.coeffs] = cid
-    records = [
-        replace(r, class_id=class_of.get(r.F.coeffs)) if r.fingerprint is not None else r
-        for r in records
-    ]
+        for e in group:
+            e.class_id = cid
 
     counts = {
-        "reducible": sum(r.status == REDUCIBLE for r in records),
-        "irreducible": sum(r.status == IRREDUCIBLE_UNCERTIFIED for r in records),
-        "sn_certified": sum(r.status == SN_CERTIFIED for r in records),
+        key: sum(e.multiplicity for e in entries if e.status == status)
+        for key, status in (
+            ("reducible", REDUCIBLE), ("irreducible", IRREDUCIBLE_UNCERTIFIED), ("sn_certified", SN_CERTIFIED)
+        )
     }
     pointed = [r for r in records if not r.no_point]
     h_zero = len(records) - len(pointed)
@@ -779,23 +826,23 @@ def run_census(curve: HyperellipticCurve, n: int, Y, cfg: CensusConfig = CensusC
     mk_ratio = 0.0
     class_min_disc = []
     for group in classes:
-        mult = sum(len(groups[key]) for key in {r.F.coeffs for r in group})
-        dmin = min(abs(r.disc_F) for r in group)
+        mult = sum(e.multiplicity for e in group)
+        dmin = min(abs(e.disc_F) for e in group)
         class_min_disc.append((dmin, mult))
         bound = max(float(Y) ** n * dmin ** -0.5 if dmin else float("inf"), float(Y) ** (n / 2))
         mk_ratio = max(mk_ratio, mult / bound)
 
     slope = _count_disc_slope(class_min_disc)
     hist: dict[int, int] = {}
-    for r in records:
-        b = abs(r.disc_F).bit_length()
-        hist[b] = hist.get(b, 0) + 1
+    for e in entries:
+        b = abs(e.disc_F).bit_length()
+        hist[b] = hist.get(b, 0) + e.multiplicity
 
     report = exponents(curve.genus, curve.d, n)
     summary = {
         "counts": counts,
         "classes": len(classes),
-        "max_multiplicity": max_mult,
+        "max_multiplicity": max((e.multiplicity for e in entries), default=0),
         "exponent_report": report.to_json(),
         "diagnostics": {
             "box_cardinality": box.cardinality,
@@ -810,7 +857,9 @@ def run_census(curve: HyperellipticCurve, n: int, Y, cfg: CensusConfig = CensusC
             "unconfirmed_classes": unconfirmed,
         },
     }
-    csv_lines = [_csv_line(r) for r in records]
+    # The F columns of a CSV line are the same for every record with that F.
+    tails = {e: _csv_tail(e) for e in entries}
+    csv_lines = [f"{_csv_spec(r.spec)};{tails[r.entry]}" for r in records]
     return CensusResult(curve=curve, shape=shape, Y=Y, records=records, summary=summary, csv_lines=csv_lines)
 
 
@@ -828,12 +877,13 @@ def _count_disc_slope(class_min_disc) -> float:
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / denom
 
 
-def _csv_line(r: CensusRecord) -> str:
-    spec_a = ",".join(str(c) for c in r.spec.a)
-    spec_b = ",".join(str(c) for c in r.spec.b)
-    fp = r.fingerprint.hash_hex if r.fingerprint is not None else ""
-    cid = str(r.class_id) if r.class_id is not None else ""
-    return ";".join([spec_a, spec_b, format_poly(r.F), str(r.disc_F), r.status, fp, cid])
+def _csv_spec(s: Specialization) -> str:
+    return ",".join(map(str, s.a)) + ";" + ",".join(map(str, s.b))
+
+
+def _csv_tail(e: FieldEntry) -> str:
+    cid = str(e.class_id) if e.class_id is not None else ""
+    return ";".join([format_poly(e.F), str(e.disc_F), e.status, e.hash_hex, cid])
 
 
 CSV_HEADER = "spec_a;spec_b;F_coeffs;disc_F;status;fingerprint_hash;class_id"

@@ -230,8 +230,9 @@ def cmd_census(args) -> int:
         _check_writable(path)
     summaries = []
     csv_lines_all = [CSV_HEADER]
+    classified = {}  # each F is classified once over the sweep: classification does not depend on Y
     for y in ys:
-        res = run_census(curve, n, y, cfg)
+        res = run_census(curve, n, y, cfg, classified)
         summaries.append({"Y": str(y), **res.summary})
         csv_lines_all.extend(res.csv_lines)
     if csv_path:

@@ -15,7 +15,6 @@ from hyperfield.census import (
     REDUCIBLE,
     CoefficientBox,
     c_n_positive,
-    dedupe_gh,
     ev_threshold_search,
     exponents,
     root_bound_box,
@@ -276,8 +275,12 @@ def test_criterion_7_counting_diagnostics():
     # (c) (g,h) max multiplicity constant across the sweep
     mults = set()
     for Y in (2, 4, 8):
-        records = run_census(C3, 4, Y).records
-        mults.add(dedupe_gh(records)[1])
+        res = run_census(C3, 4, Y)
+        groups = {}
+        for r in res.records:
+            groups.setdefault(r.F.coeffs, []).append(r)
+        assert res.summary["max_multiplicity"] == max(map(len, groups.values()))
+        mults.add(res.summary["max_multiplicity"])
     assert len(mults) == 1
     # (d) Fujiwara bound dominates 10^4 numerically computed root moduli
     rng = random.Random(7)

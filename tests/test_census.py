@@ -16,7 +16,6 @@ from hyperfield.census import (
     CoefficientBox,
     box_disc_bound,
     c_n_positive,
-    dedupe_gh,
     enumerate_box,
     ev_threshold_search,
     exponents,
@@ -165,12 +164,12 @@ class TestEnumerateBox:
 
 class TestIrreducibilityScreen:
     def test_factor_over_q_only_where_screen_and_polygon_fail(self, monkeypatch):
-        """On --curve 1,1,0,1 --n 4 --Y 7/2, census.factor_over_q runs for
-        exactly the records with h != 0 and Disc F != 0 whose splitting types
-        at the first five good primes leave a factor degree in 1..n/2 (subset
-        sums, recomputed here) and whose Newton polygons at the first six
-        primes not dividing lc(F) are not one segment of length n and slope
-        denominator n."""
+        """On --curve 1,1,0,1 --n 4 --Y 7/2, census.factor_over_q runs once
+        for each distinct F among exactly the records with h != 0 and
+        Disc F != 0 whose splitting types at the first five good primes
+        leave a factor degree in 1..n/2 (subset sums, recomputed here) and
+        whose Newton polygons at the first six primes not dividing lc(F)
+        are not one segment of length n and slope denominator n."""
         n, Y = 4, Fraction(7, 2)
         shape = FamilyShape.census_shape(C3.d, n)
         real, called = census.factor_over_q, []
@@ -204,15 +203,26 @@ class TestIrreducibilityScreen:
                 expected.append(F.coeffs)
             elif not left and not polygon and (n,) not in types:
                 wider_screen_only += 1  # no full cycle: a full-cycle screen would factor F
-        assert called == expected
+        assert called == list(dict.fromkeys(expected))  # the first record with each F
         assert wider_screen_only > 0
+
+
+def _groups_by_F(records):
+    """Records regrouped by F: the oracle for the table's multiplicities."""
+    groups = {}
+    for r in records:
+        groups.setdefault(r.F.coeffs, []).append(r)
+    return groups
 
 
 class TestDedupe:
     def test_sign_collision(self):
         records = list(enumerate_box(C3, FamilyShape.census_shape(3, 4), 2))
-        groups, max_mult = dedupe_gh(records)
-        assert max_mult == 2  # (g, b0) and (g, -b0) collide
+        groups = _groups_by_F(records)
+        assert all(r.entry.multiplicity == len(groups[r.F.coeffs]) for r in records)
+        assert all(r.entry is groups[r.F.coeffs][0].entry for r in records)  # one entry per distinct F
+        max_mult = max(r.entry.multiplicity for r in records)
+        assert max_mult == max(map(len, groups.values())) == 2  # (g, b0) and (g, -b0) collide
         two = [g for g in groups.values() if len(g) == 2]
         assert two
         for pair in two:
@@ -222,8 +232,9 @@ class TestDedupe:
     def test_multiplicity_constant_across_sweep(self):
         mults = []
         for Y in (2, 3, 4):
-            records = list(enumerate_box(C3, FamilyShape.census_shape(3, 4), Y))
-            _, m = dedupe_gh(records)
+            res = run_census(C3, 4, Y)
+            m = res.summary["max_multiplicity"]
+            assert m == max(map(len, _groups_by_F(res.records).values()))
             mults.append(m)
         assert len(set(mults)) == 1
 
@@ -295,7 +306,7 @@ class TestClassIndex:
             fingerprints.append(census.FieldFingerprint(7, tuple(entries)))
         # Degree 7 > ISO_CAP: no isomorphism test runs, each F is just a label.
         return [
-            census.CensusRecord(None, P((i, 0, 0, 0, 0, 0, 0, 1)), 1, SN_CERTIFIED, fingerprint=fp)
+            census.FieldEntry(P((i, 0, 0, 0, 0, 0, 0, 1)), 1, SN_CERTIFIED, fingerprint=fp)
             for i, fp in enumerate(fingerprints)
         ]
 
@@ -561,6 +572,51 @@ class TestRunCensus:
         multi = run_census(C3, 3, 3, CensusConfig(workers=2))
         assert base.csv_lines == multi.csv_lines
         assert base.summary == multi.summary
+
+    def test_one_classification_per_distinct_F(self, monkeypatch):
+        calls = {"classify": 0, "build": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(census, "classify_record", counted("classify", census.classify_record))
+        monkeypatch.setattr(census, "build_family_member", counted("build", census.build_family_member))
+        res = run_census(C3, 4, 3)
+        distinct = {r.F.coeffs for r in res.records}
+        assert len(distinct) < len(res.records)  # g -> -g or h -> -h repeats F in this box
+        assert calls["classify"] == len(distinct)
+        assert calls["build"] == CoefficientBox.build(res.shape, 3).cardinality == len(res.records)
+
+    def test_pool_gets_only_unseen_F(self, monkeypatch):
+        """At even n, h -> -h repeats F: the pool is sent each distinct F
+        once, and none that a smaller box of the same census classified."""
+        sent = []
+        real = census._classify_in_pool
+
+        def recording(Fs, cfg, workers):
+            sent.append([F.coeffs for F in Fs])
+            return real(Fs, cfg, workers)
+
+        monkeypatch.setattr(census, "_classify_in_pool", recording)
+        monkeypatch.delenv("HYPERFIELD_THREADS", raising=False)
+        base = run_census(C3, 4, 3, CensusConfig(workers=1))
+        multi = run_census(C3, 4, 3, CensusConfig(workers=2))
+        assert base.csv_lines == multi.csv_lines
+        assert base.summary == multi.summary
+        assert sent == [list(dict.fromkeys(r.F.coeffs for r in base.records))]
+
+        sent.clear()
+        classified = {}
+        small = run_census(C3, 4, 2, CensusConfig(workers=2), classified)
+        seen = set(classified)
+        assert seen == {r.F.coeffs for r in small.records}
+        again = run_census(C3, 4, 3, CensusConfig(workers=2), classified)
+        assert sent[1] == [k for k in dict.fromkeys(r.F.coeffs for r in base.records) if k not in seen]
+        assert again.csv_lines == base.csv_lines and again.summary == base.summary
+        assert set(classified) == {r.F.coeffs for r in base.records}
 
     def test_all_sn_have_zero_residue(self):
         # The CSV's F minus g^2 - f h^2 rebuilt from its spec is zero, and

@@ -181,6 +181,38 @@ class TestCensus:
         payload = json.loads(out)
         assert [s["Y"] for s in payload] == ["2", "3"]
 
+    def test_sweep_equals_its_heights_run_alone(self, capsys, tmp_path, monkeypatch):
+        """A sweep writes the rows and summaries of its heights run one by
+        one, and classifies each distinct F of the nested boxes once."""
+        from hyperfield import census
+
+        calls = []
+        real = census.classify_record
+
+        def counting(F, cfg):
+            calls.append(F.coeffs)
+            return real(F, cfg)
+
+        monkeypatch.setattr(census, "classify_record", counting)
+        base = ["census", "--curve", "1,1,0,1", "--n", "4"]
+        swept = tmp_path / "sweep.csv"
+        code, out, _ = run_cli(base + ["--sweep", "2,3,4", "--out-csv", str(swept)], capsys)
+        assert code == 0
+        summaries = json.loads(out)
+        assert len(calls) == len(set(calls))
+        sweep_calls = set(calls)
+        rows, union = [], set()
+        for y, summary in zip(("2", "3", "4"), summaries):
+            alone = tmp_path / f"y{y}.csv"
+            code, out, _ = run_cli(base + ["--Y", y, "--out-csv", str(alone)], capsys)
+            assert code == 0
+            assert json.loads(out) == summary
+            lines = alone.read_text(encoding="utf-8").splitlines()
+            rows += lines[1:]
+            union |= {line.split(";")[2] for line in lines[1:]}
+        assert swept.read_text(encoding="utf-8").splitlines() == [lines[0], *rows]
+        assert sweep_calls == {tuple(map(int, F.split(","))) for F in union}
+
     def test_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("curve=1,1,0,1\nn=3\nY=2\n# comment\n", encoding="utf-8")
@@ -304,7 +336,7 @@ class TestCensus:
         """Every census setting: an explicit flag, else the config key, else the default."""
         seen = []
 
-        def fake_census(curve, n, y, cfg):
+        def fake_census(curve, n, y, cfg, classified):
             seen.append((curve.f.coeffs, n, y, cfg))
             return SimpleNamespace(summary={}, csv_lines=[])
 
