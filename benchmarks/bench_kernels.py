@@ -26,8 +26,13 @@ The splitting-type rows time one batched ``splitting_types`` call per
 polynomial at its first good primes (not dividing lc * Disc), in three
 shapes: census (degree 4, 50 primes, the census fingerprint), iso
 (degree 6, 50 primes, the census-quartic-iso records) and certify
-(degrees 8 to 12, 100 primes, ``certify``'s default). Each row prints
-microseconds per prime for both backends, best of three.
+(degrees 8 to 12, 100 primes, ``certify``'s default). Two more rows
+take the first 100 primes not dividing lc alone, so that the kernel
+marks (returns None at) the primes where F is not squarefree: marked,
+for squarefree F = A (A + 210 C) L, which is a square times L mod 2, 3,
+5 and 7, and square, for F = A^2 B, marked at every prime. Each row
+prints microseconds per prime for both backends, best of three, and the
+share of its primes that were marked.
 
 Usage: python benchmarks/bench_kernels.py [--trials N]
 """
@@ -152,39 +157,56 @@ def crossover(rows) -> tuple[int | None, int | None]:
     return least(lambda v: v != "schoolbook"), least(lambda v: v == "packed")
 
 
-SPLITTING_SHAPES = (("census", (4,), 50), ("iso", (6,), 50), ("certify", (8, 9, 10, 11, 12), 100))
+CERTIFY_DEGREES = (8, 9, 10, 11, 12)
+SPLITTING_SHAPES = (("census", (4,), 50), ("iso", (6,), 50), ("certify", CERTIFY_DEGREES, 100),
+                    ("marked", CERTIFY_DEGREES, 100), ("square", CERTIFY_DEGREES, 100))
 SPLITTING_POLYS = 20  # per degree
 
 
-def splitting_cases(degrees, count: int, seed: int = 0):
-    """(coeffs, the first `count` good primes) for SPLITTING_POLYS random
-    squarefree polynomials of each degree (coefficients up to 10^3, lc 1 to 3)."""
+def _random_poly(rng, d: int, lc: int) -> IntPolynomial:
+    return IntPolynomial([rng.randint(-1000, 1000) for _ in range(d)] + [lc])
+
+
+def splitting_cases(name: str, degrees, count: int, seed: int = 0):
+    """(coeffs, primes) for SPLITTING_POLYS polynomials of each degree
+    (coefficients up to 10^3, lc 1 to 3) of the row `name`: random and
+    squarefree at their first `count` good primes; or, for "marked" and
+    "square", built as in the module docstring, at the first `count`
+    primes not dividing lc."""
     rng = random.Random(seed)
     cases = []
     for d in degrees:
-        found = 0
-        while found < SPLITTING_POLYS:
-            F = IntPolynomial([rng.randint(-1000, 1000) for _ in range(d)] + [rng.randint(1, 3)])
+        while sum(len(c) - 1 == d for c, _ in cases) < SPLITTING_POLYS:
+            a = _random_poly(rng, d // 2 - 1 if name == "square" else d // 2, rng.randint(1, 3))
+            if name == "marked":
+                F = a * (a + _random_poly(rng, a.degree - 1, 0) * 210) * _random_poly(rng, d - 2 * a.degree, 1)
+            elif name == "square":
+                F = a * a * _random_poly(rng, d - 2 * a.degree, 1)
+            else:
+                F = _random_poly(rng, d, rng.randint(1, 3))
             disc = discriminant(F)
-            if disc:
-                cases.append((list(F.coeffs), primes_not_dividing(F.lc * disc, count)))
-                found += 1
+            if name == "square":
+                cases.append((list(F.coeffs), primes_not_dividing(F.lc, count)))
+            elif disc:
+                cases.append((list(F.coeffs), primes_not_dividing(F.lc * (disc if name != "marked" else 1), count)))
     return cases
 
 
 def splitting_rows(backends):
-    """(shape, degrees, primes, microseconds per prime for each backend) per
-    SPLITTING_SHAPES entry; asserts that the backends agree."""
+    """(shape, degrees, primes, microseconds per prime for each backend,
+    share of primes marked) per SPLITTING_SHAPES entry; asserts that the
+    backends agree."""
     rows = []
     for name, degrees, count in SPLITTING_SHAPES:
-        cases = splitting_cases(degrees, count)
+        cases = splitting_cases(name, degrees, count)
         outs, times = [], []
         for backend in backends:
             outs.append([backend.splitting_types(c, ps) for c, ps in cases])
             best = min(timeit.repeat(lambda: [backend.splitting_types(c, ps) for c, ps in cases], number=1, repeat=3))
             times.append(best / (len(cases) * count) * 1e6)
         assert all(out == outs[0] for out in outs), f"backends disagree on the {name} splitting types"
-        rows.append((name, degrees, count, times))
+        marked = sum(t is None for out in outs[0] for t in out) / (len(cases) * count)
+        rows.append((name, degrees, count, times, marked))
     return rows
 
 
@@ -213,11 +235,12 @@ def main():
 
     compiled, why = load_compiled()
     backends = [pure] if compiled is None else [pure, compiled]
-    print(f"{'splitting_types':<16}{'degrees':>9}{'primes':>8}{'pure (us/prime)':>17}{'c (us/prime)':>14}")
-    for name, degrees, count, times in splitting_rows(backends):
+    print(f"{'splitting_types':<16}{'degrees':>9}{'primes':>8}{'pure (us/prime)':>17}{'c (us/prime)':>14}"
+          f"{'marked':>8}")
+    for name, degrees, count, times, marked in splitting_rows(backends):
         span = f"{degrees[0]}-{degrees[-1]}" if len(degrees) > 1 else str(degrees[0])
         c_time = f"{times[1]:>14.2f}" if compiled else f"{'n/a':>14}"
-        print(f"{name:<16}{span:>9}{count:>8}{times[0]:>17.2f}{c_time}")
+        print(f"{name:<16}{span:>9}{count:>8}{times[0]:>17.2f}{c_time}{marked:>8.0%}")
     print()
 
     cases = workload(args.trials)

@@ -16,6 +16,10 @@ other, and those go to pure.py.
 
 Kernels: ddf_degrees(coeffs, p), the factor degrees mod p, and
 splitting_types(coeffs, primes), the same at each prime from one call.
+ddf_degrees raises ValueError where coeffs is not squarefree mod p;
+splitting_types returns None at such a prime instead and goes on. For p
+prime and not dividing the leading coefficient, p is marked exactly when
+it divides Disc(coeffs), so factor's good-prime walk needs no Disc.
 """
 import hashlib
 import os

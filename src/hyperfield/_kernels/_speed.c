@@ -11,6 +11,11 @@
  * messages agree with it even for composite moduli, where a leading
  * coefficient may not be invertible.
  *
+ * ddf_degrees raises ValueError where F is not squarefree mod p;
+ * splitting_types marks such a prime with None in its list and goes on.
+ * For p prime and not dividing lc(F), those are exactly the primes that
+ * divide Disc(F), so its callers find good primes without computing Disc.
+ *
  * Distinct-degree factorization iterates the Frobenius matrix (Berlekamp's
  * Q; von zur Gathen and Shoup, Comput. Complexity 2, 1992). For monic F of
  * degree n, x^p mod F is computed once by powering, row i of Q is
@@ -289,8 +294,9 @@ static Py_ssize_t prep(PyObject *coeffs, PyObject *p, Work *k)
     return make_monic(k->F, n, k) < 0 ? -1 : n;
 }
 
-/* pure.ddf_degrees on k: the descending factor degrees as a new list. */
-static PyObject *ddf(PyObject *coeffs, PyObject *p, Work *k)
+/* pure._degrees on k: the descending factor degrees as a new list, or
+ * None where F is not squarefree mod p (with `mark`; else ValueError). */
+static PyObject *degrees(PyObject *coeffs, PyObject *p, Work *k, int mark)
 {
     Py_ssize_t lF = prep(coeffs, p, k), lf, lh = 0, lg, nd = 0;
     u64 *F = k->F, *f = k->f, *h = k->h, *g = k->g, *degs = k->degs;
@@ -306,6 +312,8 @@ static PyObject *ddf(PyObject *coeffs, PyObject *p, Work *k)
     if ((lg = gcd(F, lF, h, trim(h, lF - 1), g, k)) < 0)
         return NULL;
     if (lg != 1) {
+        if (mark)
+            Py_RETURN_NONE;
         PyErr_SetString(PyExc_ValueError, "not squarefree mod p");
         return NULL;
     }
@@ -352,7 +360,14 @@ static PyObject *ddf(PyObject *coeffs, PyObject *p, Work *k)
     return out;
 }
 
-/* pure.splitting_types on k: ddf at each of primes, as a new list. */
+/* pure.ddf_degrees on k. */
+static PyObject *ddf(PyObject *coeffs, PyObject *p, Work *k)
+{
+    return degrees(coeffs, p, k, 0);
+}
+
+/* pure.splitting_types on k: the degrees at each of primes, None where F
+ * is not squarefree mod that prime, as a new list. */
 static PyObject *types(PyObject *coeffs, PyObject *primes, Work *k)
 {
     PyObject *ps = PySequence_Fast(primes, "primes must be a sequence"), *out;
@@ -360,7 +375,7 @@ static PyObject *types(PyObject *coeffs, PyObject *primes, Work *k)
         return NULL;
     out = PyList_New(PySequence_Fast_GET_SIZE(ps));
     for (Py_ssize_t j = 0; out && j < PySequence_Fast_GET_SIZE(ps); j++) {
-        PyObject *type = ddf(coeffs, PySequence_Fast_GET_ITEM(ps, j), k);
+        PyObject *type = degrees(coeffs, PySequence_Fast_GET_ITEM(ps, j), k, 1);
         if (!type)
             Py_CLEAR(out);
         else
@@ -412,7 +427,8 @@ static PyMethodDef methods[] = {
     {"ddf_degrees", ddf_degrees, METH_VARARGS,
      "Degrees of the irreducible factors of coeffs mod p, descending."},
     {"splitting_types", splitting_types, METH_VARARGS,
-     "[ddf_degrees(coeffs, p) for p in primes], in one call."},
+     "[ddf_degrees(coeffs, p) for p in primes], in one call, with None\n"
+     "where coeffs is not squarefree mod p instead of ValueError."},
     {NULL, NULL, 0, NULL},
 };
 

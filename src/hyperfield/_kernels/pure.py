@@ -211,25 +211,36 @@ def _prep(coeffs, p: int) -> list[int]:
     return _monic(f, p)
 
 
+def _degrees(coeffs, p: int) -> list[int] | None:
+    """ddf_degrees, but None where the reduction is not squarefree mod p."""
+    f = _prep(coeffs, p)
+    if len(f) == 1:
+        raise ValueError("constant polynomial mod p")
+    if _gcd_mod(f, _deriv_mod(f, p), p) != [1]:
+        return None
+    degs = [k for block, k in _ddf_blocks(f, p) for _ in range((len(block) - 1) // k)]
+    degs.sort(reverse=True)
+    return degs
+
+
 def ddf_degrees(coeffs, p: int) -> list[int]:
     """Degrees of the irreducible factors of coeffs mod p, descending.
 
     Requires p prime, p not dividing the leading coefficient, and the
     reduction squarefree mod p (checked; raises ValueError otherwise).
     """
-    f = _prep(coeffs, p)
-    if len(f) == 1:
-        raise ValueError("constant polynomial mod p")
-    if _gcd_mod(f, _deriv_mod(f, p), p) != [1]:
+    degs = _degrees(coeffs, p)
+    if degs is None:
         raise ValueError("not squarefree mod p")
-    degs = [k for block, k in _ddf_blocks(f, p) for _ in range((len(block) - 1) // k)]
-    degs.sort(reverse=True)
     return degs
 
 
-def splitting_types(coeffs, primes) -> list[list[int]]:
-    """ddf_degrees of coeffs at each prime, in order."""
-    return [ddf_degrees(coeffs, p) for p in primes]
+def splitting_types(coeffs, primes) -> list[list[int] | None]:
+    """ddf_degrees of coeffs at each prime, in order, except that a prime
+    where the reduction is not squarefree is marked None instead of
+    raising. For p prime and not dividing lc, that is exactly where p
+    divides Disc(coeffs), so a caller finds good primes without Disc."""
+    return [_degrees(coeffs, p) for p in primes]
 
 
 def _ddf_blocks(f: list[int], p: int) -> list[tuple[list[int], int]]:

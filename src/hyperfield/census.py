@@ -64,7 +64,15 @@ from .errors import (
     SearchExhausted,
     SearchWindowExceeded,
 )
-from .factor import DEFAULT_DEGREE_CAP, factor_over_q, lift_and_recombine, musser_degrees, primes_not_dividing
+from .factor import (
+    DEFAULT_DEGREE_CAP,
+    factor_over_q,
+    good_splitting_types,
+    lift_and_recombine,
+    musser_degrees,
+    primes_not_dividing,
+    squarefree_mod_small_prime,
+)
 from .family import (
     EVEN_D_EVEN_N,
     ODD_D_EVEN_N,
@@ -215,14 +223,12 @@ class FieldFingerprint:
         return True
 
 
-def fingerprint(F: IntPolynomial, count: int = 50, disc: int | None = None) -> FieldFingerprint:
+def fingerprint(F: IntPolynomial, count: int = 50) -> FieldFingerprint:
     """Splitting types at the first `count` primes good for F (not dividing
-    lc(F) * Disc(F)), from one kernel call; F must be squarefree. A caller
-    that already holds Disc(F) passes it as `disc`. Census records are
-    screened and S_n-certified from these types, and certify reads them
-    too."""
-    primes = primes_not_dividing(F.lc * (discriminant(F) if disc is None else disc), count)
-    return FieldFingerprint(degree=F.degree, entries=_splitting_entries(F, primes))
+    lc(F) * Disc(F)), from factor.good_splitting_types, which finds them
+    without Disc(F); F must be squarefree. Census records are screened and
+    S_n-certified from these types, and certify reads them too."""
+    return FieldFingerprint(degree=F.degree, entries=tuple(good_splitting_types(F, count)))
 
 
 def _splitting_entries(F: IntPolynomial, primes: list[int]) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -316,7 +322,7 @@ def classify_record(F: IntPolynomial, cfg: CensusConfig) -> FieldEntry:
             raise DegreeCapExceeded(
                 f"cannot decide irreducibility at degree {n} above factor cap {cfg.factor_cap}"
             )
-        factors = factor_over_q(F, cap=cfg.factor_cap, disc=disc_F)
+        factors = factor_over_q(F, cap=cfg.factor_cap)
         if sum(1 for f in factors if f.degree > 0) > 1:
             return FieldEntry(F, disc_F, REDUCIBLE)
 
@@ -470,10 +476,12 @@ def isomorphic_exact(F1: IntPolynomial, F2: IntPolynomial, cap: int = ISO_CAP) -
         R = _resultant_in_x(F1, F2, t).primitive()
         if R.degree != n * n:
             continue
-        disc = discriminant(R)
-        if disc == 0:
+        # A squarefree R mod a small prime proves R squarefree. Only where
+        # every screening prime declines is the exact Disc(R) the arbiter,
+        # so no t is skipped on a guess.
+        if not squarefree_mod_small_prime(R) and discriminant(R) == 0:
             continue
-        return len(lift_and_recombine(R, disc, (n,))) > 1  # a degree-n factor besides the cofactor
+        return len(lift_and_recombine(R, (n,))) > 1  # a degree-n factor besides the cofactor
     raise SearchExhausted("no shift t below 40 gives a squarefree R_t of degree n^2")
 
 

@@ -9,6 +9,7 @@ beats its config key, which beats the default.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -44,7 +45,7 @@ from .family import (
     verify_witness,
     witness,
 )
-from .intpoly import discriminant, format_poly, monicize, parse_poly
+from .intpoly import format_poly, monicize, parse_poly
 from .newton import newton_polygon
 from .perms import recognize_sn
 
@@ -90,15 +91,12 @@ def cmd_np(args) -> int:
 def cmd_certify(args) -> int:
     check_prime_count(args.primes)
     poly = parse_poly(args.poly)
-    # One discriminant for the Musser primes and the Frobenius primes.
-    # Outside factor_over_q's degree range, its own error comes first.
-    disc = discriminant(poly) if 1 <= poly.degree <= args.factor_cap else None
-    factors = factor_over_q(poly, cap=args.factor_cap, disc=disc)
+    factors = factor_over_q(poly, cap=args.factor_cap)
     proper = [f for f in factors if 0 < f.degree < poly.degree]
     if proper:
         print(f"error: input is reducible; found factor {format_poly(proper[0])}", file=sys.stderr)
         return EXIT_INADMISSIBLE
-    evidence = [(t, f"frobenius p={q}") for q, t in fingerprint(poly, args.primes, disc).entries]
+    evidence = [(t, f"frobenius p={q}") for q, t in fingerprint(poly, args.primes).entries]
     cert = recognize_sn(poly.degree, evidence, transitive=True)
     _emit(cert.to_json())
     return EXIT_OK
@@ -319,7 +317,10 @@ class _Parser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of this process: built on the first main call, not at
+    import, and reused by every later call (parsing leaves it unchanged)."""
     ap = _Parser(prog="hyperfield", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

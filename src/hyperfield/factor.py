@@ -2,6 +2,9 @@
 
 factor_mod_p is the validated single-prime Dedekind sampler (partition
 of factor degrees mod a good prime = Frobenius cycle type).
+good_splitting_types walks the primes good for F (not dividing
+lc(F) * Disc(F)) without computing Disc(F): the batched kernel marks
+the primes where F is not squarefree, and the walk skips them.
 musser_degrees is Musser's degree-set intersection over splitting types
 at good primes, for the census screen and lift_and_recombine, the one
 Zassenhaus search (factor_over_q and the exact isomorphism test): the
@@ -9,6 +12,7 @@ intersection at six good primes, factorization mod the prime with the
 fewest factors, one Hensel lift past Mignotte's bound for the largest
 target degree, and recombination of subsets by ascending degree.
 factor_over_q refuses degrees above its cap (default 12).
+prime_factors factors integers: trial division, then Brent's rho.
 """
 from __future__ import annotations
 
@@ -20,7 +24,8 @@ import random
 from . import _kernels as kernels
 from ._kernels.pure import _ddf_blocks, _divmod_mod, _gcd_mod, _mul_mod, _pow_mod, _power_table, _prep, _reduce, _trim
 from .errors import BadPrime, ConstantPolynomial, DegreeCapExceeded, TooManyPrimes, ZeroInput
-from .intpoly import IntPolynomial, discriminant, poly_gcd
+# Nothing here calls discriminant; it stays for perfbench/trace_spans.WRAPPED.
+from .intpoly import IntPolynomial, discriminant, poly_gcd  # noqa: F401
 
 DEFAULT_DEGREE_CAP = 12
 
@@ -48,6 +53,78 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+# prime_factors: trial division by the primes up to _TRIAL_LIMIT, then
+# Brent's rho, which searches cycles of length up to _RHO_STEPS per
+# cofactor: 4 * _RHO_STEPS squarings mod the cofactor at most (about 0.4 s
+# on a 2-core x86-64 host). It expects about sqrt(q) steps to find a prime
+# factor q, so it finds every factor below about 10^10.
+_TRIAL_LIMIT = 1000
+_RHO_STEPS = 1 << 17
+
+
+def _brent_rho(n: int, c: int) -> int | None:
+    """A factor d > 1 of the odd composite n (d = n when the cycle closes
+    without splitting n) by Brent's variant of Pollard's rho on
+    x -> x^2 + c (Brent, BIT 20, 1980), or None once the cycle length
+    searched passes _RHO_STEPS."""
+    y, r, q, g = 2, 1, 1, 1
+    x = ys = y
+    while g == 1:
+        if r > _RHO_STEPS:
+            return None
+        x = y
+        for _ in range(r):
+            y = (y * y + c) % n
+        k = 0
+        while k < r and g == 1:
+            ys = y
+            for _ in range(min(128, r - k)):  # one gcd per 128 steps
+                y = (y * y + c) % n
+                q = q * abs(x - y) % n
+            g = math.gcd(q, n)
+            k += 128
+        r *= 2
+    if g == n:  # the batch overshot: redo its steps one gcd at a time
+        g = 1
+        while g == 1:
+            ys = (ys * ys + c) % n
+            g = math.gcd(abs(x - ys), n)
+    return g
+
+
+def prime_factors(n: int) -> tuple[list[int], int]:
+    """(the distinct primes found dividing n != 0, ascending; the part of
+    |n| left unfactored). Trial division by the primes up to _TRIAL_LIMIT,
+    then Brent's rho on each composite cofactor, whose factors is_prime
+    checks. The part left is 1, unless rho finds no factor of some
+    composite cofactor within its step cap: then that cofactor is
+    returned (its primes all exceed _TRIAL_LIMIT), never guessed at."""
+    if n == 0:
+        raise ValueError("every prime divides 0")
+    n = abs(n)
+    found = set()
+    for p in primes_from(2):
+        if p > _TRIAL_LIMIT or p * p > n:
+            break
+        if n % p == 0:
+            found.add(p)
+            while n % p == 0:
+                n //= p
+    left, work = 1, [n] if n > 1 else []
+    while work:
+        m = work.pop()
+        if is_prime(m):
+            found.add(m)
+            continue
+        # A cycle that closes on m itself is retried with another constant.
+        d = next(d for c in itertools.count(1) if (d := _brent_rho(m, c)) != m)
+        if d is None:
+            left *= m
+        else:
+            work += [d, m // d]
+    return sorted(found), left
 
 
 def next_prime(n: int) -> int:
@@ -86,12 +163,57 @@ def check_prime_count(count: int) -> None:
 
 
 def primes_not_dividing(bad: int, count: int, start: int = 2) -> list[int]:
-    """The first `count` primes >= start that do not divide `bad`: the one
-    good-prime walk (bad = lc * Disc of the polynomial in question)."""
+    """The first `count` primes >= start that do not divide `bad` (for
+    example lc(F), or lc(F) * Disc(F) where Disc(F) is known anyway)."""
     check_prime_count(count)
     if bad == 0:
         raise ValueError("every prime divides 0; no good primes exist")
     return list(itertools.islice((q for q in primes_from(start) if bad % q), count))
+
+
+def good_splitting_types(F: IntPolynomial, count: int, start: int = 2) -> list[tuple[int, tuple[int, ...]]]:
+    """(q, splitting type of F mod q) at the first `count` primes q >= start
+    good for F, in order: the primes of primes_not_dividing(lc(F) *
+    Disc(F), count, start), found without Disc(F). The primes not
+    dividing lc(F) go to the kernel in batches; it marks with None those
+    where F is not squarefree mod q, which are exactly the ones dividing
+    Disc(F), and the walk skips them.
+
+    F must be squarefree. A marked prime divides Disc(F), and Mahler's
+    bound |Disc(F)| <= n^n ||F||_2^(2n-2) holds for n = deg F; so once the
+    product of the marked primes passes it, Disc(F) = 0 and the walk raises
+    ValueError instead of going on for ever.
+    """
+    check_prime_count(count)
+    if F.degree < 1:
+        raise ConstantPolynomial("discriminant requires degree >= 1")
+    primes = (q for q in primes_from(start) if F.lc % q)
+    found: list[tuple[int, tuple[int, ...]]] = []
+    marked = 1
+    while len(found) < count:
+        batch = list(itertools.islice(primes, count - len(found)))
+        for q, t in zip(batch, kernels.splitting_types(F.coeffs, batch)):
+            if t is None:
+                marked *= q
+            else:
+                found.append((q, tuple(t)))
+        if marked > 1 and marked > F.degree**F.degree * sum(c * c for c in F.coeffs) ** (F.degree - 1):
+            raise ValueError("Disc = 0: the polynomial is not squarefree, so no good primes exist")
+    return found
+
+
+# Small primes often divide Disc(g): the squarefree R_t of the x^4 + 1,
+# n = 6 census first reduce squarefree at the third and fourth prime.
+_SQUAREFREE_PRIMES = 6
+
+
+def squarefree_mod_small_prime(g: IntPolynomial) -> bool:
+    """Whether g is squarefree mod one of the first _SQUAREFREE_PRIMES
+    primes not dividing lc(g). True proves g squarefree over Q: the
+    reduction keeps the degree, so Disc(g) mod q is its discriminant,
+    which is not 0. False proves nothing."""
+    return any(kernels.splitting_types(g.coeffs, [q])[0] is not None
+               for q in primes_not_dividing(g.lc, _SQUAREFREE_PRIMES))
 
 
 def factor_mod_p(p: IntPolynomial, q: int) -> tuple[int, ...]:
@@ -307,10 +429,10 @@ def musser_degrees(types, degrees) -> list[int]:
     return [d for d in degrees if possible >> d & 1]
 
 
-def lift_and_recombine(g: IntPolynomial, disc: int, degrees) -> list[IntPolynomial]:
+def lift_and_recombine(g: IntPolynomial, degrees) -> list[IntPolynomial]:
     """Factors of g found at the target `degrees` (each <= deg/2), in
     ascending degree, then the cofactor. g is primitive and squarefree
-    with lc > 0, and disc = Disc(g).
+    with lc > 0.
 
     Target degrees that musser_degrees drops at six odd good primes
     cannot be factor degrees; if none is left nothing is lifted.
@@ -321,12 +443,11 @@ def lift_and_recombine(g: IntPolynomial, disc: int, degrees) -> list[IntPolynomi
     irreducible factor of lower degree outside the search: degrees
     1..deg/2 give the factorization into irreducibles.
     """
-    primes = primes_not_dividing(g.lc * disc, _MUSSER_PRIMES, 3)
-    types = kernels.splitting_types(g.coeffs, primes)
-    targets = musser_degrees(types, degrees)
+    entries = good_splitting_types(g, _MUSSER_PRIMES, 3)
+    targets = musser_degrees((t for _, t in entries), degrees)
     if not targets:
         return [g]
-    q = min(zip(primes, types), key=lambda e: len(e[1]))[0]
+    q = min(entries, key=lambda e: len(e[1]))[0]
     # Only factors of degree <= max(targets) are rebuilt from the lift; the
     # cofactor comes from exact division, so the bound is sized to them.
     m = _mignotte_modulus(g, q, max(targets))
@@ -356,13 +477,14 @@ def lift_and_recombine(g: IntPolynomial, disc: int, degrees) -> list[IntPolynomi
     return found + [cur]
 
 
-def factor_over_q(p: IntPolynomial, cap: int = DEFAULT_DEGREE_CAP, disc: int | None = None) -> list[IntPolynomial]:
+def factor_over_q(p: IntPolynomial, cap: int = DEFAULT_DEGREE_CAP) -> list[IntPolynomial]:
     """Complete factorization over Q into primitive irreducible factors.
 
     Content (with sign) is returned as a leading degree-0 polynomial when
     it is not 1, so the product of the returned list equals p exactly.
-    Repeated factors are repeated in the list. A caller that already
-    holds Disc(p) passes it as `disc`, so it is not computed again.
+    Repeated factors are repeated in the list. A squarefree reduction
+    mod a small prime proves p squarefree; only when every screening
+    prime declines does Yun's algorithm split off repeated factors.
     """
     if p.is_zero():
         raise ZeroInput("cannot factor the zero polynomial")
@@ -372,11 +494,9 @@ def factor_over_q(p: IntPolynomial, cap: int = DEFAULT_DEGREE_CAP, disc: int | N
     prim = p.primitive()
     factors: list[IntPolynomial] = []
     if prim.degree >= 1:
-        # Disc(p) != 0: p is squarefree, so prim is its one squarefree part.
-        for part, mult in [(prim, 1)] if disc else squarefree_decomposition(prim):
-            # Disc(c * g) = c^(2 deg g - 2) * Disc(g)
-            part_disc = disc // content ** (2 * part.degree - 2) if disc else discriminant(part)
-            for irr in lift_and_recombine(part, part_disc, range(1, part.degree // 2 + 1)):
+        parts = [(prim, 1)] if squarefree_mod_small_prime(prim) else squarefree_decomposition(prim)
+        for part, mult in parts:
+            for irr in lift_and_recombine(part, range(1, part.degree // 2 + 1)):
                 factors.extend([irr] * mult)
     factors.sort(key=lambda f: (f.degree, f.coeffs))
     if content != 1:

@@ -32,7 +32,7 @@ from .errors import (
     SearchExhausted,
     WitnessFailed,
 )
-from .factor import is_prime, primes_from
+from .factor import is_prime, prime_factors, primes_from
 from .intpoly import IntPolynomial, discriminant, resultant, scale_x, squarefree, translate
 from .newton import (
     CycleCertificate,
@@ -474,6 +474,9 @@ def normalize_even(
     v_p(f(k)) = 1 after a Hensel adjustment; return the model
     f(p*x + k), whose constant term has valuation 1 and all higher
     coefficients are divisible by p, together with the transform (k, p).
+    The primes of each f(k) are tried in ascending order, as
+    factor.prime_factors finds them; a cofactor it cannot split within
+    its effort cap is not tried.
     """
     f = curve.f
     if f.degree % 2:
@@ -483,7 +486,7 @@ def normalize_even(
         val = f(k)
         if val == 0:
             continue
-        for p in _ascending_prime_factors(abs(val)):
+        for p in prime_factors(val)[0]:
             if p == 2 or disc % p == 0 or p in avoid:
                 continue
             kk = k
@@ -497,22 +500,6 @@ def normalize_even(
             model = scale_x(translate(f, kk), p)
             return HyperellipticCurve(model), (kk, p)
     raise SearchExhausted(f"no (k, p) found with k <= {k_bound}; raise the bound")
-
-
-def _ascending_prime_factors(v: int):
-    seen = []
-    d = 2
-    while d * d <= v:
-        if v % d == 0:
-            seen.append(d)
-            while v % d == 0:
-                v //= d
-        d += 1
-        if d > 10_000_000:
-            break
-    if v > 1 and is_prime(v):
-        seen.append(v)
-    return seen
 
 
 def apply_transform(f: IntPolynomial, k: int, p: int) -> IntPolynomial:

@@ -174,10 +174,9 @@ class TestIrreducibilityScreen:
         shape = FamilyShape.census_shape(C3.d, n)
         real, called = census.factor_over_q, []
 
-        def counting(F, cap, disc):
-            assert disc == discriminant(F)  # the record's Disc F, passed through
+        def counting(F, cap):
             called.append(F.coeffs)
-            return real(F, cap=cap, disc=disc)
+            return real(F, cap=cap)
 
         monkeypatch.setattr(census, "factor_over_q", counting)
         run_census(C3, n, Y)
@@ -382,6 +381,44 @@ class TestIsomorphicExact:
         monkeypatch.setattr(census, "_resultant_in_x", lambda F1, F2, t: P((1, 1)))
         with pytest.raises(SearchExhausted):
             isomorphic_exact(P((1, 1, 0, 1)), P((1, 2, 0, 1)))
+
+    QUARTIC_ISO_PAIR = (P((-1, 0, 1, -2, -2, 2, 1)), P((-1, 0, 1, 2, -2, -2, 1)))  # F and F(-x)
+
+    def test_x_to_minus_x_pair_makes_one_discriminant_call(self, monkeypatch):
+        # R_1 of an x -> -x pair is not squarefree (the roots -a_j - a_i
+        # come in pairs), so every screening prime declines and the exact
+        # Disc(R_1) = 0 arbitrates. R_2 is squarefree mod a small prime: no
+        # Disc. The parent computed both discriminants.
+        calls = []
+
+        def counting(R):
+            calls.append(R.degree)
+            return discriminant(R)
+
+        monkeypatch.setattr(census, "discriminant", counting)
+        assert isomorphic_exact(*self.QUARTIC_ISO_PAIR)
+        assert calls == [36]
+
+    def test_walk_on_the_quartic_iso_resolvents(self, monkeypatch):
+        # The squarefree R_t of census-quartic-iso (degree 36, coefficients
+        # past 64 bits): the kernel walk takes the primes that
+        # primes_not_dividing(lc * Disc) does.
+        resolvents = []
+        real = census._resultant_in_x
+
+        def keeping(F1, F2, t):
+            R = real(F1, F2, t)
+            resolvents.append(R.primitive())
+            return R
+
+        monkeypatch.setattr(census, "_resultant_in_x", keeping)
+        run_census(HyperellipticCurve(P((1, 0, 0, 0, 1))), 6, Fraction(5, 4))
+        squarefree = [R for R in resolvents if discriminant(R)]
+        assert len(squarefree) == 3 and {R.degree for R in squarefree} == {36}
+        for R in squarefree:
+            for start in (2, 3):
+                walk = factor.good_splitting_types(R, 40, start)
+                assert [q for q, _ in walk] == factor.primes_not_dividing(R.lc * discriminant(R), 40, start)
 
     def test_splitting_types_separate_without_lifting(self, monkeypatch):
         # At one of the first six good primes of R_1 for x^5 - x - 1 and

@@ -340,6 +340,7 @@ class TestCensus:
             seen.append((curve.f.coeffs, n, y, cfg))
             return SimpleNamespace(summary={}, csv_lines=[])
 
+        parser = cli.build_parser()  # built before the patch: main must reuse it and still reach the fake
         monkeypatch.setattr(cli, "run_census", fake_census)
         args = ["census", *flags]
         if config is not None:
@@ -348,6 +349,37 @@ class TestCensus:
         assert run_cli(args, capsys)[0] == 0
         curve, n, ys, cfg = want
         assert seen == [(curve, n, y, cfg) for y in ys]
+        assert cli.build_parser() is parser
+
+
+class TestParserReuse:
+    """main builds its parser on its first call and reuses it: in one
+    process, each command gives what it gives run alone."""
+
+    COMMANDS = [
+        ["certify", "--poly", "1,1,0,1", "--primes", "0"],  # a parse error
+        ["certify", "--poly", "-1,-1,0,0,0,1", "--primes", "30"],
+        ["census", "--curve", "1,1,0,1", "--n", "3", "--Y", "2"],
+    ]
+
+    def test_one_process_matches_each_command_alone(self, capsys, monkeypatch):
+        env = {"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin", "COLUMNS": "80"}  # argparse wraps at COLUMNS
+        monkeypatch.setenv("COLUMNS", "80")
+        cli.build_parser.cache_clear()
+        codes = []
+        for argv in self.COMMANDS:
+            alone = subprocess.run([sys.executable, "-m", "hyperfield", *argv], capture_output=True, text=True, env=env)
+            got = run_cli(argv, capsys)
+            assert got == (alone.returncode, alone.stdout, alone.stderr), argv
+            codes.append(got[0])
+        assert codes == [2, 0, 0]
+        assert cli.build_parser.cache_info().misses == 1  # built once, by the first command
+
+    def test_not_built_at_import(self):
+        code = "import hyperfield.cli as cli; print(cli.build_parser.cache_info().currsize)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"})
+        assert proc.stdout.strip() == "0", proc.stderr
 
 
 class TestEntryPoint:

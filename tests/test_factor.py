@@ -4,6 +4,7 @@ import operator
 import os
 import random
 import shutil
+import time
 from unittest import mock
 
 import pytest
@@ -13,13 +14,15 @@ from hypothesis import strategies as st
 
 from hyperfield import _kernels, factor
 from hyperfield._kernels import pure
-from hyperfield.errors import BadPrime, DegreeCapExceeded
+from hyperfield.errors import BadPrime, ConstantPolynomial, DegreeCapExceeded
 from hyperfield.factor import (
     factor_mod_p,
     factor_over_q,
+    good_splitting_types,
     is_irreducible,
     is_prime,
     lift_and_recombine,
+    prime_factors,
     primes_not_dividing,
     squarefree_decomposition,
 )
@@ -95,6 +98,89 @@ class TestPrimes:
             primes_not_dividing(0, 5)
         with pytest.raises(ValueError):
             good_for(P((0, 0, 1)), 3)  # x^2: Disc = 0
+
+
+    def test_prime_factors_splits_a_composite_cofactor(self):
+        # Both primes of the cofactor lie above 10^7, where trial division
+        # alone used to stop and drop a composite cofactor.
+        t0 = time.perf_counter()
+        assert prime_factors(3 * 10000019 * 10000079) == ([3, 10000019, 10000079], 1)
+        assert time.perf_counter() - t0 < 0.5
+
+    def test_prime_factors_match_sympy(self):
+        rng = random.Random(4)
+        for _ in range(400):
+            n = rng.choice([1, -1]) * rng.randint(1, 10 ** rng.randint(1, 15))
+            assert prime_factors(n) == (sorted(sympy.factorint(abs(n))), 1), n
+        assert prime_factors(1) == ([], 1)
+        with pytest.raises(ValueError):
+            prime_factors(0)
+        assert prime_factors(-(1000003**2) * 999983**3 * 8) == ([2, 999983, 1000003], 1)
+
+    def test_prime_factors_leave_what_rho_cannot_split(self):
+        # Two Mersenne primes far above rho's reach: the cofactor is
+        # returned unfactored, not taken for a prime.
+        n = 7 * (2**61 - 1) * (2**89 - 1)
+        assert prime_factors(n) == ([7], (2**61 - 1) * (2**89 - 1))
+
+
+class TestGoodPrimeWalk:
+    """The batched kernel marks with None each prime not dividing lc(F) at
+    which F is not squarefree, and good_splitting_types walks past them."""
+
+    @staticmethod
+    def _kernels():
+        compiled, _ = _kernels.load_compiled()
+        return [pure, _kernels] + ([compiled] if compiled is not None else [])
+
+    def test_none_exactly_where_the_prime_divides_disc(self):
+        rng = random.Random(5)
+        kernels = self._kernels()
+        cases = 0
+        for _ in range(300):
+            a = P([rng.randint(-20, 20) for _ in range(rng.randint(1, 5))] + [rng.choice([1, 2, 3])])
+            if rng.random() < 0.5:
+                # a * (a + q * c): a square mod q, so q divides Disc.
+                q = rng.choice([3, 5, 7, 11])
+                F = a * (a + P([q * rng.randint(-3, 3) for _ in range(a.degree)]))
+            else:
+                F = a * P([rng.randint(-20, 20) for _ in range(rng.randint(1, 6))] + [1])
+            if F.degree < 1:
+                continue
+            disc = discriminant(F)
+            primes = primes_not_dividing(F.lc, 25)
+            want = [None if disc % q == 0 else factor_mod_p(F, q) for q in primes]
+            for kernel in kernels:
+                got = kernel.splitting_types(list(F.coeffs), primes)
+                assert [None if t is None else tuple(t) for t in got] == want, (kernel.BACKEND, F)
+            cases += any(t is None for t in want)
+        assert cases > 150
+
+    def test_walk_equals_the_primes_not_dividing_lc_disc(self):
+        rng = random.Random(6)
+        checked = 0
+        while checked < 500:
+            F = P([rng.randint(-50, 50) for _ in range(rng.randint(2, 12))] + [rng.choice([1, 2, 3, 6, -4])])
+            disc = discriminant(F)
+            if disc == 0:
+                continue
+            count, start = rng.randint(0, 60), rng.choice([2, 3, 17])
+            walk = good_splitting_types(F, count, start)
+            assert [q for q, _ in walk] == primes_not_dividing(F.lc * disc, count, start), F
+            assert all(t == factor_mod_p(F, q) for q, t in walk)
+            checked += 1
+
+    def test_walk_refuses_a_polynomial_that_is_not_squarefree(self):
+        for F in (P((1, 0, 1)) * P((1, 0, 1)), P((-3, 1)) ** 3 * P((2, 1)), P((5, 1, 7)) * P((5, 1, 7)) * 6):
+            with pytest.raises(ValueError, match="not squarefree"):
+                good_splitting_types(F, 10)
+        with pytest.raises(ConstantPolynomial):
+            good_splitting_types(P((5,)), 10)
+
+    def test_factor_over_q_keeps_a_repeated_factor(self):
+        # (x^2 + 1)^2 (x - 3) is not squarefree mod any prime: Yun runs.
+        F = P((1, 0, 1)) * P((1, 0, 1)) * P((-3, 1))
+        assert factor_over_q(F) == [P((-3, 1)), P((1, 0, 1)), P((1, 0, 1))]
 
 
 class TestFactorModP:
@@ -468,7 +554,7 @@ class TestFactorOverQ:
         # is rebuilt from the lifted factors, not left as the cofactor.
         g = P(coeffs)
         assert max(c * c for c in h) > sum(c * c for c in coeffs)
-        found = lift_and_recombine(g, discriminant(g), (len(h) - 1,))
+        found = lift_and_recombine(g, (len(h) - 1,))
         assert found[0].coeffs == h
         assert product(found).coeffs == g.coeffs
 
