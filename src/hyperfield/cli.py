@@ -98,7 +98,7 @@ def cmd_certify(args) -> int:
         return EXIT_INADMISSIBLE
     evidence = [(t, f"frobenius p={q}") for q, t in fingerprint(poly, args.primes).entries]
     cert = recognize_sn(poly.degree, evidence, transitive=True)
-    _emit(cert.to_json())
+    print(cert.json_text())
     return EXIT_OK
 
 
@@ -236,9 +236,10 @@ def cmd_census(args) -> int:
     if csv_path:
         _write(csv_path, "\n".join(csv_lines_all) + "\n")
     payload = summaries if len(summaries) > 1 else summaries[0]
+    text = json.dumps(payload, indent=2)
     if json_path:
-        _write(json_path, json.dumps(payload, indent=2))
-    _emit(payload)
+        _write(json_path, text)
+    print(text)
     return EXIT_OK
 
 

@@ -64,14 +64,6 @@ class NewtonPolygon:
             out.append(Segment(i1 - i0, Fraction(v1 - v0, i1 - i0)))
         return tuple(out)
 
-    def slope_multiset(self) -> list[Fraction]:
-        """Each segment contributes `length` copies of its slope (root valuations, negated)."""
-        out = []
-        for seg in self.segments:
-            out.extend([seg.slope] * seg.length)
-        out.sort()
-        return out
-
     def find_segment(self, length: int, slope: Fraction) -> Segment | None:
         for seg in self.segments:
             if seg.length == length and seg.slope == slope:
@@ -147,14 +139,9 @@ def factorization_shape(np_: NewtonPolygon) -> list[FactorBlock]:
     return out
 
 
-def cycle_from_polygon(p: IntPolynomial, q: int) -> list[CycleCertificate]:
-    """One certificate per segment whose reduced slope denominator equals its
-    length (gcd(r, l) = 1) with l coprime to q; empty list otherwise."""
-    np_ = newton_polygon(p, q)
-    return certificates_from_polygon(np_, digest=poly_digest(p))
-
-
 def certificates_from_polygon(np_: NewtonPolygon, digest: str = "") -> list[CycleCertificate]:
+    """One certificate per segment whose reduced slope denominator equals its
+    length (gcd(r, l) = 1) with l coprime to the prime; empty list otherwise."""
     out = []
     for seg in np_.segments:
         if seg.slope == 0 or seg.length == 1:
@@ -166,13 +153,3 @@ def certificates_from_polygon(np_: NewtonPolygon, digest: str = "") -> list[Cycl
                 )
             )
     return out
-
-
-def np_product_check(a: IntPolynomial, b: IntPolynomial, q: int) -> bool:
-    """Test oracle: root valuations of a product are the multiset union."""
-    if a.is_zero() or b.is_zero():
-        return False
-    na, nb, nab = newton_polygon(a, q), newton_polygon(b, q), newton_polygon(a * b, q)
-    if nab.x_power != na.x_power + nb.x_power:
-        return False
-    return nab.slope_multiset() == sorted(na.slope_multiset() + nb.slope_multiset())

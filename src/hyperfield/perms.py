@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .errors import BadEvidence, DegreeCapExceeded
 # Nothing here calls factor_mod_p; it stays for perfbench/trace_spans.WRAPPED.
@@ -227,13 +228,35 @@ class GroupCertificate:
     rule: str | None
     conclusion: str
 
-    def to_json(self) -> dict:
-        return {
-            "degree": self.degree,
-            "evidence": [{"cycle_type": list(t), "source": src} for t, src in self.evidence],
-            "rule": self.rule,
-            "conclusion": self.conclusion,
-        }
+    def json_text(self) -> str:
+        """The certificate as JSON text, byte for byte what
+        json.dumps(obj, indent=2) writes for
+        {degree, evidence: [{cycle_type, source}], rule, conclusion}.
+        json.dumps takes its pure-Python encoder whenever it indents, so
+        this joins one cached block per cycle type and escapes each string
+        with the function json.dumps uses (ensure_ascii=True)."""
+        if self.evidence:
+            entries = ",\n".join(
+                _evidence_head(t) + encode_basestring_ascii(src) + "\n    }" for t, src in self.evidence
+            )
+            evidence = f"[\n{entries}\n  ]"
+        else:
+            evidence = "[]"
+        rule = "null" if self.rule is None else encode_basestring_ascii(self.rule)
+        return (
+            f'{{\n  "degree": {self.degree},\n  "evidence": {evidence},\n'
+            f'  "rule": {rule},\n  "conclusion": {encode_basestring_ascii(self.conclusion)}\n}}'
+        )
+
+
+@functools.lru_cache(maxsize=4096)
+def _evidence_head(t: CycleType) -> str:
+    """The text of an evidence entry of type t from its `{` up to
+    `"source": `, indented as json.dumps(..., indent=2) indents it.
+    Memoised like usable_cycle_lengths: a certificate repeats a few types."""
+    parts = ",\n".join(f"        {x}" for x in t)
+    listed = f"[\n{parts}\n      ]" if t else "[]"
+    return f'    {{\n      "cycle_type": {listed},\n      "source": '
 
 
 @functools.lru_cache(maxsize=4096)

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,9 +16,9 @@ from hypothesis import strategies as st
 from hyperfield import cli
 from hyperfield.census import CensusConfig, fingerprint
 from hyperfield.cli import main
-from hyperfield.factor import factor_mod_p
+from hyperfield.factor import factor_mod_p, factor_over_q
 from hyperfield.family import ALL_RECIPE_KINDS
-from hyperfield.intpoly import parse_poly
+from hyperfield.intpoly import IntPolynomial, parse_poly
 
 SRC = str(Path(__file__).parent.parent / "src")
 
@@ -90,6 +91,34 @@ class TestCertify:
         F = parse_poly(poly)
         assert evidence == list(fingerprint(F, 20).entries)
         assert evidence == [(q, factor_mod_p(F, q)) for q, _ in evidence]
+
+
+class TestCertifyText:
+    def test_stdout_is_its_own_indented_json(self, capsys, monkeypatch):
+        """certify writes its certificate as text: the same bytes as
+        json.dumps(..., indent=2), and still through one call of the module
+        global cli.recognize_sn, which the benchmark's tracer wraps by name."""
+        rules = []
+        original = cli.recognize_sn
+
+        def traced(*args, **kwargs):
+            out = original(*args, **kwargs)
+            rules.append(out.rule)  # what the tracer reads
+            return out
+
+        monkeypatch.setattr(cli, "recognize_sn", traced)
+        rng, certified = random.Random(13), 0
+        while certified < 30:
+            degree = rng.randint(1, 12)
+            coeffs = [rng.randint(-20, 20) for _ in range(degree)] + [rng.choice((-3, -1, 1, 2))]
+            if any(0 < f.degree < degree for f in factor_over_q(IntPolynomial(coeffs))):
+                continue
+            calls = len(rules)
+            code, out, err = run_cli(["certify", "--poly", ",".join(map(str, coeffs))], capsys)
+            assert (code, err) == (0, "")
+            assert out == json.dumps(json.loads(out), indent=2) + "\n"
+            assert rules[calls:] == [json.loads(out)["rule"]]
+            certified += 1
 
 
 class TestWitness:

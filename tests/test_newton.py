@@ -13,12 +13,11 @@ from hyperfield.intpoly import IntPolynomial
 from hyperfield.newton import (
     FactorBlock,
     Segment,
-    cycle_from_polygon,
     factorization_shape,
     newton_polygon,
-    np_product_check,
     valuation,
 )
+from oracles import cycle_from_polygon, np_product_check
 
 P = IntPolynomial
 

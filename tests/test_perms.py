@@ -1,7 +1,10 @@
+import json
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperfield.census import fingerprint
 from hyperfield.errors import BadEvidence, DegreeCapExceeded
@@ -13,6 +16,7 @@ from hyperfield.perms import (
     RULE_LONG_PRIME,
     RULE_N_MINUS_1,
     SN,
+    GroupCertificate,
     canonical_of_type,
     closure,
     compose,
@@ -207,9 +211,50 @@ class TestRecognizeSn:
 
     def test_json(self):
         c = recognize_sn(3, [((2, 1), "w"), ((3,), "w")], True)
-        payload = c.to_json()
+        payload = json.loads(c.json_text())
         assert payload["conclusion"] == SN
         assert payload["evidence"][0]["cycle_type"] == [2, 1]
+
+
+@st.composite
+def certificates(draw):
+    """A GroupCertificate of degree 1-12 with 0-120 normalized cycle types,
+    sources full of characters JSON must escape, and any rule and conclusion."""
+    n = draw(st.integers(1, 12))
+
+    @st.composite
+    def cycle_types(draw):
+        parts, left = [], n
+        while left:
+            parts.append(draw(st.integers(1, left)))
+            left -= parts[-1]
+        return tuple(sorted(parts, reverse=True))
+
+    escaped = st.sampled_from('"\\/\x00\x01\x08\t\n\x0c\r\x1f\x7f\u00e9\u2028\u2603\U0001f600')
+    source = st.text(st.one_of(escaped, st.characters()), max_size=12)
+    evidence = draw(st.lists(st.tuples(cycle_types(), source), max_size=120))
+    rule = draw(st.sampled_from([None, RULE_FULL_CYCLE, RULE_LONG_PRIME, RULE_N_MINUS_1, RULE_EVEN]))
+    return GroupCertificate(n, tuple(evidence), rule, draw(st.sampled_from([SN, INCONCLUSIVE])))
+
+
+class TestJsonText:
+    @settings(max_examples=300, deadline=None)
+    @given(certificates())
+    def test_same_bytes_as_indented_json_dumps(self, c):
+        expected = {
+            "degree": c.degree,
+            "evidence": [{"cycle_type": list(t), "source": src} for t, src in c.evidence],
+            "rule": c.rule,
+            "conclusion": c.conclusion,
+        }
+        assert c.json_text() == json.dumps(expected, indent=2)
+
+    def test_degree_0_empty_cycle_type(self):
+        c = recognize_sn(0, [((), "")], True)
+        assert c.json_text() == json.dumps(
+            {"degree": 0, "evidence": [{"cycle_type": [], "source": ""}], "rule": None, "conclusion": INCONCLUSIVE},
+            indent=2,
+        )
 
 
 class TestFrobeniusSample:

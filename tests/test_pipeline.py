@@ -26,8 +26,9 @@ from hyperfield.family import (
     witness,
 )
 from hyperfield.intpoly import IntPolynomial, discriminant
-from hyperfield.newton import cycle_from_polygon, newton_polygon
+from hyperfield.newton import newton_polygon
 from hyperfield.perms import SN, canonical_of_type, group_order, recognize_sn
+from oracles import cycle_from_polygon
 
 P = IntPolynomial
 C3 = HyperellipticCurve(P((1, 1, 0, 1)))
