@@ -2,13 +2,13 @@
 """Benchmark the compiled C kernel against the pure-Python kernels, and
 packed against schoolbook products in the mod-m toolkit.
 
-The kernel workload mirrors the census hot path: degree partitions mod
-small primes one call at a time (irreducibility screening) and the same
-partitions at its good primes among the first 50 in one
-``splitting_types`` call per polynomial (the record's fingerprint). Both
-backends run on identical inputs and must agree. The compiled module is
-the one ``hyperfield._kernels`` loads (compiled on first use into the
-user cache).
+The kernel workload mirrors the census hot path through the one kernel
+entry point, ``splitting_types``: degree partitions at one small prime
+per call (irreducibility screening) and the same partitions at its good
+primes among the first 50 in one call per polynomial (the record's
+fingerprint). Both backends run on identical inputs and must agree. The
+compiled module is the one ``hyperfield._kernels`` loads (compiled on
+first use into the user cache).
 
 The toolkit rows time ``pure._mul_mod`` on two operands of degree d and
 ``pure._pow_mod`` (a^13 modulo a monic f of degree d, building the
@@ -52,7 +52,7 @@ from hyperfield.intpoly import IntPolynomial, discriminant  # noqa: E402
 
 PRIMES = [2, 3, 5, 7, 11, 13, 101, 257, 997, 65537]
 POOL = [p for p in range(2, 230) if all(p % d for d in range(2, p))]  # the first 50 primes
-KERNELS = ("ddf_degrees", "splitting_types")
+KERNELS = ("one prime per call", "good primes batched")
 
 
 def workload(trials: int, seed: int = 0):
@@ -65,27 +65,30 @@ def workload(trials: int, seed: int = 0):
     return cases
 
 
-def _outcome(kernel, coeffs, p):
+def _outcome(kernel, coeffs, primes):
     try:
-        return kernel(coeffs, p)
+        return kernel(coeffs, primes)
     except ValueError as e:
         return str(e)
 
 
 def _good(coeffs):
     """The primes of POOL at which coeffs is squarefree with a unit leading coefficient."""
-    return [p for p in POOL if isinstance(_outcome(pure.ddf_degrees, coeffs, p), list)]
+    types = [_outcome(pure.splitting_types, coeffs, [p]) for p in POOL]
+    return [p for p, t in zip(POOL, types) if isinstance(t, list) and t[0] is not None]
 
 
 def run(backend, cases):
+    """(outputs, seconds) of backend.splitting_types for each row of
+    KERNELS: every case at its one prime, then every 25th polynomial at
+    its good primes in one call."""
     outs, times = [], []
-    for name, inputs in (
-        ("ddf_degrees", cases),
-        ("splitting_types", [(coeffs, _good(coeffs)) for coeffs, _ in cases[: len(cases) // 25]]),
+    for inputs in (
+        [(coeffs, [p]) for coeffs, p in cases],
+        [(coeffs, _good(coeffs)) for coeffs, _ in cases[: len(cases) // 25]],
     ):
-        kernel = getattr(backend, name)
         t0 = time.perf_counter()
-        outs.append([_outcome(kernel, coeffs, p) for coeffs, p in inputs])
+        outs.append([_outcome(backend.splitting_types, coeffs, ps) for coeffs, ps in inputs])
         times.append(time.perf_counter() - t0)
     return outs, times
 
@@ -255,7 +258,7 @@ def main():
     assert pure_out == c_out, "backend outputs diverge"
     for name, tp, tc in zip(KERNELS, pure_times, c_times):
         print(f"{name:<22}{tp:>12.3f}{tc:>14.3f}{tp / tc:>9.1f}x")
-    print(f"\n{args.trials} ddf_degrees cases, {args.trials // 25} polynomials at their good primes "
+    print(f"\n{args.trials} one-prime cases, {args.trials // 25} polynomials at their good primes "
           f"among the first {len(POOL)}; "
           "outputs identical across backends")
 

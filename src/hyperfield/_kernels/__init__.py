@@ -14,12 +14,13 @@ when n (p-1)^2 + (p-1) < 2^64, so that it can delay reduction (p <= 2^31
 at degree 4, about 7.2e8 at degree 36); it raises OverflowError for any
 other, and those go to pure.py.
 
-Kernels: ddf_degrees(coeffs, p), the factor degrees mod p, and
-splitting_types(coeffs, primes), the same at each prime from one call.
-ddf_degrees raises ValueError where coeffs is not squarefree mod p;
-splitting_types returns None at such a prime instead and goes on. For p
-prime and not dividing the leading coefficient, p is marked exactly when
-it divides Disc(coeffs), so factor's good-prime walk needs no Disc.
+Both backends export one kernel, splitting_types(coeffs, primes): the
+factor degrees of coeffs mod each prime, from one call, with None at a
+prime where coeffs is not squarefree. For p prime and not dividing the
+leading coefficient, p is marked exactly when it divides Disc(coeffs),
+so factor's good-prime walk needs no Disc. ddf_degrees(coeffs, p), the
+degrees at one prime, is defined here on top of it and raises ValueError
+where it would be None.
 """
 import hashlib
 import os
@@ -105,25 +106,29 @@ def load_compiled():
         return None, f"cannot build or load the C kernel: {e}"
 
 
-def _pure_where_declined(name: str):
-    compiled, fallback = getattr(impl, name), getattr(pure, name)
-
-    def kernel(coeffs, p):
-        try:
-            return compiled(coeffs, p)
-        except OverflowError:  # a modulus past the C kernel's bound
-            return fallback(coeffs, p)
-
-    return kernel
-
-
 # PURE_REASON: why the pure kernels are in use; None when the C kernel is.
 impl, PURE_REASON = (None, "HYPERFIELD_PURE is set") if os.environ.get("HYPERFIELD_PURE") else load_compiled()
-if impl is None:
-    impl = pure
-    ddf_degrees, splitting_types = pure.ddf_degrees, pure.splitting_types
-else:
-    ddf_degrees, splitting_types = _pure_where_declined("ddf_degrees"), _pure_where_declined("splitting_types")
+impl = impl or pure
 BACKEND = impl.BACKEND
+
+
+def splitting_types(coeffs, primes) -> list[list[int] | None]:
+    """The factor degrees of coeffs mod each of primes, descending, with
+    None at each prime where coeffs is not squarefree; from pure.py where
+    the C kernel declines a modulus."""
+    try:
+        return impl.splitting_types(coeffs, primes)
+    except OverflowError:  # a modulus past the C kernel's bound
+        return pure.splitting_types(coeffs, primes)
+
+
+def ddf_degrees(coeffs, p: int) -> list[int]:
+    """The factor degrees of coeffs mod p, descending; ValueError where
+    coeffs is not squarefree mod p."""
+    degs = splitting_types(coeffs, [p])[0]
+    if degs is None:
+        raise ValueError("not squarefree mod p")
+    return degs
+
 
 __all__ = ["BACKEND", "PURE_REASON", "ddf_degrees", "splitting_types"]

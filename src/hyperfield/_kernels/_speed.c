@@ -11,10 +11,12 @@
  * messages agree with it even for composite moduli, where a leading
  * coefficient may not be invertible.
  *
- * ddf_degrees raises ValueError where F is not squarefree mod p;
- * splitting_types marks such a prime with None in its list and goes on.
- * For p prime and not dividing lc(F), those are exactly the primes that
- * divide Disc(F), so its callers find good primes without computing Disc.
+ * The module exports one kernel, splitting_types(coeffs, primes): the
+ * factor degrees of F mod each prime, from one call, with None at each
+ * prime where F is not squarefree. For p prime and not dividing lc(F),
+ * those are exactly the primes that divide Disc(F), so its callers find
+ * good primes without computing Disc. __init__.py defines ddf_degrees,
+ * the degrees at one prime, on top of it.
  *
  * Distinct-degree factorization iterates the Frobenius matrix (Berlekamp's
  * Q; von zur Gathen and Shoup, Comput. Complexity 2, 1992). For monic F of
@@ -28,7 +30,7 @@
  * against the part f of F left once the factors of lower degree are
  * divided out.
  *
- * Delayed reduction. In one ddf call every operand of a product is reduced
+ * Delayed reduction. At one prime every operand of a product is reduced
  * mod F, so it has at most n coefficients, and every divisor has degree at
  * most n. So a coefficient of a product, or of Q h, is a sum of at most n
  * terms below (p-1)^2. In a division the leading coefficient t is reduced
@@ -295,8 +297,8 @@ static Py_ssize_t prep(PyObject *coeffs, PyObject *p, Work *k)
 }
 
 /* pure._degrees on k: the descending factor degrees as a new list, or
- * None where F is not squarefree mod p (with `mark`; else ValueError). */
-static PyObject *degrees(PyObject *coeffs, PyObject *p, Work *k, int mark)
+ * None where F is not squarefree mod p. */
+static PyObject *degrees(PyObject *coeffs, PyObject *p, Work *k)
 {
     Py_ssize_t lF = prep(coeffs, p, k), lf, lh = 0, lg, nd = 0;
     u64 *F = k->F, *f = k->f, *h = k->h, *g = k->g, *degs = k->degs;
@@ -311,12 +313,8 @@ static PyObject *degrees(PyObject *coeffs, PyObject *p, Work *k, int mark)
         h[i - 1] = reduce((u64)i % k->p * F[i], k);
     if ((lg = gcd(F, lF, h, trim(h, lF - 1), g, k)) < 0)
         return NULL;
-    if (lg != 1) {
-        if (mark)
-            Py_RETURN_NONE;
-        PyErr_SetString(PyExc_ValueError, "not squarefree mod p");
-        return NULL;
-    }
+    if (lg != 1)
+        Py_RETURN_NONE;
     /* Distinct-degree factorization: h = x^(p^d) mod F, and gcd(h - x, f)
      * is the product of the factors of degree d, divided out of f. */
     memcpy(f, F, lF * sizeof *F);
@@ -360,75 +358,48 @@ static PyObject *degrees(PyObject *coeffs, PyObject *p, Work *k, int mark)
     return out;
 }
 
-/* pure.ddf_degrees on k. */
-static PyObject *ddf(PyObject *coeffs, PyObject *p, Work *k)
+/* pure.splitting_types: the degrees at each of primes, None where F is not
+ * squarefree mod that prime, as a new list. The scratch space is sized
+ * for the length of coeffs once, for every prime. */
+static PyObject *splitting_types(PyObject *Py_UNUSED(self), PyObject *args)
 {
-    return degrees(coeffs, p, k, 0);
-}
-
-/* pure.splitting_types on k: the degrees at each of primes, None where F
- * is not squarefree mod that prime, as a new list. */
-static PyObject *types(PyObject *coeffs, PyObject *primes, Work *k)
-{
-    PyObject *ps = PySequence_Fast(primes, "primes must be a sequence"), *out;
-    if (!ps)
-        return NULL;
-    out = PyList_New(PySequence_Fast_GET_SIZE(ps));
-    for (Py_ssize_t j = 0; out && j < PySequence_Fast_GET_SIZE(ps); j++) {
-        PyObject *type = degrees(coeffs, PySequence_Fast_GET_ITEM(ps, j), k, 1);
-        if (!type)
-            Py_CLEAR(out);
-        else
-            PyList_SET_ITEM(out, j, type);
-    }
-    Py_DECREF(ps);
-    return out;
-}
-
-/* Runs body(coeffs as a PySequence_Fast, arg, work) with scratch space
- * for its length. */
-static PyObject *with_work(PyObject *args, const char *format, PyObject *(*body)(PyObject *, PyObject *, Work *))
-{
-    PyObject *coeffs, *arg, *seq, *out = NULL;
+    PyObject *coeffs, *primes, *seq, *ps, *out = NULL;
     Py_ssize_t n, width;
     Work k;
-    u64 *buf;
-    if (!PyArg_ParseTuple(args, format, &coeffs, &arg))
+    u64 *buf = NULL;
+    if (!PyArg_ParseTuple(args, "OO:splitting_types", &coeffs, &primes))
         return NULL;
     if (!(seq = PySequence_Fast(coeffs, "coefficients must be a sequence")))
         return NULL;
     n = PySequence_Fast_GET_SIZE(seq);
     width = 2 * n + 2;
-    if (!(buf = PyMem_Calloc(9 * width + n * n, sizeof *buf))) {
+    ps = PySequence_Fast(primes, "primes must be a sequence");
+    if (ps && !(buf = PyMem_Calloc(9 * width + n * n, sizeof *buf)))
         PyErr_NoMemory();
-    } else {
+    if (buf) {
         u64 **slots[] = {&k.F, &k.f, &k.h, &k.g, &k.t, &k.u, &k.v, &k.w, &k.degs};
         for (size_t i = 0; i < sizeof slots / sizeof *slots; i++)
             *slots[i] = buf + i * width;
         k.q = buf + 9 * width;
-        out = body(seq, arg, &k);
-        PyMem_Free(buf);
+        out = PyList_New(PySequence_Fast_GET_SIZE(ps));
+        for (Py_ssize_t j = 0; out && j < PySequence_Fast_GET_SIZE(ps); j++) {
+            PyObject *type = degrees(seq, PySequence_Fast_GET_ITEM(ps, j), &k);
+            if (!type)
+                Py_CLEAR(out);
+            else
+                PyList_SET_ITEM(out, j, type);
+        }
     }
+    PyMem_Free(buf);
+    Py_XDECREF(ps);
     Py_DECREF(seq);
     return out;
 }
 
-static PyObject *ddf_degrees(PyObject *Py_UNUSED(self), PyObject *args)
-{
-    return with_work(args, "OO:ddf_degrees", ddf);
-}
-
-static PyObject *splitting_types(PyObject *Py_UNUSED(self), PyObject *args)
-{
-    return with_work(args, "OO:splitting_types", types);
-}
-
 static PyMethodDef methods[] = {
-    {"ddf_degrees", ddf_degrees, METH_VARARGS,
-     "Degrees of the irreducible factors of coeffs mod p, descending."},
     {"splitting_types", splitting_types, METH_VARARGS,
-     "[ddf_degrees(coeffs, p) for p in primes], in one call, with None\n"
-     "where coeffs is not squarefree mod p instead of ValueError."},
+     "The degrees of the irreducible factors of coeffs mod p, descending,\n"
+     "for each p in primes; None where coeffs is not squarefree mod p."},
     {NULL, NULL, 0, NULL},
 };
 

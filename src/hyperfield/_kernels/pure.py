@@ -212,7 +212,9 @@ def _prep(coeffs, p: int) -> list[int]:
 
 
 def _degrees(coeffs, p: int) -> list[int] | None:
-    """ddf_degrees, but None where the reduction is not squarefree mod p."""
+    """The degrees of the irreducible factors of coeffs mod p, descending,
+    or None where the reduction is not squarefree mod p. Requires p prime
+    and not dividing the leading coefficient (the latter checked)."""
     f = _prep(coeffs, p)
     if len(f) == 1:
         raise ValueError("constant polynomial mod p")
@@ -223,23 +225,11 @@ def _degrees(coeffs, p: int) -> list[int] | None:
     return degs
 
 
-def ddf_degrees(coeffs, p: int) -> list[int]:
-    """Degrees of the irreducible factors of coeffs mod p, descending.
-
-    Requires p prime, p not dividing the leading coefficient, and the
-    reduction squarefree mod p (checked; raises ValueError otherwise).
-    """
-    degs = _degrees(coeffs, p)
-    if degs is None:
-        raise ValueError("not squarefree mod p")
-    return degs
-
-
 def splitting_types(coeffs, primes) -> list[list[int] | None]:
-    """ddf_degrees of coeffs at each prime, in order, except that a prime
-    where the reduction is not squarefree is marked None instead of
-    raising. For p prime and not dividing lc, that is exactly where p
-    divides Disc(coeffs), so a caller finds good primes without Disc."""
+    """The factor degrees of coeffs at each prime, in order, with None at a
+    prime where the reduction is not squarefree. For p prime and not
+    dividing lc, that is exactly where p divides Disc(coeffs), so a caller
+    finds good primes without Disc."""
     return [_degrees(coeffs, p) for p in primes]
 
 

@@ -226,8 +226,9 @@ class FieldFingerprint:
 def fingerprint(F: IntPolynomial, count: int = 50) -> FieldFingerprint:
     """Splitting types at the first `count` primes good for F (not dividing
     lc(F) * Disc(F)), from factor.good_splitting_types, which finds them
-    without Disc(F); F must be squarefree. Census records are screened and
-    S_n-certified from these types, and certify reads them too."""
+    without Disc(F); F must be squarefree. certify reads its Frobenius
+    sample here. Census records get the same types from classify_record,
+    which walks the primes not dividing lc(F) * Disc(F) itself."""
     return FieldFingerprint(degree=F.degree, entries=tuple(good_splitting_types(F, count)))
 
 
@@ -312,6 +313,10 @@ def classify_record(F: IntPolynomial, cfg: CensusConfig) -> FieldEntry:
     disc_F = discriminant(F)
     if disc_F == 0:
         return FieldEntry(F, 0, REDUCIBLE)
+    # The census needs Disc F for its CSV column anyway, so the good primes
+    # come from it, not from fingerprint: good_splitting_types would also
+    # send the primes dividing Disc F to the kernel (census-cubic-n4 made
+    # 621 kernel calls that way, against 405) and ran slower.
     good = primes_not_dividing(F.lc * disc_F, cfg.fingerprint_primes)
     # Two kernel calls: the screening primes, then (for irreducible F only)
     # the rest of the fingerprint, which a reducible F never needs.
@@ -526,10 +531,14 @@ def root_bound_box(F: IntPolynomial) -> tuple[Fraction, Fraction]:
     for monic F."""
     if abs(F.lc) != 1:
         raise NonMonic("root_bound_box requires monic F")
-    n = F.degree
     y = fujiwara_root_bound(F)
-    disc_bound = Fraction(n) ** n * (2 * y) ** (n * (n - 1))
-    return y, disc_bound
+    return y, _disc_bound(F.degree, y)
+
+
+def _disc_bound(n: int, y: Fraction) -> Fraction:
+    """n^n (2y)^(n(n-1)): the bound on |Disc| of a monic polynomial of
+    degree n whose roots all lie in |z| <= y."""
+    return Fraction(n) ** n * (2 * y) ** (n * (n - 1))
 
 
 def box_disc_bound(curve: HyperellipticCurve, shape: FamilyShape, Y) -> Fraction:
@@ -553,17 +562,8 @@ def box_disc_bound(curve: HyperellipticCurve, shape: FamilyShape, Y) -> Fraction
         for i, bi in enumerate(b_bound):
             for j, bj in enumerate(b_bound):
                 F_bound[w + i + j] += abs(cw) * bi * bj
-    lead = max(1, F_bound[n])
-    best = Fraction(0)
-    for i in range(n):
-        if F_bound[i] == 0:
-            continue
-        val = Fraction(F_bound[i], lead)
-        if i == 0:
-            val /= 2
-        best = max(best, _ceil_root_scaled(val, n - i))
-    y = 2 * best
-    return Fraction(n) ** n * (2 * y) ** (n * (n - 1))
+    # Every census shape has g or h monic, so F_bound[n] >= 1: the degree stays n.
+    return _disc_bound(n, fujiwara_root_bound(IntPolynomial(F_bound)))
 
 
 # -- exponent calculus ----------------------------------------------------------
@@ -647,15 +647,6 @@ def ev_threshold_search(g: int, window: int = 100_000, r_max: int = 10) -> int:
     if g < 1:
         raise HypothesisViolated("genus must be >= 1")
     m_min = {r: 1 for r in range(1, r_max + 1)}
-    binoms = {r: {} for r in range(1, r_max + 1)}
-
-    def binom(r, m):
-        out = binoms[r].get(m)
-        if out is None:
-            out = math.comb(r + m, r)
-            binoms[r][m] = out
-        return out
-
     last_bad = None
     for n in range(3, window + 1):
         rhs = (n * n - (1 + 2 * g) * n + 2 * g * g) * (n - 2)
@@ -669,7 +660,7 @@ def ev_threshold_search(g: int, window: int = 100_000, r_max: int = 10) -> int:
                 m_min[r] = m
                 if m > m_cap:
                     continue
-                if 16 * m * n * binom(r, 4 * m) < rhs:
+                if 16 * m * n * math.comb(r + 4 * m, r) < rhs:
                     ok = True
                     break
         if not ok:
@@ -688,7 +679,7 @@ def _check_tail(g: int, window: int) -> None:
     prev_gap = None
     for j in range(9):
         n = window * 2**j
-        m = introot(n - 1, 2) + 1 - 1  # ceil(sqrt(n)) - 1 for non-square n
+        m = math.isqrt(n - 1)  # ceil(sqrt(n)) - 1
         if (m + 1) * (m + 2) <= n:
             m += 1
         if (m + 1) * (m + 2) <= n:

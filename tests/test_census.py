@@ -514,16 +514,16 @@ class TestRootBounds:
             assert max(abs(r) for r in roots) <= float(y) * (1 + 1e-12) + 1e-9
 
     def test_disc_bound_over_box(self):
+        from hyperfield.family import build_family_member
         from hyperfield.intpoly import discriminant
 
-        sh = FamilyShape.census_shape(3, 4)
-        bound = box_disc_bound(C3, sh, 2)
-        box = CoefficientBox.build(sh, 2)
-        from hyperfield.family import build_family_member
-
-        for s in box.specializations():
-            F = build_family_member(C3, sh, s)
-            assert abs(discriminant(F)) <= bound
+        # the odd-even, odd-odd and even-even census shapes
+        for curve, d, n in [(C3, 3, 4), (C3, 3, 5), (HyperellipticCurve(P((1, 0, 0, 0, 1))), 4, 6)]:
+            sh = FamilyShape.census_shape(d, n)
+            bound = box_disc_bound(curve, sh, 2)
+            for s in CoefficientBox.build(sh, 2).specializations():
+                F = build_family_member(curve, sh, s)
+                assert abs(discriminant(F)) <= bound, (curve, n, s)
 
 
 class TestExponents:

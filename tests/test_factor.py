@@ -268,16 +268,18 @@ class TestKernelParity:
         for _ in range(1200):
             q = rng.choice(self.MODULI)
             f = self._random_poly(rng, q)
-            a = self._outcome(pure.ddf_degrees, f, q)
+            a = self._outcome(pure.splitting_types, f, [q])
             if q < 2 or self._compiled_takes(q, f):
-                assert a == self._outcome(compiled.ddf_degrees, f, q), (f, q)
+                assert a == self._outcome(compiled.splitting_types, f, [q]), (f, q)
             else:
                 declined += 1
                 with pytest.raises(OverflowError):
-                    compiled.ddf_degrees(f, q)
-                assert a == self._outcome(_kernels.ddf_degrees, f, q), (f, q)
+                    compiled.splitting_types(f, [q])
+                assert a == self._outcome(_kernels.splitting_types, f, [q]), (f, q)
             if isinstance(a, tuple):
                 errors.add(a[1])
+            elif a == [None]:
+                errors.add(None)  # marked: not squarefree mod q
             primes = rng.sample(self.MODULI, rng.randint(0, 4))
             takes = all(r < 2 or self._compiled_takes(r, f) for r in primes)
             kernel = compiled.splitting_types if takes else _kernels.splitting_types
@@ -287,7 +289,7 @@ class TestKernelParity:
             "modulus must be a prime >= 2",
             "leading coefficient divisible by p",
             "constant polynomial mod p",
-            "not squarefree mod p",
+            None,
             "base is not invertible for the given modulus",
         }
 
@@ -296,14 +298,42 @@ class TestKernelParity:
         f = [5, -3, 0, 7, 1]
         for q in (2**63 + 29, 2**64 + 13):
             with pytest.raises(OverflowError):
-                compiled.ddf_degrees(f, q)
-            assert _kernels.ddf_degrees(f, q) == pure.ddf_degrees(f, q)
+                compiled.splitting_types(f, [q])
+            assert _kernels.splitting_types(f, [q]) == pure.splitting_types(f, [q])
             assert _kernels.splitting_types(f, [3, q]) == pure.splitting_types(f, [3, q])
+
+    def test_ddf_degrees_raises_exactly_where_splitting_types_marks(self, monkeypatch):
+        # _kernels.ddf_degrees is splitting_types at one prime, on either
+        # backend, also past the C kernel's bound: ValueError where the
+        # type is None, the same answer or the same error everywhere else.
+        compiled, _ = _kernels.load_compiled()
+        rng = random.Random(3)
+        for impl in [pure] + ([compiled] if compiled is not None else []):
+            monkeypatch.setattr(_kernels, "impl", impl)
+            seen = set()
+            for _ in range(300):
+                q = rng.choice([2, 3, 5, 7, 101, 65537, 2**31 - 1, 2**63 + 29])
+                a = P([rng.randint(-9, 9) for _ in range(rng.randint(1, 3))] + [1])
+                b = P([rng.randint(-9, 9) for _ in range(rng.randint(0, 3))] + [rng.choice([1, 2, q])])
+                f = list((a * a * b if rng.random() < 0.3 else a * b).coeffs)
+                kind = self._outcome(_kernels.splitting_types, f, [q])
+                got = self._outcome(_kernels.ddf_degrees, f, q)
+                if kind == [None]:
+                    assert got == ("ValueError", "not squarefree mod p"), (impl.BACKEND, f, q)
+                elif isinstance(kind, list):
+                    assert got == kind[0], (impl.BACKEND, f, q)
+                else:
+                    assert got == kind, (impl.BACKEND, f, q)
+                seen.add((q > 2**63, kind == [None], isinstance(kind, list)))
+            # marked and typed cases on both sides of the bound, and errors
+            assert {(big, True, True) for big in (False, True)} <= seen
+            assert {(big, False, True) for big in (False, True)} <= seen
+            assert (False, False, False) in seen
 
     def test_ddf_examples(self):
         # irreducible cubic mod 2; split quadratic mod 5
-        assert pure.ddf_degrees((1, 1, 0, 1), 2) == [3]
-        assert pure.ddf_degrees((1, 0, 1), 5) == [1, 1]
+        assert pure.splitting_types((1, 1, 0, 1), [2]) == [[3]]
+        assert pure.splitting_types((1, 0, 1), [5]) == [[1, 1]]
 
 
 TOOLKIT_MODULI = [2, 3, 13, 2**31 - 1, 2**61 - 1, 13**23, 2**127 - 1]
