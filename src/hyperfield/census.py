@@ -60,6 +60,7 @@ from .errors import (
     DegreeCapExceeded,
     HypothesisViolated,
     NonMonic,
+    NotSquarefree,
     PolyParseError,
     SearchExhausted,
     SearchWindowExceeded,
@@ -71,7 +72,6 @@ from .factor import (
     lift_and_recombine,
     musser_degrees,
     primes_not_dividing,
-    squarefree_mod_small_prime,
 )
 from .family import (
     EVEN_D_EVEN_N,
@@ -466,7 +466,8 @@ def isomorphic_exact(F1: IntPolynomial, F2: IntPolynomial, cap: int = ISO_CAP) -
     of beta_j - t*alpha_i; the fields are isomorphic iff R_t has an
     irreducible factor of degree exactly n (for squarefree R_t). Each
     root generates Q(alpha_i, beta_j), so no factor has degree below n
-    and the factor search looks at degree n alone.
+    and the factor search looks at degree n alone. A shift t whose R_t
+    the search's good-prime walk proves not squarefree is skipped.
     """
     n = F1.degree
     if n != F2.degree:
@@ -481,12 +482,10 @@ def isomorphic_exact(F1: IntPolynomial, F2: IntPolynomial, cap: int = ISO_CAP) -
         R = _resultant_in_x(F1, F2, t).primitive()
         if R.degree != n * n:
             continue
-        # A squarefree R mod a small prime proves R squarefree. Only where
-        # every screening prime declines is the exact Disc(R) the arbiter,
-        # so no t is skipped on a guess.
-        if not squarefree_mod_small_prime(R) and discriminant(R) == 0:
+        try:
+            return len(lift_and_recombine(R, (n,))) > 1  # a degree-n factor besides the cofactor
+        except NotSquarefree:  # the good-prime walk proved Disc(R) = 0
             continue
-        return len(lift_and_recombine(R, (n,))) > 1  # a degree-n factor besides the cofactor
     raise SearchExhausted("no shift t below 40 gives a squarefree R_t of degree n^2")
 
 
@@ -543,7 +542,8 @@ def _disc_bound(n: int, y: Fraction) -> Fraction:
 
 def box_disc_bound(curve: HyperellipticCurve, shape: FamilyShape, Y) -> Fraction:
     """Discriminant bound k*Y^(n(n-1)) over the whole box: coefficient-wise
-    triangle-inequality bounds on F feed the Fujiwara bound."""
+    triangle-inequality bounds on F feed the Fujiwara bound, and
+    Disc F = lc(F)^(2n-2) prod (alpha_i - alpha_j)^2 adds |lc F|^(2n-2)."""
     box = CoefficientBox.build(shape, Y)
     a_bound = [1] * (shape.d_g + 1)
     b_bound = [1] * (shape.d_h + 1) if shape.b_len or shape.monic_h else []
@@ -562,8 +562,10 @@ def box_disc_bound(curve: HyperellipticCurve, shape: FamilyShape, Y) -> Fraction
         for i, bi in enumerate(b_bound):
             for j, bj in enumerate(b_bound):
                 F_bound[w + i + j] += abs(cw) * bi * bj
-    # Every census shape has g or h monic, so F_bound[n] >= 1: the degree stays n.
-    return _disc_bound(n, fujiwara_root_bound(IntPolynomial(F_bound)))
+    # In every census shape only one of g^2, f*h^2 reaches degree n, and its
+    # g or h is monic: lc F is fixed, F_bound[n] = |lc F| >= 1 and the degree
+    # stays n.
+    return _disc_bound(n, fujiwara_root_bound(IntPolynomial(F_bound))) * F_bound[n] ** (2 * n - 2)
 
 
 # -- exponent calculus ----------------------------------------------------------

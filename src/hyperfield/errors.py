@@ -33,6 +33,10 @@ class ConstantPolynomial(HyperfieldError):
     """Operation defined only for degree >= 1 (discriminant, monicize, ...)."""
 
 
+class NotSquarefree(HyperfieldError, ValueError):
+    """Disc = 0: a polynomial has a repeated factor (factor.good_splitting_types)."""
+
+
 class BadPrime(HyperfieldError):
     """Prime divides the leading coefficient or the discriminant."""
 

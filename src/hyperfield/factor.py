@@ -4,7 +4,10 @@ factor_mod_p is the validated single-prime Dedekind sampler (partition
 of factor degrees mod a good prime = Frobenius cycle type).
 good_splitting_types walks the primes good for F (not dividing
 lc(F) * Disc(F)) without computing Disc(F): the batched kernel marks
-the primes where F is not squarefree, and the walk skips them.
+the primes where F is not squarefree, and the walk skips them. It is
+also the squarefree decision: once the marked primes pass Mahler's
+bound on |Disc(F)|, Disc(F) = 0 and it raises NotSquarefree, which is
+where factor_over_q runs Yun's squarefree decomposition.
 musser_degrees is Musser's degree-set intersection over splitting types
 at good primes, for the census screen and lift_and_recombine, the one
 Zassenhaus search (factor_over_q and the exact isomorphism test): the
@@ -23,7 +26,7 @@ import random
 
 from . import _kernels as kernels
 from ._kernels.pure import _ddf_blocks, _divmod_mod, _gcd_mod, _mul_mod, _pow_mod, _power_table, _prep, _reduce, _trim
-from .errors import BadPrime, ConstantPolynomial, DegreeCapExceeded, TooManyPrimes, ZeroInput
+from .errors import BadPrime, ConstantPolynomial, DegreeCapExceeded, NotSquarefree, TooManyPrimes, ZeroInput
 # Nothing here calls discriminant; it stays for perfbench/trace_spans.WRAPPED.
 from .intpoly import IntPolynomial, discriminant, poly_gcd  # noqa: F401
 
@@ -179,10 +182,11 @@ def good_splitting_types(F: IntPolynomial, count: int, start: int = 2) -> list[t
     where F is not squarefree mod q, which are exactly the ones dividing
     Disc(F), and the walk skips them.
 
-    F must be squarefree. A marked prime divides Disc(F), and Mahler's
-    bound |Disc(F)| <= n^n ||F||_2^(2n-2) holds for n = deg F; so once the
-    product of the marked primes passes it, Disc(F) = 0 and the walk raises
-    ValueError instead of going on for ever.
+    This is the package's squarefree decision where Disc(F) is not
+    computed anyway. A marked prime divides Disc(F), and Mahler's bound
+    |Disc(F)| <= n^n ||F||_2^(2n-2) holds for n = deg F; so once the
+    product of the marked primes passes it, Disc(F) = 0 and the walk
+    raises NotSquarefree. Returning proves F squarefree.
     """
     check_prime_count(count)
     if F.degree < 1:
@@ -198,22 +202,8 @@ def good_splitting_types(F: IntPolynomial, count: int, start: int = 2) -> list[t
             else:
                 found.append((q, tuple(t)))
         if marked > 1 and marked > F.degree**F.degree * sum(c * c for c in F.coeffs) ** (F.degree - 1):
-            raise ValueError("Disc = 0: the polynomial is not squarefree, so no good primes exist")
+            raise NotSquarefree("Disc = 0: the polynomial is not squarefree, so no good primes exist")
     return found
-
-
-# Small primes often divide Disc(g): the squarefree R_t of the x^4 + 1,
-# n = 6 census first reduce squarefree at the third and fourth prime.
-_SQUAREFREE_PRIMES = 6
-
-
-def squarefree_mod_small_prime(g: IntPolynomial) -> bool:
-    """Whether g is squarefree mod one of the first _SQUAREFREE_PRIMES
-    primes not dividing lc(g). True proves g squarefree over Q: the
-    reduction keeps the degree, so Disc(g) mod q is its discriminant,
-    which is not 0. False proves nothing."""
-    return any(kernels.splitting_types(g.coeffs, [q])[0] is not None
-               for q in primes_not_dividing(g.lc, _SQUAREFREE_PRIMES))
 
 
 def factor_mod_p(p: IntPolynomial, q: int) -> tuple[int, ...]:
@@ -431,8 +421,8 @@ def musser_degrees(types, degrees) -> list[int]:
 
 def lift_and_recombine(g: IntPolynomial, degrees) -> list[IntPolynomial]:
     """Factors of g found at the target `degrees` (each <= deg/2), in
-    ascending degree, then the cofactor. g is primitive and squarefree
-    with lc > 0.
+    ascending degree, then the cofactor. g is primitive with lc > 0; if
+    it is not squarefree, the good-prime walk raises NotSquarefree.
 
     Target degrees that musser_degrees drops at six odd good primes
     cannot be factor degrees; if none is left nothing is lifted.
@@ -482,9 +472,9 @@ def factor_over_q(p: IntPolynomial, cap: int = DEFAULT_DEGREE_CAP) -> list[IntPo
 
     Content (with sign) is returned as a leading degree-0 polynomial when
     it is not 1, so the product of the returned list equals p exactly.
-    Repeated factors are repeated in the list. A squarefree reduction
-    mod a small prime proves p squarefree; only when every screening
-    prime declines does Yun's algorithm split off repeated factors.
+    Repeated factors are repeated in the list. The primitive part goes
+    to lift_and_recombine as it is; only where its good-prime walk
+    raises NotSquarefree does Yun's algorithm split off repeated factors.
     """
     if p.is_zero():
         raise ZeroInput("cannot factor the zero polynomial")
@@ -494,10 +484,12 @@ def factor_over_q(p: IntPolynomial, cap: int = DEFAULT_DEGREE_CAP) -> list[IntPo
     prim = p.primitive()
     factors: list[IntPolynomial] = []
     if prim.degree >= 1:
-        parts = [(prim, 1)] if squarefree_mod_small_prime(prim) else squarefree_decomposition(prim)
-        for part, mult in parts:
-            for irr in lift_and_recombine(part, range(1, part.degree // 2 + 1)):
-                factors.extend([irr] * mult)
+        try:
+            factors = lift_and_recombine(prim, range(1, prim.degree // 2 + 1))
+        except NotSquarefree:
+            for part, mult in squarefree_decomposition(prim):
+                for irr in lift_and_recombine(part, range(1, part.degree // 2 + 1)):
+                    factors.extend([irr] * mult)
     factors.sort(key=lambda f: (f.degree, f.coeffs))
     if content != 1:
         factors.insert(0, IntPolynomial((content,)))

@@ -33,7 +33,7 @@ from .errors import (
     WitnessFailed,
 )
 from .factor import is_prime, prime_factors, primes_from
-from .intpoly import IntPolynomial, discriminant, resultant, scale_x, squarefree, translate
+from .intpoly import IntPolynomial, discriminant, resultant, scale_x, translate
 from .newton import (
     CycleCertificate,
     NewtonPolygon,
@@ -58,7 +58,7 @@ class HyperellipticCurve:
     def __post_init__(self):
         if self.f.degree < 3:
             raise HypothesisViolated("curve degree must be >= 3")
-        if not squarefree(self.f):
+        if discriminant(self.f) == 0:
             raise HypothesisViolated("f must be squarefree")
 
     @property

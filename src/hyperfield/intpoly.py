@@ -273,7 +273,7 @@ def monicize(f: IntPolynomial) -> IntPolynomial:
     return IntPolynomial([f[i] * c ** (d - 1 - i) for i in range(d)] + [1])
 
 
-# -- resultant, discriminant, squarefreeness ------------------------------
+# -- resultant and discriminant --------------------------------------------
 
 
 def resultant(a: IntPolynomial, b: IntPolynomial) -> int:
@@ -337,13 +337,6 @@ def discriminant(p: IntPolynomial) -> int:
     q, rem = divmod(sign * r, p.lc)
     assert rem == 0, "Res(p, p') must be divisible by lc(p)"
     return q
-
-
-def squarefree(p: IntPolynomial) -> bool:
-    """True iff gcd(p, p') is constant, i.e. Disc(p) != 0."""
-    if p.degree < 1:
-        raise ConstantPolynomial("squarefree check requires degree >= 1")
-    return poly_gcd(p, p.derivative()).degree == 0
 
 
 # -- text format -----------------------------------------------------------

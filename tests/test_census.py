@@ -384,11 +384,11 @@ class TestIsomorphicExact:
 
     QUARTIC_ISO_PAIR = (P((-1, 0, 1, -2, -2, 2, 1)), P((-1, 0, 1, 2, -2, -2, 1)))  # F and F(-x)
 
-    def test_x_to_minus_x_pair_makes_one_discriminant_call(self, monkeypatch):
+    def test_x_to_minus_x_pair_makes_no_discriminant_call(self, monkeypatch):
         # R_1 of an x -> -x pair is not squarefree (the roots -a_j - a_i
-        # come in pairs), so every screening prime declines and the exact
-        # Disc(R_1) = 0 arbitrates. R_2 is squarefree mod a small prime: no
-        # Disc. The parent computed both discriminants.
+        # come in pairs): the good-prime walk of lift_and_recombine raises
+        # NotSquarefree and the search moves on to t = 2. No Disc(R_t) is
+        # computed.
         calls = []
 
         def counting(R):
@@ -397,7 +397,7 @@ class TestIsomorphicExact:
 
         monkeypatch.setattr(census, "discriminant", counting)
         assert isomorphic_exact(*self.QUARTIC_ISO_PAIR)
-        assert calls == [36]
+        assert calls == []
 
     def test_walk_on_the_quartic_iso_resolvents(self, monkeypatch):
         # The squarefree R_t of census-quartic-iso (degree 36, coefficients
@@ -517,11 +517,17 @@ class TestRootBounds:
         from hyperfield.family import build_family_member
         from hyperfield.intpoly import discriminant
 
-        # the odd-even, odd-odd and even-even census shapes
-        for curve, d, n in [(C3, 3, 4), (C3, 3, 5), (HyperellipticCurve(P((1, 0, 0, 0, 1))), 4, 6)]:
+        # the odd-even, odd-odd and even-even census shapes, and the
+        # odd-odd shape with lc F = -10^6, whose |lc F|^(2n-2) the bound needs
+        for curve, d, n, Y in [
+            (C3, 3, 4, 2),
+            (C3, 3, 5, 2),
+            (HyperellipticCurve(P((1, 0, 0, 0, 1))), 4, 6, 2),
+            (HyperellipticCurve(P((1, 1, 0, 10**6))), 3, 5, 1),
+        ]:
             sh = FamilyShape.census_shape(d, n)
-            bound = box_disc_bound(curve, sh, 2)
-            for s in CoefficientBox.build(sh, 2).specializations():
+            bound = box_disc_bound(curve, sh, Y)
+            for s in CoefficientBox.build(sh, Y).specializations():
                 F = build_family_member(curve, sh, s)
                 assert abs(discriminant(F)) <= bound, (curve, n, s)
 

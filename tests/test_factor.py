@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from hyperfield import _kernels, factor
 from hyperfield._kernels import pure
-from hyperfield.errors import BadPrime, ConstantPolynomial, DegreeCapExceeded
+from hyperfield.errors import BadPrime, ConstantPolynomial, DegreeCapExceeded, NotSquarefree
 from hyperfield.factor import (
     factor_mod_p,
     factor_over_q,
@@ -172,10 +172,59 @@ class TestGoodPrimeWalk:
 
     def test_walk_refuses_a_polynomial_that_is_not_squarefree(self):
         for F in (P((1, 0, 1)) * P((1, 0, 1)), P((-3, 1)) ** 3 * P((2, 1)), P((5, 1, 7)) * P((5, 1, 7)) * 6):
-            with pytest.raises(ValueError, match="not squarefree"):
+            with pytest.raises(ValueError, match="not squarefree") as refused:
                 good_splitting_types(F, 10)
+            assert isinstance(refused.value, NotSquarefree)
         with pytest.raises(ConstantPolynomial):
             good_splitting_types(P((5,)), 10)
+
+    def test_walk_raises_exactly_where_disc_is_zero(self):
+        # Mahler's bound makes the walk a complete squarefree decision: on
+        # products a*b and a^2*b, some with coefficients past 2^64, it raises
+        # NotSquarefree exactly where Disc(F) = 0.
+        rng = random.Random(8)
+
+        def factor_poly(size):
+            return P([rng.randint(-size, size) for _ in range(rng.randint(1, 3))] + [rng.choice([1, 2, -3, size])])
+
+        raised = kept = big = 0
+        for _ in range(300):
+            size = rng.choice([2, 2, 30, 2**70])
+            a, b = factor_poly(size), factor_poly(size)
+            F = a * a * b if rng.random() < 0.4 else a * b
+            zero = discriminant(F) == 0
+            try:
+                good_splitting_types(F, 5, rng.choice([2, 3]))
+            except NotSquarefree:
+                assert zero, F
+                raised += 1
+            else:
+                assert not zero, F
+                kept += 1
+            big += max(map(abs, F.coeffs)) > 2**64
+        assert raised > 100 and kept > 100 and big > 50
+
+    def test_squarefree_square_mod_small_primes_never_reaches_yun(self, monkeypatch):
+        # F = a (a + 30030 c) is squarefree, yet a square mod every prime up
+        # to 13, so no small prime proves it squarefree. The walk proves it
+        # at larger primes, and Yun never runs.
+        def no_yun(f):
+            raise AssertionError("squarefree_decomposition called")
+
+        monkeypatch.setattr(factor, "squarefree_decomposition", no_yun)
+        rng = random.Random(9)
+        checked = 0
+        while checked < 200:
+            a = P([rng.randint(-9, 9) for _ in range(rng.randint(1, 6))] + [1])
+            c = P([rng.randint(-3, 3) for _ in range(a.degree)])
+            F = a * (a + c * 30030)
+            if discriminant(F) == 0:
+                continue
+            fs = factor_over_q(F)
+            content, want = sympy_factors(F)
+            assert sorted(f.coeffs for f in fs if f.degree > 0) == want, F
+            assert product([f for f in fs if f.degree == 0]).coeffs == (content,)
+            checked += 1
 
     def test_factor_over_q_keeps_a_repeated_factor(self):
         # (x^2 + 1)^2 (x - 3) is not squarefree mod any prime: Yun runs.

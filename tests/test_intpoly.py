@@ -15,7 +15,6 @@ from hyperfield.intpoly import (
     poly_gcd,
     resultant,
     scale_x,
-    squarefree,
     translate,
 )
 
@@ -215,19 +214,6 @@ class TestResultantDiscriminant:
             p = P([rng.randint(-9, 9) for _ in range(rng.randint(2, 6))] + [1])
             k = rng.randint(-10, 10)
             assert discriminant(translate(p, k)) == discriminant(p)
-
-    def test_squarefree_examples(self):
-        assert squarefree(P((1, 1, 0, 1)))
-        assert not squarefree(P((1, -2, 1)) * P((2, 1)))
-        assert squarefree(P((0, 1)))
-
-    def test_squarefree_iff_disc_nonzero(self):
-        rng = random.Random(5)
-        for _ in range(300):
-            p = P([rng.randint(-6, 6) for _ in range(rng.randint(2, 9))])
-            if p.degree < 1:
-                continue
-            assert squarefree(p) == (discriminant(p) != 0)
 
 
 class TestGcd:
