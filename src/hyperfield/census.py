@@ -50,9 +50,9 @@ import hashlib
 import itertools
 import math
 import os
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import add, mul
+from typing import NamedTuple
 
 from . import _kernels as kernels
 from .errors import (
@@ -160,8 +160,7 @@ def box_exponents(shape: FamilyShape) -> list[tuple[str, int, Fraction]]:
     return out
 
 
-@dataclass(frozen=True)
-class CoefficientBox:
+class CoefficientBox(NamedTuple):
     shape: FamilyShape
     Y: Fraction
     bounds: tuple[tuple[str, int, int], ...]  # (side, index, bound)
@@ -203,8 +202,7 @@ class CoefficientBox:
 # -- field fingerprints --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FieldFingerprint:
+class FieldFingerprint(NamedTuple):
     degree: int
     entries: tuple[tuple[int, tuple[int, ...]], ...]  # (prime, splitting type)
 
@@ -245,27 +243,37 @@ POLYGON_PRIMES = 6  # Newton polygons tried at the first primes not dividing lc(
 ISO_CAP = 6  # largest degree at which field classes are confirmed by isomorphic_exact
 
 
-@dataclass(frozen=True)
-class CensusConfig:
+class CensusConfig(NamedTuple):
     fingerprint_primes: int = 50
     factor_cap: int = DEFAULT_DEGREE_CAP
     box_cap: int = 100_000_000
     workers: int = 1
 
 
-@dataclass(eq=False)
 class FieldEntry:
     """The table entry of one distinct F: its classification (status, Disc F,
     fingerprint and its hash), then, for one box, the number of records with
     this F and its field class. Every record with this F shares the entry."""
 
-    F: IntPolynomial
-    disc_F: int
-    status: str
-    fingerprint: FieldFingerprint | None = None
-    hash_hex: str = ""
-    multiplicity: int = 0
-    class_id: int | None = None
+    __slots__ = ("F", "disc_F", "status", "fingerprint", "hash_hex", "multiplicity", "class_id")
+
+    def __init__(
+        self,
+        F: IntPolynomial,
+        disc_F: int,
+        status: str,
+        fingerprint: FieldFingerprint | None = None,
+        hash_hex: str = "",
+        multiplicity: int = 0,
+        class_id: int | None = None,
+    ):
+        self.F = F
+        self.disc_F = disc_F
+        self.status = status
+        self.fingerprint = fingerprint
+        self.hash_hex = hash_hex
+        self.multiplicity = multiplicity
+        self.class_id = class_id
 
     # Classification reads F alone. An h = 0 member has F = g^2, which has
     # Disc F = 0 and is REDUCIBLE like any other square; the record carries
@@ -273,8 +281,7 @@ class FieldEntry:
     no_point = False
 
 
-@dataclass(frozen=True, slots=True)
-class CensusRecord:
+class CensusRecord(NamedTuple):
     spec: Specialization
     F: IntPolynomial
     no_point: bool
@@ -379,7 +386,10 @@ def _box_records(
         entry = table.get(F.coeffs)
         if entry is None:
             old = classified.get(F.coeffs)
-            entry = classify_record(F, cfg) if old is None else replace(old, multiplicity=0, class_id=None)
+            if old is None:
+                entry = classify_record(F, cfg)
+            else:  # the classification, without this box's multiplicity and class
+                entry = FieldEntry(F, old.disc_F, old.status, old.fingerprint, old.hash_hex)
             table[F.coeffs] = entry
         entry.multiplicity += 1
         yield CensusRecord(s, F, s.h_poly(shape).is_zero(), entry)
@@ -571,8 +581,7 @@ def box_disc_bound(curve: HyperellipticCurve, shape: FamilyShape, Y) -> Fraction
 # -- exponent calculus ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExponentReport:
+class ExponentReport(NamedTuple):
     g: int
     d: int
     n: int
@@ -699,8 +708,7 @@ def _check_tail(g: int, window: int) -> None:
 # -- the full census -----------------------------------------------------------
 
 
-@dataclass
-class CensusResult:
+class CensusResult(NamedTuple):
     curve: HyperellipticCurve
     shape: FamilyShape
     Y: Fraction

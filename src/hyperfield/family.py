@@ -21,8 +21,8 @@ with the unit residues drawn from the seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     DegreeDrop,
@@ -49,17 +49,17 @@ ODD_D_ODD_N = "ODD_D_ODD_N"
 EVEN_D_EVEN_N = "EVEN_D_EVEN_N"
 
 
-@dataclass(frozen=True)
 class HyperellipticCurve:
     """y^2 = f(x) with f squarefree of degree d >= 3; genus g from d = 2g+1 or 2g+2."""
 
-    f: IntPolynomial
+    __slots__ = ("f",)
 
-    def __post_init__(self):
-        if self.f.degree < 3:
+    def __init__(self, f: IntPolynomial):
+        if f.degree < 3:
             raise HypothesisViolated("curve degree must be >= 3")
-        if discriminant(self.f) == 0:
+        if discriminant(f) == 0:
             raise HypothesisViolated("f must be squarefree")
+        self.f = f
 
     @property
     def d(self) -> int:
@@ -70,8 +70,7 @@ class HyperellipticCurve:
         return (self.d - 1) // 2 if self.d % 2 else (self.d - 2) // 2
 
 
-@dataclass(frozen=True)
-class FamilyShape:
+class FamilyShape(NamedTuple):
     n: int
     d_g: int
     d_h: int
@@ -113,8 +112,7 @@ class FamilyShape:
         return self.d_h if self.monic_h else self.d_h + 1
 
 
-@dataclass(frozen=True)
-class Specialization:
+class Specialization(NamedTuple):
     """Free coefficients, ascending; a monic side omits its leading 1."""
 
     a: tuple[int, ...]
@@ -180,16 +178,16 @@ ALL_RECIPE_KINDS = (
 )
 
 
-@dataclass(frozen=True)
 class Recipe:
-    kind: str
-    k: int | None = None  # cycle length for K_CYCLE
+    __slots__ = ("kind", "k")
 
-    def __post_init__(self):
-        if self.kind not in ALL_RECIPE_KINDS:
-            raise ValueError(f"unknown recipe {self.kind}")
-        if (self.kind == K_CYCLE) != (self.k is not None):
+    def __init__(self, kind: str, k: int | None = None):  # k: cycle length for K_CYCLE
+        if kind not in ALL_RECIPE_KINDS:
+            raise ValueError(f"unknown recipe {kind}")
+        if (kind == K_CYCLE) != (k is not None):
             raise ValueError("K_CYCLE takes a cycle length k; other recipes do not")
+        self.kind = kind
+        self.k = k
 
     @property
     def label(self) -> str:

@@ -16,7 +16,6 @@ lc(a)^deg(b) * lc(b)^deg(a) * prod (alpha_i - beta_j).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ConstantPolynomial, PolyParseError, ZeroInput, ZeroScale
@@ -29,14 +28,24 @@ def _trim(coeffs: Iterable) -> tuple:
     return tuple(cs)
 
 
-@dataclass(frozen=True)
 class IntPolynomial:
     """Integer polynomial, dense ascending coefficients, no trailing zeros."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        object.__setattr__(self, "coeffs", _trim(int(c) for c in coeffs))
+        self.coeffs: tuple[int, ...] = _trim(int(c) for c in coeffs)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not IntPolynomial:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    # p[i] is 0 past the degree, so the iteration protocol would never stop.
+    __iter__ = None
 
     # -- basic structure -------------------------------------------------
 

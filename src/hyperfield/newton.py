@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import BadPrime, ZeroPolynomial
 from .factor import is_prime
@@ -45,14 +45,12 @@ def valuation(x, p: int):
     return v
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     length: int
     slope: Fraction
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(NamedTuple):
     prime: int
     vertices: tuple[tuple[int, int], ...]  # lattice points, strictly increasing i
     x_power: int = 0  # multiplicity of the root 0, stripped before the hull
@@ -81,18 +79,13 @@ class NewtonPolygon:
         }
 
 
-@dataclass(frozen=True)
-class CycleCertificate:
+class CycleCertificate(NamedTuple):
     """Evidence that Gal(f/Q) contains a cycle of length `cycle_length`."""
 
     prime: int
     cycle_length: int
     slope: Fraction
     witness_digest: str
-
-    def __post_init__(self):
-        assert math.gcd(self.slope.numerator, self.cycle_length) == 1 or self.slope == 0
-        assert math.gcd(self.cycle_length, self.prime) == 1
 
 
 def poly_digest(p: IntPolynomial) -> str:
@@ -119,8 +112,7 @@ def newton_polygon(p: IntPolynomial, q: int) -> NewtonPolygon:
     return NewtonPolygon(prime=q, vertices=tuple(hull), x_power=x_power)
 
 
-@dataclass(frozen=True)
-class FactorBlock:
+class FactorBlock(NamedTuple):
     """Q_p-factor of degree `length`; irreducible parts have degree divisible by `divisor`."""
 
     length: int

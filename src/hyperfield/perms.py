@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from .errors import BadEvidence, DegreeCapExceeded
 # Nothing here calls factor_mod_p; it stays for perfbench/trace_spans.WRAPPED.
@@ -221,8 +221,7 @@ SN = "SN"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 
-@dataclass(frozen=True)
-class GroupCertificate:
+class GroupCertificate(NamedTuple):
     degree: int
     evidence: tuple[tuple[CycleType, str], ...]  # (type, provenance)
     rule: str | None

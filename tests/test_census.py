@@ -1,6 +1,5 @@
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -341,7 +340,7 @@ class TestClassIndex:
     def test_empty_fingerprint_is_compatible_with_all(self):
         records = self._records(40, seed=6)
         empty = census.FieldFingerprint(7, ())
-        records.append(replace(records[0], F=P((99, 0, 0, 0, 0, 0, 0, 1)), fingerprint=empty))
+        records.append(census.FieldEntry(P((99, 0, 0, 0, 0, 0, 0, 1)), 1, SN_CERTIFIED, fingerprint=empty))
         classes, _ = census._class_groups(records)
         assert len(classes) == 1 == len(self._reference(records))
 

@@ -411,6 +411,23 @@ class TestParserReuse:
         assert proc.stdout.strip() == "0", proc.stderr
 
 
+class TestImportCost:
+    def test_cli_import_loads_no_dataclasses(self):
+        # dataclasses pulls in inspect, ast, dis and tokenize, which nothing
+        # else needs: 10-12 ms of every certify and census process's start-up
+        # on Python 3.11 (2-core x86-64 host), before its classes are built.
+        code = (
+            "import sys; before = set(sys.modules); import hyperfield.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"})
+        loaded = proc.stdout.split()
+        assert "hyperfield.cli" in loaded, proc.stderr
+        assert "dataclasses" not in loaded
+        assert "inspect" not in loaded
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(

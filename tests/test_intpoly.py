@@ -113,6 +113,21 @@ class TestArithmetic:
             assert [Fraction(c) for c in prem.coeffs] == _rat_rem(lhs.coeffs, b.coeffs)
 
 
+class TestValue:
+    def test_not_iterable(self):
+        # p[i] is 0 past the degree: iterating by __getitem__ would never stop.
+        p = P((1, 2))
+        with pytest.raises(TypeError):
+            iter(p)
+        with pytest.raises(TypeError):
+            5 in p
+
+    def test_equality_and_hash_follow_coefficients(self):
+        assert P((1, 2, 0)) == P((1, 2)) and hash(P((1, 2, 0))) == hash(P((1, 2)))
+        assert P((1, 2)) != P((1, 3))
+        assert P((1, 2)) != (1, 2)
+
+
 class TestChangeOfVariables:
     def test_translate_square(self):
         assert translate(P((0, 0, 1)), 1).coeffs == (1, 2, 1)
