@@ -11,13 +11,16 @@ REDUCIBLE, IRREDUCIBLE_UNCERTIFIED, or SN_CERTIFIED. These depend on F
 alone, and F = g^2 - f h^2 does not change under g -> -g or h -> -h, so
 many records repeat an F. Each distinct F is classified once: the census
 keeps one table entry per F (status, Disc(F), fingerprint and its hash,
-multiplicity, class id), which all its records share. A sweep reuses
-the classifications of its smaller boxes; only the multiplicities and
-field classes are computed again at each height. Irreducibility is
-decided by (in order) Musser's degree-set intersection over the
-splitting types at the first IRREDUCIBILITY_PRIMES good primes, a Newton
-polygon that is one irreducible block at one of the first POLYGON_PRIMES
-primes not dividing lc(F), then factor_over_q below the degree cap. S_n
+multiplicity, class id), which all its records share. On an even curve
+(f(-x) = f(x)), x -> -x maps the box onto itself and F to F(-x), which has
+the same classification: one F per mirror pair is classified, and the
+other takes a copy. A sweep reuses the classifications of its smaller
+boxes; only the multiplicities and field classes are computed again at
+each height. Irreducibility is decided by (in order) Musser's
+degree-set intersection over the splitting types at the first
+IRREDUCIBILITY_PRIMES good primes, a Newton polygon that is one
+irreducible block at one of the first POLYGON_PRIMES primes not dividing
+lc(F), then factor_over_q below the degree cap. S_n
 certification runs the recognition rules on Frobenius cycle types at the
 first fingerprint_primes good primes (not dividing lc(F) * Disc(F)),
 read from factor's prime table; they double as the field fingerprint.
@@ -26,10 +29,11 @@ Field classes merge records whose fingerprints agree at every shared
 prime. The compatible pairs come from an index of Python-int bitsets, one
 per (prime, splitting type) and one per prime, rather than from a
 comparison of every pair, so there is no key count above which merging
-stops. Up to degree ISO_CAP, each merge is checked by isomorphic_exact
-(Trager's resultant R_t, searched for a degree-n factor by the same
-factor.lift_and_recombine that factor_over_q uses); a failed check is
-counted in unconfirmed_classes.
+stops. Each merge is checked by isomorphic_exact. At any degree it proves
+F and F(-x), or a rational multiple of either, isomorphic outright; up to
+degree ISO_CAP it runs Trager's resultant R_t, searched for a degree-n
+factor by the same factor.lift_and_recombine that factor_over_q uses. A
+merge it does not prove is counted in unconfirmed_classes.
 
 Members with h = 0 (possible only for the even-n shapes, where h has no
 forced monic term) are enumerated for the exact-cardinality invariant
@@ -82,7 +86,7 @@ from .family import (
     Specialization,
     build_family_member,
 )
-from .intpoly import IntPolynomial, discriminant, format_poly, monicize
+from .intpoly import IntPolynomial, discriminant, format_poly, monicize, scale_x
 from .newton import factorization_shape, newton_polygon
 from .perms import SN, recognize_sn
 
@@ -375,17 +379,36 @@ def _box_records(
     per distinct F of the box. An F in `classified` (entries from smaller boxes
     of the same census) takes a copy of that classification; any other F
     is classified once, here or, with `workers` > 1, in a pool of that many
-    processes fed only the F not classified yet."""
+    processes fed only the F not classified yet.
+
+    On an even curve (f(-x) = f(x)) the mirror F(-x) of a member is also a
+    member, and one F per mirror pair is classified: the other takes a
+    copy. The copy is exact. n is even, so F(-x) has the leading
+    coefficient and discriminant of F, hence the same good primes; x -> -x
+    is an automorphism of F_p[x], so the splitting types agree at every
+    prime; the coefficients differ only in sign, so the Newton polygons
+    agree; and F(-x) is reducible exactly when F is."""
     shape = box.shape
     members = ((s, build_family_member(curve, shape, s)) for s in box.specializations())
+    even = not any(curve.f.coeffs[1::2])
+
+    def known(F, *maps):
+        """The value of F, or on an even curve of its mirror, in the first map
+        that has either; None if none has."""
+        keys = (F.coeffs, scale_x(F, -1).coeffs) if even else (F.coeffs,)
+        return next((m[k] for m in maps for k in keys if k in m), None)
+
     if workers > 1:
         members = list(members)
-        unseen = {F.coeffs: F for _, F in members if F.coeffs not in classified}
+        unseen = {}
+        for _, F in members:
+            if known(F, classified, unseen) is None:
+                unseen[F.coeffs] = F
         table.update(zip(unseen, _classify_in_pool(list(unseen.values()), cfg, workers)))
     for s, F in members:
         entry = table.get(F.coeffs)
         if entry is None:
-            old = classified.get(F.coeffs)
+            old = known(F, table, classified)
             if old is None:
                 entry = classify_record(F, cfg)
             else:  # the classification, without this box's multiplicity and class
@@ -470,7 +493,10 @@ def _resultant_in_x(F1: IntPolynomial, F2: IntPolynomial, t: int) -> IntPolynomi
 
 
 def isomorphic_exact(F1: IntPolynomial, F2: IntPolynomial, cap: int = ISO_CAP) -> bool:
-    """Q[x]/(F1) isomorphic to Q[x]/(F2)? Trager-style resultant test.
+    """Q[x]/(F1) isomorphic to Q[x]/(F2)? First the cheap proofs, at any
+    degree: F2 is a rational multiple of F1 or of F1(-x) (primitive parts
+    have a positive leading coefficient, so the sign (-1)^n of F1(-x) needs
+    no case). Otherwise, up to degree `cap`, a Trager-style resultant test.
 
     R_t(x) = Res_y(F1(y), F2(x + t*y)) factors over Q along Galois orbits
     of beta_j - t*alpha_i; the fields are isomorphic iff R_t has an
@@ -482,12 +508,10 @@ def isomorphic_exact(F1: IntPolynomial, F2: IntPolynomial, cap: int = ISO_CAP) -
     n = F1.degree
     if n != F2.degree:
         return False
+    if n == 1 or F2.primitive().coeffs in (F1.primitive().coeffs, scale_x(F1, -1).primitive().coeffs):
+        return True
     if n > cap:
         raise DegreeCapExceeded(f"exact isomorphism capped at degree {cap}")
-    if n == 1:
-        return True
-    if F1.primitive().coeffs == F2.primitive().coeffs:
-        return True
     for t in range(1, 40):
         R = _resultant_in_x(F1, F2, t).primitive()
         if R.degree != n * n:
@@ -746,7 +770,8 @@ def _compatible_pairs(keys: list[tuple]):
 
 def _class_groups(entries: list[FieldEntry]):
     """Group the entries of irreducible F into field classes via fingerprints,
-    merging compatible keys and exact-confirming collisions below the cap."""
+    merging compatible keys; a class of several F that isomorphic_exact does
+    not prove (above ISO_CAP, only mirror pairs are proved) is unconfirmed."""
     keyed: dict[tuple, list[FieldEntry]] = {}
     for e in entries:
         if e.fingerprint is None:
@@ -769,18 +794,16 @@ def _class_groups(entries: list[FieldEntry]):
     classes = [sorted(v, key=lambda e: e.F.coeffs) for v in merged.values()]
     classes.sort(key=lambda g: g[0].F.coeffs)
     unconfirmed = 0
-    n = entries[0].F.degree if entries else 0
     for group in classes:
         distinct = sorted({e.F.coeffs for e in group})
-        if len(distinct) <= 1:
-            continue
-        if n > ISO_CAP:
-            unconfirmed += 1
-            continue
         base = IntPolynomial(distinct[0])
         for other in distinct[1:]:
-            if not isomorphic_exact(base, IntPolynomial(other)):
-                unconfirmed += 1  # fingerprint collision of non-isomorphic fields
+            try:
+                proved = isomorphic_exact(base, IntPolynomial(other))
+            except DegreeCapExceeded:  # no cheap proof, and Trager's test is capped
+                proved = False
+            if not proved:
+                unconfirmed += 1  # a fingerprint collision of fields not proved isomorphic
                 break
     return classes, unconfirmed
 

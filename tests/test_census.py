@@ -28,7 +28,7 @@ from hyperfield.census import (
 from hyperfield.errors import BoxTooLarge, DegreeCapExceeded, HypothesisViolated, NonMonic, SearchExhausted
 from hyperfield.factor import factor_mod_p
 from hyperfield.family import FamilyShape, HyperellipticCurve, build_family_member
-from hyperfield.intpoly import IntPolynomial, discriminant, translate
+from hyperfield.intpoly import IntPolynomial, discriminant, scale_x, translate
 from hyperfield.newton import newton_polygon
 from hyperfield.perms import recognize_sn
 
@@ -36,11 +36,26 @@ P = IntPolynomial
 C3 = HyperellipticCurve(P((1, 1, 0, 1)))
 C5 = HyperellipticCurve(P((1, -1, 0, 0, 0, 1)))
 C6 = HyperellipticCurve(P((3, 1, 0, 0, 0, 0, 1)))
+QUARTIC = HyperellipticCurve(P((1, 0, 0, 0, 1)))  # even: x -> -x maps each box onto itself
 X, Yv = sympy.symbols("x y")
 
 
 def _sym(coeffs, var=X):
     return sum(c * var**i for i, c in enumerate(coeffs))
+
+
+def mirror(F):
+    """The coefficients of F(-x), for the coefficient tuple of F."""
+    return scale_x(P(F), -1).coeffs
+
+
+def multi_F_classes(res):
+    """The field classes of a census that hold several distinct F, each as a sorted list."""
+    classes = {}
+    for r in res.records:
+        if r.class_id is not None:
+            classes.setdefault(r.class_id, set()).add(r.F.coeffs)
+    return [sorted(g) for g in classes.values() if len(g) > 1]
 
 
 def f_from_spec(curve, shape, csv_line):
@@ -382,36 +397,61 @@ class TestIsomorphicExact:
             isomorphic_exact(P((1, 1, 0, 1)), P((1, 2, 0, 1)))
 
     QUARTIC_ISO_PAIR = (P((-1, 0, 1, -2, -2, 2, 1)), P((-1, 0, 1, 2, -2, -2, 1)))  # F and F(-x)
+    F = QUARTIC_ISO_PAIR[0]
 
     def test_x_to_minus_x_pair_makes_no_discriminant_call(self, monkeypatch):
-        # R_1 of an x -> -x pair is not squarefree (the roots -a_j - a_i
-        # come in pairs): the good-prime walk of lift_and_recombine raises
-        # NotSquarefree and the search moves on to t = 2. No Disc(R_t) is
-        # computed.
-        calls = []
+        # The mirror pair is proved by x -> -x, with no R_t at all. F and
+        # F(-x-1) are isomorphic but not mirrors: their R_1 is not squarefree
+        # (its roots -a_j - 1 - a_i come in pairs), so the good-prime walk of
+        # lift_and_recombine raises NotSquarefree and Trager's search moves
+        # on to t = 2. No Disc(R_t) is computed.
+        calls, tried = [], []
+        real = census._resultant_in_x
 
         def counting(R):
             calls.append(R.degree)
             return discriminant(R)
 
+        def recording(F1, F2, t):
+            tried.append(t)
+            return real(F1, F2, t)
+
         monkeypatch.setattr(census, "discriminant", counting)
-        assert isomorphic_exact(*self.QUARTIC_ISO_PAIR)
+        monkeypatch.setattr(census, "_resultant_in_x", recording)
+        not_mirrors = (self.F, translate(scale_x(self.F, -1), 1))
+        for pair, shifts in ((self.QUARTIC_ISO_PAIR, []), (not_mirrors, [1, 2])):
+            tried.clear()
+            assert isomorphic_exact(*pair)
+            assert tried == shifts
         assert calls == []
 
-    def test_walk_on_the_quartic_iso_resolvents(self, monkeypatch):
-        # The squarefree R_t of census-quartic-iso (degree 36, coefficients
-        # past 64 bits): the kernel walk takes the primes that
-        # primes_not_dividing(lc * Disc) does.
-        resolvents = []
-        real = census._resultant_in_x
+    def test_mirror_pairs_are_proved_without_resultant(self, monkeypatch):
+        def no_resultant(*args):
+            raise AssertionError("_resultant_in_x called")
 
-        def keeping(F1, F2, t):
-            R = real(F1, F2, t)
-            resolvents.append(R.primitive())
-            return R
+        monkeypatch.setattr(census, "_resultant_in_x", no_resultant)
+        assert isomorphic_exact(*self.QUARTIC_ISO_PAIR)
+        quintic = P((-1, -1, 0, 0, 0, 1))  # odd n: F(-x) has leading coefficient -1
+        assert isomorphic_exact(quintic, -scale_x(quintic, -1))
+        assert isomorphic_exact(quintic, scale_x(quintic, -1))
+        assert isomorphic_exact(self.F * 3, scale_x(self.F, -1) * -2)  # not primitive
+        # The proof comes before the degree cap, at n = 8 as at n = 5.
+        octic = P((3, 1, 0, 2, 0, 0, 5, 1, 1))
+        assert isomorphic_exact(octic, scale_x(octic, -1), cap=6)
+        assert isomorphic_exact(quintic, -scale_x(quintic, -1), cap=4)
+        with pytest.raises(DegreeCapExceeded):
+            isomorphic_exact(octic, translate(octic, 1), cap=6)
 
-        monkeypatch.setattr(census, "_resultant_in_x", keeping)
-        run_census(HyperellipticCurve(P((1, 0, 0, 0, 1))), 6, Fraction(5, 4))
+    def test_walk_on_the_quartic_iso_resolvents(self):
+        # The squarefree R_t of the mirror pairs of census-quartic-iso
+        # (degree 36, coefficients past 64 bits): the kernel walk takes the
+        # primes that primes_not_dividing(lc * Disc) does.
+        pairs = multi_F_classes(run_census(QUARTIC, 6, Fraction(5, 4)))
+        assert len(pairs) == 3
+        assert all(mirror(F1) == F2 for F1, F2 in pairs)
+        resolvents = [
+            census._resultant_in_x(P(F1), P(F2), t).primitive() for F1, F2 in pairs for t in (1, 2)
+        ]
         squarefree = [R for R in resolvents if discriminant(R)]
         assert len(squarefree) == 3 and {R.degree for R in squarefree} == {36}
         for R in squarefree:
@@ -472,7 +512,7 @@ class TestIsomorphicExact:
         from sympy.polys.numberfields import field_isomorphism
 
         from hyperfield.factor import is_irreducible
-        from hyperfield.intpoly import monicize, scale_x
+        from hyperfield.intpoly import monicize
 
         x = Symbol("x")
         rng = random.Random(5)
@@ -487,11 +527,14 @@ class TestIsomorphicExact:
             polys = [rand_irr(deg) for _ in range(3)]
             polys.append(translate(polys[0], 2))
             polys.append(monicize(scale_x(polys[1], 2)))  # roots halved: same field
-            for A, B in itertools.combinations(polys, 2):
+            roots = [Poly(sum(c * x**i for i, c in enumerate(A.coeffs)), x).all_roots()[0] for A in polys]
+            # The mirror, with the root -roots[2] (its own root 0 is minus
+            # the last root of polys[2], which may generate another subfield of C).
+            polys.append(scale_x(polys[2], -1))
+            roots.append(-roots[2])
+            for (A, ra), (B, rb) in itertools.combinations(zip(polys, roots), 2):
                 mine = isomorphic_exact(A, B)
-                ra = AlgebraicNumber(Poly(sum(c * x**i for i, c in enumerate(A.coeffs)), x).all_roots()[0])
-                rb = AlgebraicNumber(Poly(sum(c * x**i for i, c in enumerate(B.coeffs)), x).all_roots()[0])
-                assert mine == (field_isomorphism(ra, rb) is not None), (A, B)
+                assert mine == (field_isomorphism(AlgebraicNumber(ra), AlgebraicNumber(rb)) is not None), (A, B)
 
 
 class TestRootBounds:
@@ -659,6 +702,66 @@ class TestRunCensus:
         assert sent[1] == [k for k in dict.fromkeys(r.F.coeffs for r in base.records) if k not in seen]
         assert again.csv_lines == base.csv_lines and again.summary == base.summary
         assert set(classified) == {r.F.coeffs for r in base.records}
+
+    @pytest.mark.parametrize(
+        "curve, n, Y",
+        [(QUARTIC, 6, Fraction(3, 2)), (HyperellipticCurve(P((1, 0, 0, 0, 0, 0, 1))), 8, 1)],
+    )
+    def test_mirror_copies_equal_their_classification(self, curve, n, Y):
+        """On an even curve the F whose mirror F(-x) was classified first
+        carry a copy: each entry equals classify_record of its own F."""
+        res = run_census(curve, n, Y)
+        entries = {r.F.coeffs: r.entry for r in res.records}
+        assert sum(mirror(F) in entries for F in entries) > len(entries) // 2
+        for F, e in entries.items():
+            want = census.classify_record(P(F), CensusConfig())
+            assert e.F.coeffs == F
+            assert (e.disc_F, e.status, e.fingerprint, e.hash_hex) == (
+                want.disc_F, want.status, want.fingerprint, want.hash_hex
+            )
+
+    def test_mirror_classes_above_iso_cap_are_confirmed(self):
+        # x^6 + 1 at n = 8 > ISO_CAP: every class of several F is {F, F(-x)},
+        # which isomorphic_exact proves without Trager's capped test.
+        res = run_census(HyperellipticCurve(P((1, 0, 0, 0, 0, 0, 1))), 8, 1)
+        multi = multi_F_classes(res)
+        assert len(multi) == 11
+        assert all(mirror(F1) == F2 for F1, F2 in multi)
+        assert res.summary["diagnostics"]["unconfirmed_classes"] == 0
+
+    def test_one_classification_per_mirror_orbit(self, monkeypatch):
+        calls = []
+        real = census.classify_record
+
+        def counting(F, cfg):
+            calls.append(F.coeffs)
+            return real(F, cfg)
+
+        monkeypatch.setattr(census, "classify_record", counting)
+        res = run_census(QUARTIC, 6, Fraction(5, 4))  # the census-quartic-iso box
+        distinct = {r.F.coeffs for r in res.records}
+        orbits = {frozenset((F, mirror(F))) for F in distinct}
+        assert (len(distinct), len(orbits), len(calls)) == (54, 30, 30)
+        assert all(len(orbit & set(calls)) == 1 for orbit in orbits)
+
+    def test_pool_gets_one_F_per_mirror_orbit(self, monkeypatch):
+        sent = []
+        real = census._classify_in_pool
+
+        def recording(Fs, cfg, workers):
+            sent.extend(F.coeffs for F in Fs)
+            return real(Fs, cfg, workers)
+
+        monkeypatch.setattr(census, "_classify_in_pool", recording)
+        monkeypatch.delenv("HYPERFIELD_THREADS", raising=False)
+        base = run_census(QUARTIC, 6, Fraction(3, 2), CensusConfig(workers=1))
+        multi = run_census(QUARTIC, 6, Fraction(3, 2), CensusConfig(workers=2))
+        assert base.csv_lines == multi.csv_lines
+        assert base.summary == multi.summary
+        distinct = {r.F.coeffs for r in base.records}
+        orbits = {frozenset((F, mirror(F))) for F in distinct}
+        assert len(sent) == len(orbits) < len(distinct)
+        assert all(len(orbit & set(sent)) == 1 for orbit in orbits)
 
     def test_all_sn_have_zero_residue(self):
         # The CSV's F minus g^2 - f h^2 rebuilt from its spec is zero, and

@@ -242,6 +242,27 @@ class TestCensus:
         assert swept.read_text(encoding="utf-8").splitlines() == [lines[0], *rows]
         assert sweep_calls == {tuple(map(int, F.split(","))) for F in union}
 
+    def test_even_curve_outputs_do_not_depend_on_workers_or_sweep(self, capsys, tmp_path, monkeypatch):
+        """On x^4 + 1 one F per mirror pair is classified; the CSV and JSON
+        bytes are the same with one worker or two, and the sweep writes the
+        rows and summaries of its heights run alone."""
+        monkeypatch.delenv("HYPERFIELD_THREADS", raising=False)
+        base = ["census", "--curve", "1,0,0,0,1", "--n", "6"]
+
+        def outputs(name, args):
+            csv, js = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+            code, _, _ = run_cli(base + args + ["--out-csv", str(csv), "--out-json", str(js)], capsys)
+            assert code == 0
+            return csv.read_bytes(), js.read_bytes()
+
+        swept = [outputs(f"w{w}", ["--sweep", "5/4,3/2", "--workers", str(w)]) for w in (1, 2)]
+        assert swept[0] == swept[1]
+        alone = [outputs(f"y{i}", ["--Y", y]) for i, y in enumerate(("5/4", "3/2"))]
+        header, *rows = alone[0][0].decode().splitlines()
+        rows += alone[1][0].decode().splitlines()[1:]
+        assert swept[0][0].decode().splitlines() == [header, *rows]
+        assert json.loads(swept[0][1]) == [json.loads(js) for _, js in alone]
+
     def test_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("curve=1,1,0,1\nn=3\nY=2\n# comment\n", encoding="utf-8")
