@@ -214,16 +214,6 @@ class FieldFingerprint(NamedTuple):
     def hash_hex(self) -> str:
         return hashlib.sha1(repr((self.degree, self.entries)).encode()).hexdigest()[:12]
 
-    def compatible(self, other: "FieldFingerprint") -> bool:
-        """Equal wherever both are defined (same prime sampled)."""
-        if self.degree != other.degree:
-            return False
-        mine = dict(self.entries)
-        for p, t in other.entries:
-            if p in mine and mine[p] != t:
-                return False
-        return True
-
 
 def fingerprint(F: IntPolynomial, count: int = 50) -> FieldFingerprint:
     """Splitting types at the first `count` primes good for F (not dividing
@@ -347,17 +337,6 @@ def classify_record(F: IntPolynomial, cfg: CensusConfig) -> FieldEntry:
     status = SN_CERTIFIED if cert.conclusion == SN else IRREDUCIBLE_UNCERTIFIED
     fp = FieldFingerprint(n, entries)
     return FieldEntry(F, disc_F, status, fingerprint=fp, hash_hex=fp.hash_hex)
-
-
-def enumerate_box(
-    curve: HyperellipticCurve,
-    shape: FamilyShape,
-    Y,
-    cfg: CensusConfig = CensusConfig(),
-):
-    """Stream of CensusRecords in deterministic odometer order, each F
-    classified once. An entry's multiplicity is final once the stream ends."""
-    return _box_records(curve, _capped_box(shape, Y, cfg), cfg, {}, {})
 
 
 def _capped_box(shape: FamilyShape, Y, cfg: CensusConfig) -> CoefficientBox:
@@ -613,7 +592,6 @@ class ExponentReport(NamedTuple):
     c_n: Fraction
     c_n_improved: Fraction
     t_exponent: Fraction
-    improvement_threshold: int | None = None
 
     def to_json(self) -> dict:
         return {
@@ -624,13 +602,12 @@ class ExponentReport(NamedTuple):
             "c_n": str(self.c_n),
             "c_n_improved": str(self.c_n_improved),
             "t_exponent": str(self.t_exponent),
-            "improvement_threshold": (
-                self.improvement_threshold if self.improvement_threshold is not None else "NOT_FOUND"
-            ),
+            # Not searched here: `exponents --threshold` runs ev_threshold_search.
+            "improvement_threshold": "NOT_FOUND",
         }
 
 
-def exponents(g: int, d: int, n: int, threshold: int | None = None) -> ExponentReport:
+def exponents(g: int, d: int, n: int) -> ExponentReport:
     """All growth exponents, exact. Validates the (g, d, n) hypotheses."""
     if g < 1:
         raise HypothesisViolated(f"genus must be >= 1 (got g={g})")
@@ -655,10 +632,7 @@ def exponents(g: int, d: int, n: int, threshold: int | None = None) -> ExponentR
     # is >> Y^(c - n/2), and the X-exponent is (c - n/2)/(n(n-1)).
     c_imp = (c - Fraction(n, 2)) / (n * (n - 1))
     t_exp = 4 * (c - n) / n
-    return ExponentReport(
-        g=g, d=d, n=n, box_exponent=c, c_n=c_n, c_n_improved=c_imp, t_exponent=t_exp,
-        improvement_threshold=threshold,
-    )
+    return ExponentReport(g=g, d=d, n=n, box_exponent=c, c_n=c_n, c_n_improved=c_imp, t_exponent=t_exp)
 
 
 def c_n_positive(g: int, d: int, n: int) -> bool:
@@ -743,7 +717,7 @@ class CensusResult(NamedTuple):
 
 def _compatible_pairs(keys: list[tuple]):
     """Every pair i < j of fingerprint entries that agree at each prime both
-    sampled (FieldFingerprint.compatible, for one degree), from a bitset
+    sampled (fingerprints of one degree), from a bitset
     index: bit i of `allowed[(p, t)]` is set when key i has type t at p or
     did not sample p, and the candidates of key i are the AND of `allowed`
     over its own entries."""

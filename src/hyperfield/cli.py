@@ -50,17 +50,8 @@ from .newton import newton_polygon
 from .perms import recognize_sn
 
 EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_INADMISSIBLE = 3
-EXIT_HYPOTHESIS = 4
-EXIT_RESOURCE = 5
-
-_PARSE_ERRORS = (E.PolyParseError, E.BadPath)
-_INADMISSIBLE_ERRORS = (
-    E.InadmissiblePrime, E.BadPrime, E.NonCoprimeH, E.WitnessFailed, E.ZeroPolynomial, E.ZeroInput, E.ConstantPolynomial,
-)
-_HYPOTHESIS_ERRORS = (E.HypothesisViolated, E.BadEvidence, E.DegreeDrop, E.NonMonic)
-_RESOURCE_ERRORS = (E.BoxTooLarge, E.DegreeCapExceeded, E.SearchWindowExceeded, E.SearchExhausted, E.TooManyPrimes)
+EXIT_PARSE = E.ParseFailure.exit_code
+EXIT_INADMISSIBLE = E.Inadmissible.exit_code
 
 
 def _emit(obj) -> None:
@@ -379,18 +370,9 @@ def main(argv=None) -> int:
         return EXIT_PARSE if e.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except _RESOURCE_ERRORS as e:
+    except E.HyperfieldError as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except _HYPOTHESIS_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except _INADMISSIBLE_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INADMISSIBLE
-    except _PARSE_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
+        return e.exit_code
 
 
 if __name__ == "__main__":

@@ -7,7 +7,8 @@ lc(F) * Disc(F)) without computing Disc(F): the batched kernel marks
 the primes where F is not squarefree, and the walk skips them. It is
 also the squarefree decision: once the marked primes pass Mahler's
 bound on |Disc(F)|, Disc(F) = 0 and it raises NotSquarefree, which is
-where factor_over_q runs Yun's squarefree decomposition.
+where factor_over_q factors the squarefree part F / gcd(F, F') instead
+and counts how often each of its factors divides F.
 musser_degrees is Musser's degree-set intersection over splitting types
 at good primes, for the census screen and lift_and_recombine, the one
 Zassenhaus search (factor_over_q and the exact isomorphism test): the
@@ -224,33 +225,6 @@ def factor_mod_p(p: IntPolynomial, q: int) -> tuple[int, ...]:
         # With q prime and q not dividing lc, the kernel's only refusal is
         # "not squarefree mod q", which happens exactly when q | Disc(p).
         raise BadPrime(f"{q} divides the discriminant") from None
-
-
-# -- squarefree decomposition (Yun) ----------------------------------------
-
-
-def squarefree_decomposition(f: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
-    """Yun's algorithm on a primitive f with positive lc: f = prod A_i^i."""
-    out = []
-    df = f.derivative()
-    a = poly_gcd(f, df)
-    b, r = f.divmod_exact(a)
-    assert r.is_zero()
-    c, r = df.divmod_exact(a)
-    assert r.is_zero()
-    d = c - b.derivative()
-    i = 1
-    while b.degree > 0:
-        ai = poly_gcd(b, d)
-        if ai.degree > 0:
-            out.append((ai, i))
-        b, r = b.divmod_exact(ai)
-        assert r.is_zero()
-        c, r = d.divmod_exact(ai)
-        assert r.is_zero()
-        d = c - b.derivative()
-        i += 1
-    return out
 
 
 # -- factorization mod p (full, for Zassenhaus) ------------------------------
@@ -474,7 +448,8 @@ def factor_over_q(p: IntPolynomial, cap: int = DEFAULT_DEGREE_CAP) -> list[IntPo
     it is not 1, so the product of the returned list equals p exactly.
     Repeated factors are repeated in the list. The primitive part goes
     to lift_and_recombine as it is; only where its good-prime walk
-    raises NotSquarefree does Yun's algorithm split off repeated factors.
+    raises NotSquarefree is its squarefree part factored instead, each
+    factor repeated as often as it divides the primitive part.
     """
     if p.is_zero():
         raise ZeroInput("cannot factor the zero polynomial")
@@ -487,21 +462,17 @@ def factor_over_q(p: IntPolynomial, cap: int = DEFAULT_DEGREE_CAP) -> list[IntPo
         try:
             factors = lift_and_recombine(prim, range(1, prim.degree // 2 + 1))
         except NotSquarefree:
-            for part, mult in squarefree_decomposition(prim):
-                for irr in lift_and_recombine(part, range(1, part.degree // 2 + 1)):
-                    factors.extend([irr] * mult)
+            # prim / gcd(prim, prim') is squarefree with the same irreducible
+            # factors; the division is exact, both being primitive.
+            core = prim.divmod_exact(poly_gcd(prim, prim.derivative()))[0]
+            for irr in lift_and_recombine(core, range(1, core.degree // 2 + 1)):
+                rest = prim
+                while irr.divides(rest):
+                    rest = rest.divmod_exact(irr)[0]
+                    factors.append(irr)
     factors.sort(key=lambda f: (f.degree, f.coeffs))
     if content != 1:
         factors.insert(0, IntPolynomial((content,)))
     if not factors:
         factors = [IntPolynomial((1,))]
     return factors
-
-
-def is_irreducible(p: IntPolynomial, cap: int = DEFAULT_DEGREE_CAP) -> bool:
-    """True iff p is irreducible over Q (degree >= 1; content ignored)."""
-    if p.degree < 1:
-        return False
-    prim = p.primitive()
-    fs = factor_over_q(prim, cap=cap)
-    return len(fs) == 1

@@ -211,24 +211,6 @@ class IntPolynomial:
     def __repr__(self) -> str:
         return f"IntPolynomial({format_poly(self)!r})"
 
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self[i]
-            if c == 0:
-                continue
-            mag = "" if (abs(c) == 1 and i > 0) else str(abs(c))
-            var = "" if i == 0 else ("x" if i == 1 else f"x^{i}")
-            sep = "" if i == 1 or i == 0 or not mag else "*"
-            term = mag + sep + var
-            if not parts:
-                parts.append(("-" if c < 0 else "") + term)
-            else:
-                parts.append((" - " if c < 0 else " + ") + term)
-        return "".join(parts)
-
 
 def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     """Primitive gcd in Z[x], leading coefficient positive."""

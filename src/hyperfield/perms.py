@@ -1,7 +1,6 @@
-"""Permutation groups and symmetric-group recognition from cycle evidence.
-
-Permutations are image tuples on {0..n-1}. Cycle types are descending
-integer tuples summing to n.
+"""Symmetric-group recognition from cycle evidence: recognize_sn and its
+rules on cycle types. Cycle types are descending integer tuples summing
+to n.
 
 Recognition works at the level of cycle TYPES (all that Dedekind or
 Newton-polygon evidence provides). A part l of a type is usable as an
@@ -11,7 +10,9 @@ transitivity, S_n is recognized from a transposition together with an
 (n-1)-cycle, a prime cycle p > n/2 (including a full cycle for prime n),
 or both a 3-cycle and an (n-2)-cycle. A full cycle of composite length
 is NOT generating evidence (D_4 on 4 points is transitive with types [4]
-and [2,1,1]); it contributes transitivity only.
+and [2,1,1]); it contributes transitivity only. The tests check these
+rules against a brute-force closure and a Schreier-Sims group order,
+which live in tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -20,197 +21,11 @@ import math
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
-from .errors import BadEvidence, DegreeCapExceeded
+from .errors import BadEvidence
 # Nothing here calls factor_mod_p; it stays for perfbench/trace_spans.WRAPPED.
 from .factor import factor_mod_p, is_prime  # noqa: F401
 
-Perm = tuple[int, ...]
 CycleType = tuple[int, ...]
-
-CLOSURE_CAP = 9
-ORDER_CAP = 16
-
-
-def identity(n: int) -> Perm:
-    return tuple(range(n))
-
-
-def compose(p: Perm, q: Perm) -> Perm:
-    """p after q: (p*q)(x) = p[q[x]]."""
-    return tuple(p[q[x]] for x in range(len(p)))
-
-
-def inverse(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for i, x in enumerate(p):
-        out[x] = i
-    return tuple(out)
-
-
-def from_cycles(n: int, cycles) -> Perm:
-    """Permutation from 0-based cycles, e.g. from_cycles(4, [(0,1)])."""
-    out = list(range(n))
-    for cyc in cycles:
-        for a, b in zip(cyc, cyc[1:] + type(cyc)((cyc[0],))):
-            out[a] = b
-    return tuple(out)
-
-
-def cycle_type(p: Perm) -> CycleType:
-    seen = [False] * len(p)
-    parts = []
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        ln, j = 0, i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            ln += 1
-        parts.append(ln)
-    parts.sort(reverse=True)
-    return tuple(parts)
-
-
-def canonical_of_type(t: CycleType, n: int) -> Perm:
-    """Canonical placement: consecutive cycles, e.g. [2,1,1] -> (0 1)."""
-    if sum(t) != n:
-        raise BadEvidence(f"type {t} does not sum to {n}")
-    cycles, start = [], 0
-    for part in t:
-        cycles.append(tuple(range(start, start + part)))
-        start += part
-    return from_cycles(n, cycles)
-
-
-# -- orbits, closure, order -------------------------------------------------
-
-
-def orbit(gens: list[Perm], x: int) -> set[int]:
-    out = {x}
-    queue = [x]
-    for y in queue:
-        for g in gens:
-            z = g[y]
-            if z not in out:
-                out.add(z)
-                queue.append(z)
-    return out
-
-
-def is_transitive(gens: list[Perm]) -> bool:
-    if not gens:
-        return False
-    n = len(gens[0])
-    return len(orbit(gens, 0)) == n
-
-
-def closure(gens: list[Perm], cap: int = CLOSURE_CAP) -> frozenset[Perm]:
-    """Full element set of the generated group (n <= cap)."""
-    gens = [tuple(g) for g in gens]
-    if not gens:
-        return frozenset()
-    n = len(gens[0])
-    if n > cap:
-        raise DegreeCapExceeded(f"closure enumeration capped at degree {cap}")
-    seen = {identity(n)}
-    queue = [identity(n)]
-    for p in queue:
-        for g in gens:
-            q = compose(g, p)
-            if q not in seen:
-                seen.add(q)
-                queue.append(q)
-    return frozenset(seen)
-
-
-def group_order(gens: list[Perm], cap: int = ORDER_CAP) -> int:
-    """Exact order via an incremental Schreier-Sims stabilizer chain."""
-    gens = [tuple(g) for g in gens]
-    if gens and len(gens[0]) > cap:
-        raise DegreeCapExceeded(f"stabilizer chains capped at degree {cap}")
-    gens = [g for g in gens if any(i != x for i, x in enumerate(g))]
-    if not gens:
-        return 1
-    n = len(gens[0])
-    ident = identity(n)
-    base: list[int] = []
-    strong: list[list[Perm]] = []
-    trans: list[dict[int, Perm]] = []
-
-    def add_base_point(g: Perm):
-        for x in range(n):
-            if g[x] != x:
-                base.append(x)
-                strong.append([])
-                trans.append({})
-                return
-
-    def orbit_transversal(i: int):
-        pt = base[i]
-        t = {pt: ident}
-        queue = [pt]
-        for x in queue:
-            for g in strong[i]:
-                y = g[x]
-                if y not in t:
-                    t[y] = compose(g, t[x])
-                    queue.append(y)
-        trans[i] = t
-
-    def strip(g: Perm, i: int):
-        for j in range(i, len(base)):
-            x = g[base[j]]
-            u = trans[j].get(x)
-            if u is None:
-                return g, j
-            g = compose(inverse(u), g)
-        return g, len(base)
-
-    def complete_level(i: int):
-        orbit_transversal(i)
-        while True:
-            clean = True
-            for x in list(trans[i]):
-                ux = trans[i][x]
-                for g in strong[i]:
-                    y = g[x]
-                    uy = trans[i].get(y)
-                    if uy is None:
-                        orbit_transversal(i)
-                        uy = trans[i][y]
-                    sg = compose(inverse(uy), compose(g, ux))
-                    if sg == ident:
-                        continue
-                    h, j = strip(sg, i + 1)
-                    if h != ident:
-                        if j == len(base):
-                            add_base_point(h)
-                        for k in range(i + 1, j + 1):
-                            strong[k].append(h)
-                        for k in range(j, i, -1):
-                            complete_level(k)
-                        clean = False
-            if clean:
-                return
-
-    for g in gens:
-        j = 0
-        while j < len(base) and g[base[j]] == base[j]:
-            j += 1
-        if j == len(base):
-            add_base_point(g)
-        for k in range(j + 1):
-            strong[k].append(g)
-    for i in range(len(base) - 1, -1, -1):
-        complete_level(i)
-    out = 1
-    for t in trans:
-        out *= len(t)
-    return out
-
-
-# -- S_n recognition ---------------------------------------------------------
 
 RULE_FULL_CYCLE = "FULL_CYCLE+TRANSPOSITION"
 RULE_LONG_PRIME = "LONG_PRIME_CYCLE+TRANSPOSITION"

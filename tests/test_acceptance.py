@@ -43,8 +43,7 @@ from hyperfield.family import (
     witness,
 )
 from hyperfield.intpoly import IntPolynomial, poly_gcd
-from hyperfield.perms import from_cycles, closure, compose, group_order, is_transitive
-from oracles import cycle_from_polygon, np_product_check
+from oracles import closure, compose, cycle_from_polygon, from_cycles, group_order, is_transitive, np_product_check
 
 P = IntPolynomial
 C3 = HyperellipticCurve(P((1, 1, 0, 1)))        # d = 3

@@ -15,7 +15,6 @@ from hyperfield.census import (
     CoefficientBox,
     box_disc_bound,
     c_n_positive,
-    enumerate_box,
     ev_threshold_search,
     exponents,
     fingerprint,
@@ -31,6 +30,7 @@ from hyperfield.family import FamilyShape, HyperellipticCurve, build_family_memb
 from hyperfield.intpoly import IntPolynomial, discriminant, scale_x, translate
 from hyperfield.newton import newton_polygon
 from hyperfield.perms import recognize_sn
+from oracles import compatible, is_irreducible
 
 P = IntPolynomial
 C3 = HyperellipticCurve(P((1, 1, 0, 1)))
@@ -150,7 +150,7 @@ class TestBox:
 
 class TestEnumerateBox:
     def test_statuses_and_cap(self):
-        records = list(enumerate_box(C3, FamilyShape.census_shape(3, 3), 2))
+        records = run_census(C3, 3, 2).records
         assert len(records) == 15
         assert {r.status for r in records} <= {REDUCIBLE, IRREDUCIBLE_UNCERTIFIED, SN_CERTIFIED}
         # zero specialization gives F = -f, irreducible with group S3
@@ -160,17 +160,17 @@ class TestEnumerateBox:
         assert recognize_sn(3, [t for _, t in zero.fingerprint.entries], transitive=True).conclusion == "SN"
         assert zero.fingerprint is not None and len(zero.fingerprint.entries) == 50
         with pytest.raises(BoxTooLarge):
-            list(enumerate_box(C3, FamilyShape.census_shape(3, 3), 2, CensusConfig(box_cap=10)))
+            run_census(C3, 3, 2, CensusConfig(box_cap=10))
 
     def test_disc_attached(self):
-        for r in enumerate_box(C3, FamilyShape.census_shape(3, 3), 2):
+        for r in run_census(C3, 3, 2).records:
             if r.status != REDUCIBLE:
                 from hyperfield.intpoly import discriminant
 
                 assert r.disc_F == discriminant(r.F) != 0
 
     def test_h_zero_flagged(self):
-        records = list(enumerate_box(C3, FamilyShape.census_shape(3, 4), 2))
+        records = run_census(C3, 4, 2).records
         flagged = [r for r in records if r.no_point]
         assert flagged and all(r.status == REDUCIBLE for r in flagged)
         assert all(r.spec.b == (0,) for r in flagged)
@@ -230,7 +230,7 @@ def _groups_by_F(records):
 
 class TestDedupe:
     def test_sign_collision(self):
-        records = list(enumerate_box(C3, FamilyShape.census_shape(3, 4), 2))
+        records = run_census(C3, 4, 2).records
         groups = _groups_by_F(records)
         assert all(r.entry.multiplicity == len(groups[r.F.coeffs]) for r in records)
         assert all(r.entry is groups[r.F.coeffs][0].entry for r in records)  # one entry per distinct F
@@ -277,7 +277,7 @@ class TestFingerprint:
     def test_census_records_carry_fingerprint(self):
         # classify_record builds the fingerprint in two kernel calls from
         # its own walk; it must equal fingerprint(F) on every irreducible record.
-        records = [r for r in enumerate_box(C3, FamilyShape.census_shape(3, 4), 2) if r.fingerprint]
+        records = [r for r in run_census(C3, 4, 2).records if r.fingerprint]
         assert len(records) > 20
         for r in records:
             assert r.fingerprint == fingerprint(r.F), r.F
@@ -288,14 +288,14 @@ class TestFingerprint:
         a = FieldFingerprint(2, ((3, (2,)), (5, (2,))))
         b = FieldFingerprint(2, ((3, (2,)), (7, (1, 1))))  # disjoint at 5/7: index-prime gap
         c = FieldFingerprint(2, ((3, (1, 1)), (5, (2,))))
-        assert a.compatible(b) and b.compatible(a)
-        assert not a.compatible(c)
-        assert not a.compatible(FieldFingerprint(3, a.entries))
+        assert compatible(a, b) and compatible(b, a)
+        assert not compatible(a, c)
+        assert not compatible(a, FieldFingerprint(3, a.entries))
 
 
 class TestClassIndex:
     """census._class_groups against a union-find over the pairwise
-    FieldFingerprint.compatible relation, built here."""
+    oracles.compatible relation, built here."""
 
     TYPES = ((7,), (4, 3), (5, 1, 1), (3, 2, 1, 1), (2, 2, 1, 1, 1))
 
@@ -334,7 +334,7 @@ class TestClassIndex:
 
         for i, a in enumerate(records):
             for j in range(i + 1, len(records)):
-                if a.fingerprint.compatible(records[j].fingerprint):
+                if compatible(a.fingerprint, records[j].fingerprint):
                     parent[find(i)] = find(j)
         groups = {}
         for i, r in enumerate(records):
@@ -478,8 +478,8 @@ class TestIsomorphicExact:
             iso = isomorphic_exact(A, B)
             fpa, fpb = fingerprint(A), fingerprint(B)
             if iso:
-                assert fpa.compatible(fpb)
-            if not fpa.compatible(fpb):
+                assert compatible(fpa, fpb)
+            if not compatible(fpa, fpb):
                 assert not iso
 
     def test_matches_sympy(self):
@@ -493,8 +493,6 @@ class TestIsomorphicExact:
         polys = []
         while len(polys) < 8:
             cand = P([rng.randint(-6, 6) for _ in range(3)] + [1])
-            from hyperfield.factor import is_irreducible
-
             if is_irreducible(cand):
                 polys.append(cand)
         polys.append(translate(polys[0], 2))
@@ -511,7 +509,6 @@ class TestIsomorphicExact:
         from sympy import AlgebraicNumber, Poly, Symbol
         from sympy.polys.numberfields import field_isomorphism
 
-        from hyperfield.factor import is_irreducible
         from hyperfield.intpoly import monicize
 
         x = Symbol("x")

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hyperfield import cli
+from hyperfield import errors as E
 from hyperfield.census import CensusConfig, fingerprint
 from hyperfield.cli import main
 from hyperfield.factor import factor_mod_p, factor_over_q
@@ -586,3 +587,36 @@ class TestFuzz:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
         assert code in {0, 2, 3, 4, 5}, argv
+
+
+def _error_classes(base=E.HyperfieldError):
+    for cls in base.__subclasses__():
+        yield cls
+        yield from _error_classes(cls)
+
+
+# The exit code of every package error, as the CLI documents it.
+EXIT_CODES = {
+    **dict.fromkeys(["ParseFailure", "PolyParseError", "BadPath"], 2),
+    **dict.fromkeys(
+        ["Inadmissible", "ZeroScale", "ZeroInput", "ZeroPolynomial", "ConstantPolynomial", "NotSquarefree",
+         "BadPrime", "NonCoprimeH", "InadmissiblePrime", "WitnessFailed"],
+        3,
+    ),
+    **dict.fromkeys(["OutsideHypotheses", "BadEvidence", "DegreeDrop", "NonMonic", "HypothesisViolated"], 4),
+    **dict.fromkeys(
+        ["ResourceCap", "DegreeCapExceeded", "SearchExhausted", "BoxTooLarge", "TooManyPrimes", "SearchWindowExceeded"],
+        5,
+    ),
+}
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("cls", sorted(set(_error_classes()), key=lambda c: c.__name__), ids=lambda c: c.__name__)
+    def test_every_error_exits_with_its_code(self, cls, capsys, monkeypatch):
+        def fail(*args):
+            raise cls(f"{cls.__name__} raised")
+
+        monkeypatch.setattr(cli, "newton_polygon", fail)
+        code, out, err = run_cli(["np", "--poly", "-5,0,1", "--prime", "5"], capsys)
+        assert (code, out, err) == (EXIT_CODES[cls.__name__], "", f"error: {cls.__name__} raised\n")

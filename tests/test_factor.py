@@ -19,14 +19,13 @@ from hyperfield.factor import (
     factor_mod_p,
     factor_over_q,
     good_splitting_types,
-    is_irreducible,
     is_prime,
     lift_and_recombine,
     prime_factors,
     primes_not_dividing,
-    squarefree_decomposition,
 )
 from hyperfield.intpoly import IntPolynomial, discriminant
+from oracles import is_irreducible
 
 P = IntPolynomial
 X = sympy.Symbol("x")
@@ -207,11 +206,12 @@ class TestGoodPrimeWalk:
     def test_squarefree_square_mod_small_primes_never_reaches_yun(self, monkeypatch):
         # F = a (a + 30030 c) is squarefree, yet a square mod every prime up
         # to 13, so no small prime proves it squarefree. The walk proves it
-        # at larger primes, and Yun never runs.
-        def no_yun(f):
-            raise AssertionError("squarefree_decomposition called")
+        # at larger primes, and the repeated-factor path, which starts with
+        # gcd(F, F'), never runs.
+        def no_gcd(a, b):
+            raise AssertionError("poly_gcd called")
 
-        monkeypatch.setattr(factor, "squarefree_decomposition", no_yun)
+        monkeypatch.setattr(factor, "poly_gcd", no_gcd)
         rng = random.Random(9)
         checked = 0
         while checked < 200:
@@ -465,11 +465,8 @@ class TestModToolkit:
 class TestYun:
     def test_multiplicities(self):
         f = P((-1, 1)) ** 3 * P((1, 1)) * P((1, 0, 1)) ** 2
-        parts = squarefree_decomposition(f)
-        got = {mult: g.coeffs for g, mult in parts}
-        assert got[3] == (-1, 1)
-        assert got[1] == (1, 1)
-        assert got[2] == (1, 0, 1)
+        got = [g.coeffs for g in factor_over_q(f)]
+        assert got == [(-1, 1)] * 3 + [(1, 1)] + [(1, 0, 1)] * 2
 
 
 class TestFactorOverQ:

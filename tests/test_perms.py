@@ -17,6 +17,10 @@ from hyperfield.perms import (
     RULE_N_MINUS_1,
     SN,
     GroupCertificate,
+    recognize_sn,
+    usable_cycle_lengths,
+)
+from oracles import (
     canonical_of_type,
     closure,
     compose,
@@ -26,8 +30,6 @@ from hyperfield.perms import (
     identity,
     inverse,
     is_transitive,
-    recognize_sn,
-    usable_cycle_lengths,
 )
 
 

@@ -27,8 +27,8 @@ from hyperfield.family import (
 )
 from hyperfield.intpoly import IntPolynomial, discriminant
 from hyperfield.newton import newton_polygon
-from hyperfield.perms import SN, canonical_of_type, group_order, recognize_sn
-from oracles import cycle_from_polygon
+from hyperfield.perms import SN, recognize_sn
+from oracles import canonical_of_type, cycle_from_polygon, group_order
 
 P = IntPolynomial
 C3 = HyperellipticCurve(P((1, 1, 0, 1)))
