@@ -34,21 +34,37 @@ for squarefree F = A (A + 210 C) L, which is a square times L mod 2, 3,
 prints microseconds per prime for both backends, best of three, and the
 share of its primes that were marked.
 
+The resultant rows time discriminant(F) per call, in microseconds, on
+about RESULTANT_POLYS members F of three census boxes: census (degree 4,
+the census-cubic-n4 box), iso (degree 6, census-quartic-iso) and n5
+(degree 5, ``--n 5 --Y 5``, heights up to about 600). Each row compares
+the subresultant PRS of ``tests/oracles.py`` with the package's modular
+algorithm (``intpoly.discriminant``: residues from the ``resultants``
+kernel, Chinese remaindering in Python) on each backend, best of three,
+and asserts that all give the same discriminants.
+
 Usage: python benchmarks/bench_kernels.py [--trials N]
 """
 import argparse
+import itertools
 import pathlib
 import random
 import statistics
 import sys
 import time
 import timeit
+from fractions import Fraction
 
-sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "src"))
+ROOT = pathlib.Path(__file__).parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
+from hyperfield import _kernels  # noqa: E402
 from hyperfield._kernels import load_compiled, pure  # noqa: E402
+from hyperfield.census import CoefficientBox  # noqa: E402
 from hyperfield.factor import primes_not_dividing  # noqa: E402
-from hyperfield.intpoly import IntPolynomial, discriminant  # noqa: E402
+from hyperfield.family import FamilyShape, HyperellipticCurve, build_family_member  # noqa: E402
+from hyperfield.intpoly import IntPolynomial, discriminant, parse_poly  # noqa: E402
+from oracles import prs_discriminant  # noqa: E402
 
 PRIMES = [2, 3, 5, 7, 11, 13, 101, 257, 997, 65537]
 POOL = [p for p in range(2, 230) if all(p % d for d in range(2, p))]  # the first 50 primes
@@ -213,6 +229,44 @@ def splitting_rows(backends):
     return rows
 
 
+RESULTANT_SHAPES = (("census", "1,1,0,1", 4, "7/2"), ("iso", "1,0,0,0,1", 6, "5/4"), ("n5", "1,1,0,1", 5, "5"))
+RESULTANT_POLYS = 200
+
+
+def resultant_cases(curve: str, n: int, Y: str, count: int = RESULTANT_POLYS) -> list[IntPolynomial]:
+    """About `count` members F of the census box of `curve` at (n, Y),
+    evenly spread through its odometer order."""
+    c = HyperellipticCurve(parse_poly(curve))
+    shape = FamilyShape.census_shape(c.d, n)
+    box = CoefficientBox.build(shape, Fraction(Y))
+    specs = itertools.islice(box.specializations(), 0, None, max(1, box.cardinality // count))
+    return [build_family_member(c, shape, s) for s in specs]
+
+
+def resultant_rows(backends, count: int = RESULTANT_POLYS):
+    """(shape, degree, calls, microseconds per discriminant call: the PRS
+    oracle, then the modular path on each backend) per RESULTANT_SHAPES
+    entry; asserts that all give the same discriminants."""
+    rows = []
+    saved = _kernels.impl
+    try:
+        for name, curve, n, Y in RESULTANT_SHAPES:
+            Fs = resultant_cases(curve, n, Y, count)
+            calls = {"prs": lambda: [prs_discriminant(F) for F in Fs]}
+            for backend in backends:
+                def modular(backend=backend):
+                    _kernels.impl = backend
+                    return [discriminant(F) for F in Fs]
+                calls[backend.BACKEND] = modular
+            outs = [call() for call in calls.values()]
+            assert all(out == outs[0] for out in outs), f"discriminants disagree on the {name} row"
+            times = [min(timeit.repeat(call, number=1, repeat=3)) / len(Fs) * 1e6 for call in calls.values()]
+            rows.append((name, n, len(Fs), times))
+    finally:
+        _kernels.impl = saved
+    return rows
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--trials", type=int, default=20_000)
@@ -244,6 +298,12 @@ def main():
         span = f"{degrees[0]}-{degrees[-1]}" if len(degrees) > 1 else str(degrees[0])
         c_time = f"{times[1]:>14.2f}" if compiled else f"{'n/a':>14}"
         print(f"{name:<16}{span:>9}{count:>8}{times[0]:>17.2f}{c_time}{marked:>8.0%}")
+    print()
+
+    print(f"{'discriminant':<14}{'degree':>7}{'calls':>7}{'prs (us)':>10}{'pure (us)':>11}{'c (us)':>9}")
+    for name, n, calls, times in resultant_rows(backends):
+        c_time = f"{times[2]:>9.1f}" if compiled else f"{'n/a':>9}"
+        print(f"{name:<14}{n:>7}{calls:>7}{times[0]:>10.1f}{times[1]:>11.1f}{c_time}")
     print()
 
     cases = workload(args.trials)

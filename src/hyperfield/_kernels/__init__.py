@@ -10,17 +10,24 @@ or file that another user owns or may write. Set HYPERFIELD_PURE=1 to
 force them. PURE_REASON says why the pure kernels are in use (the
 compiler's error line, for a failed compile), and is None on the C
 backend. The C kernel takes a modulus p for a polynomial of degree n
-when n (p-1)^2 + (p-1) < 2^64, so that it can delay reduction (p <= 2^31
-at degree 4, about 7.2e8 at degree 36); it raises OverflowError for any
-other, and those go to pure.py.
+(for resultants, the larger of the two degrees) when
+n (p-1)^2 + (p-1) < 2^64, so that it can delay reduction (p <= 2^31
+at degree 4, about 7.2e8 at degree 36, any p < 2^28 up to degree 255);
+it raises OverflowError for any other, and those go to pure.py.
 
-Both backends export one kernel, splitting_types(coeffs, primes): the
-factor degrees of coeffs mod each prime, from one call, with None at a
-prime where coeffs is not squarefree. For p prime and not dividing the
-leading coefficient, p is marked exactly when it divides Disc(coeffs),
-so factor's good-prime walk needs no Disc. ddf_degrees(coeffs, p), the
-degrees at one prime, is defined here on top of it and raises ValueError
-where it would be None.
+Both backends export two kernels:
+
+- splitting_types(coeffs, primes): the factor degrees of coeffs mod each
+  prime, from one call, with None at a prime where coeffs is not
+  squarefree. For p prime and not dividing the leading coefficient, p is
+  marked exactly when it divides Disc(coeffs), so factor's good-prime
+  walk needs no Disc. ddf_degrees(coeffs, p), the degrees at one prime,
+  is defined here on top of it and raises ValueError where it would be
+  None.
+- resultants(a, b, primes): Res(a, b) mod each prime, from one call,
+  which intpoly.resultant combines by the Chinese remainder theorem. It
+  raises the ValueError of splitting_types where p < 2 or p divides a
+  leading coefficient.
 """
 import hashlib
 import os
@@ -122,6 +129,15 @@ def splitting_types(coeffs, primes) -> list[list[int] | None]:
         return pure.splitting_types(coeffs, primes)
 
 
+def resultants(a, b, primes) -> list[int]:
+    """Res(a, b) mod each of primes, in [0, p); from pure.py where the C
+    kernel declines a modulus."""
+    try:
+        return impl.resultants(a, b, primes)
+    except OverflowError:  # a modulus past the C kernel's bound
+        return pure.resultants(a, b, primes)
+
+
 def ddf_degrees(coeffs, p: int) -> list[int]:
     """The factor degrees of coeffs mod p, descending; ValueError where
     coeffs is not squarefree mod p."""
@@ -131,4 +147,4 @@ def ddf_degrees(coeffs, p: int) -> list[int]:
     return degs
 
 
-__all__ = ["BACKEND", "PURE_REASON", "ddf_degrees", "splitting_types"]
+__all__ = ["BACKEND", "PURE_REASON", "ddf_degrees", "resultants", "splitting_types"]

@@ -5,22 +5,29 @@
  * p is accepted for F of degree n when n (p-1)^2 + (p-1) < 2^64
  * (lazy_fits; see Delayed reduction below): p <= 2^31 at degree 4, about
  * 1.24e9 at degree 12 and 7.2e8 at degree 36, far above the primes near
- * the 10,000th (104,729) where the census and certify stop. A larger p
+ * the 10,000th (104,729) where the census and certify stop, and any
+ * p < 2^28 (intpoly's resultant primes) up to degree 255. A larger p
  * raises OverflowError, which the loader in __init__.py answers by
  * calling pure.py. Each step mirrors pure.py, so results and ValueError
  * messages agree with it even for composite moduli, where a leading
  * coefficient may not be invertible.
  *
- * The module exports one kernel, splitting_types(coeffs, primes): the
- * factor degrees of F mod each prime, from one call, with None at each
- * prime where F is not squarefree. For p prime and not dividing lc(F),
- * those are exactly the primes that divide Disc(F), so its callers find
- * good primes without computing Disc. __init__.py defines ddf_degrees,
- * the degrees at one prime, on top of it.
+ * The module exports two kernels, each answering for a list of primes
+ * from one call:
+ * - splitting_types(coeffs, primes): the factor degrees of F mod each
+ *   prime, with None at each prime where F is not squarefree. For p prime
+ *   and not dividing lc(F), those are exactly the primes that divide
+ *   Disc(F), so its callers find good primes without computing Disc.
+ *   __init__.py defines ddf_degrees, the degrees at one prime, on top of it.
+ * - resultants(a, b, primes): Res(a, b) mod each prime, by Euclid's
+ *   remainder sequence over F_p with the leading coefficients tracked
+ *   (n above is the larger degree). intpoly.resultant combines the
+ *   residues by the Chinese remainder theorem.
  *
  * Distinct-degree factorization iterates the Frobenius matrix (Berlekamp's
  * Q; von zur Gathen and Shoup, Comput. Complexity 2, 1992). For monic F of
- * degree n, x^p mod F is computed once by powering, row i of Q is
+ * degree n, x^p mod F is computed once by left-to-right powering (x_pow),
+ * where a product by x is a shift and one reduction step; row i of Q is
  * x^(ip) mod F (0 <= i < n), and each later degree costs one product
  * h <- Q h in place of log2(p) squarings, since for h = sum h_i x^i,
  * h^p = sum h_i^p x^(ip) = sum h_i x^(ip). That identity needs p prime:
@@ -176,25 +183,40 @@ static Py_ssize_t gcd(const u64 *a, Py_ssize_t la, const u64 *b, Py_ssize_t lb, 
     return la;
 }
 
-/* a^e mod (f, p) into out, for monic f; a may alias out. */
-static Py_ssize_t pow_mod(const u64 *a, Py_ssize_t la, u64 e, const u64 *f, Py_ssize_t lf, u64 *out, Work *k)
+/* a * x mod (f, p) in place, for monic f of length lf and a of length
+ * la < lf (reduced mod f), with room for lf residues: a shift, and where
+ * that reaches degree deg f, one reduction step. */
+static Py_ssize_t times_x(u64 *a, Py_ssize_t la, const u64 *f, Py_ssize_t lf, const Work *k)
 {
-    u64 *base = k->u, *w = k->v;
-    Py_ssize_t lb, lo = 1, lw;
-    memcpy(base, a, la * sizeof *base);
-    lb = divide(base, la, f, lf, NULL, k);
-    out[0] = 1;
-    for (; e; e >>= 1) {
-        if (e & 1) {
-            lw = mul(out, lo, base, lb, w, k);
-            lo = divide(w, lw, f, lf, NULL, k);
-            memcpy(out, w, lo * sizeof *w);
-        }
-        if (e > 1) {
-            lw = mul(base, lb, base, lb, w, k);
-            lb = divide(w, lw, f, lf, NULL, k);
-            memcpy(base, w, lb * sizeof *w);
-        }
+    Py_ssize_t n = lf - 1;
+    u64 t;
+    if (la == 0)
+        return 0;
+    memmove(a + 1, a, la * sizeof *a);
+    a[0] = 0;
+    if (la < n)
+        return la + 1;
+    t = k->p - a[n];
+    for (Py_ssize_t i = 0; i < n; i++)
+        a[i] = reduce(a[i] + t * f[i], k);
+    return trim(a, n);
+}
+
+/* x^e mod (f, p) into out, for monic f of degree at least 2 and e >= 1, by
+ * left-to-right binary powering: each bit below the top one costs a
+ * squaring (a product and a division), and a set bit one times_x. As x^e
+ * mod a monic f is unique, this is the remainder for any modulus. */
+static Py_ssize_t x_pow(u64 e, const u64 *f, Py_ssize_t lf, u64 *out, Work *k)
+{
+    Py_ssize_t lo = 2, lw;
+    int bit = 63 - __builtin_clzll(e);
+    out[0] = 0, out[1] = 1;
+    while (bit-- > 0) {
+        lw = mul(out, lo, out, lo, k->w, k);
+        lo = divide(k->w, lw, f, lf, NULL, k);
+        memcpy(out, k->w, lo * sizeof *out);
+        if (e >> bit & 1)
+            lo = times_x(out, lo, f, lf, k);
     }
     return lo;
 }
@@ -264,35 +286,43 @@ static int set_modulus(Work *k, PyObject *p, Py_ssize_t n)
     return 0;
 }
 
-/* pure._prep: coeffs (a PySequence_Fast) reduced mod p into k->F, checked
- * and made monic. Returns the length, or -1 (error set). */
-static Py_ssize_t prep(PyObject *coeffs, PyObject *p, Work *k)
+/* coeffs (a PySequence_Fast) reduced mod p = k->p into out: its length, or
+ * -1 (error set), with ValueError where p divides its leading coefficient. */
+static Py_ssize_t load(PyObject *coeffs, PyObject *p, u64 *out, const Work *k)
 {
     Py_ssize_t n = PySequence_Fast_GET_SIZE(coeffs);
     PyObject **items = PySequence_Fast_ITEMS(coeffs);
-    if (set_modulus(k, p, n - 1) < 0)
-        return -1;
     for (Py_ssize_t i = 0; i < n; i++) {
         int overflow;
         long long v = PyLong_AsLongLongAndOverflow(items[i], &overflow);
         if (v == -1 && PyErr_Occurred())
             return -1;
         if (!overflow) {
-            k->F[i] = v >= 0 ? (u64)v % k->p : k->p - 1 - (u64)(-(v + 1)) % k->p;
+            out[i] = v >= 0 ? (u64)v % k->p : k->p - 1 - (u64)(-(v + 1)) % k->p;
         } else {
             PyObject *r = PyNumber_Remainder(items[i], p);
             if (!r)
                 return -1;
-            k->F[i] = PyLong_AsUnsignedLongLong(r);
+            out[i] = PyLong_AsUnsignedLongLong(r);
             Py_DECREF(r);
             if (PyErr_Occurred())
                 return -1;
         }
     }
-    if (n == 0 || k->F[n - 1] == 0) {
+    if (n == 0 || out[n - 1] == 0) {
         PyErr_SetString(PyExc_ValueError, "leading coefficient divisible by p");
         return -1;
     }
+    return n;
+}
+
+/* pure._prep: coeffs reduced mod p into k->F, checked and made monic.
+ * Returns the length, or -1 (error set). */
+static Py_ssize_t prep(PyObject *coeffs, PyObject *p, Work *k)
+{
+    Py_ssize_t n;
+    if (set_modulus(k, p, PySequence_Fast_GET_SIZE(coeffs) - 1) < 0 || (n = load(coeffs, p, k->F, k)) < 0)
+        return -1;
     return make_monic(k->F, n, k) < 0 ? -1 : n;
 }
 
@@ -321,8 +351,7 @@ static PyObject *degrees(PyObject *coeffs, PyObject *p, Work *k)
     lf = lF;
     for (Py_ssize_t d = 1; lf - 1 >= 2 * d; d++) {
         if (d == 1) {
-            h[0] = 0, h[1] = 1;
-            lh = pow_mod(h, 2, k->p, F, lF, h, k);
+            lh = x_pow(k->p, F, lF, h, k);
         } else {
             if (d == 2)
                 frobenius_rows(h, lh, lF, k);
@@ -396,10 +425,99 @@ static PyObject *splitting_types(PyObject *Py_UNUSED(self), PyObject *args)
     return out;
 }
 
+/* u^e mod p. */
+static u64 pow_residue(u64 u, u64 e, const Work *k)
+{
+    u64 r = 1;
+    for (; e; e >>= 1) {
+        if (e & 1)
+            r = reduce(r * u, k);
+        u = reduce(u * u, k);
+    }
+    return r;
+}
+
+/* pure._resultant: Res(x, y) mod p into *res, for x and y of lengths lx
+ * and ly with nonzero leading residues (both overwritten). Euclid's
+ * remainder sequence, tracking leading coefficients: y is made monic,
+ * which scales Res by lc(y)^deg x, and Res(x, y) = (-1)^(deg x deg y)
+ * Res(y, x mod y) for monic y. Returns 0, or -1 (error set) where a
+ * leading coefficient is not invertible mod p (p composite). */
+static int resultant(u64 *x, Py_ssize_t lx, u64 *y, Py_ssize_t ly, u64 *res, Work *k)
+{
+    u64 p = k->p, r = 1, *s;
+    Py_ssize_t m = lx - 1, n = ly - 1, t;
+    if (m < n) {
+        s = x, x = y, y = s;
+        t = m, m = n, n = t;
+        if (m & n & 1)
+            r = p - 1;
+    }
+    while (n > 0) {
+        r = reduce(r * pow_residue(y[n], m, k), k);
+        if (make_monic(y, n + 1, k) < 0)
+            return -1;
+        if ((lx = divide(x, m + 1, y, n + 1, NULL, k)) == 0) {
+            *res = 0;
+            return 0;
+        }
+        if (m & n & 1)
+            r = r ? p - r : 0;
+        s = x, x = y, y = s;
+        m = n, n = lx - 1;
+    }
+    *res = reduce(r * pow_residue(y[0], m, k), k);
+    return 0;
+}
+
+/* pure.resultants: Res(a, b) mod each of primes, as a new list. lazy_fits
+ * is taken at the larger degree: dividing x by y adds at most
+ * deg x - deg y + 1 <= deg x terms below (p-1)^2 to a coefficient. */
+static PyObject *resultants(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    PyObject *a, *b, *primes, *sa, *sb = NULL, *ps = NULL, *out = NULL;
+    Py_ssize_t width = 0;
+    Work k;
+    u64 *buf = NULL;
+    if (!PyArg_ParseTuple(args, "OOO:resultants", &a, &b, &primes))
+        return NULL;
+    if ((sa = PySequence_Fast(a, "coefficients must be a sequence"))
+        && (sb = PySequence_Fast(b, "coefficients must be a sequence"))
+        && (ps = PySequence_Fast(primes, "primes must be a sequence"))) {
+        width = PySequence_Fast_GET_SIZE(sa);
+        if (PySequence_Fast_GET_SIZE(sb) > width)
+            width = PySequence_Fast_GET_SIZE(sb);
+        if (!(buf = PyMem_Calloc(2 * width + 2, sizeof *buf)))
+            PyErr_NoMemory();
+    }
+    if (buf)
+        out = PyList_New(PySequence_Fast_GET_SIZE(ps));
+    for (Py_ssize_t j = 0; out && j < PySequence_Fast_GET_SIZE(ps); j++) {
+        PyObject *p = PySequence_Fast_GET_ITEM(ps, j), *v = NULL;
+        Py_ssize_t la, lb;
+        u64 r;
+        if (set_modulus(&k, p, width - 1) == 0 && (la = load(sa, p, buf, &k)) >= 0
+            && (lb = load(sb, p, buf + width + 1, &k)) >= 0 && resultant(buf, la, buf + width + 1, lb, &r, &k) == 0)
+            v = PyLong_FromUnsignedLongLong(r);
+        if (!v)
+            Py_CLEAR(out);
+        else
+            PyList_SET_ITEM(out, j, v);
+    }
+    PyMem_Free(buf);
+    Py_XDECREF(ps);
+    Py_XDECREF(sb);
+    Py_XDECREF(sa);
+    return out;
+}
+
 static PyMethodDef methods[] = {
     {"splitting_types", splitting_types, METH_VARARGS,
      "The degrees of the irreducible factors of coeffs mod p, descending,\n"
      "for each p in primes; None where coeffs is not squarefree mod p."},
+    {"resultants", resultants, METH_VARARGS,
+     "Res(a, b) mod p for each p in primes, from coefficient sequences\n"
+     "ascending in degree."},
     {NULL, NULL, 0, NULL},
 };
 

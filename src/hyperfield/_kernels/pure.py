@@ -233,6 +233,40 @@ def splitting_types(coeffs, primes) -> list[list[int] | None]:
     return [_degrees(coeffs, p) for p in primes]
 
 
+def _resultant(a, b, p: int) -> int:
+    """Res(a, b) mod p, by Euclid's remainder sequence over Z/p that
+    tracks leading coefficients: making y monic scales Res(x, y) by
+    lc(y)^deg x, and Res(x, y) = (-1)^(deg x deg y) Res(y, x mod y) for
+    monic y. ValueError where p < 2 or p divides a leading coefficient,
+    and (p composite) where a leading coefficient is not invertible."""
+    if p < 2:
+        raise ValueError("modulus must be a prime >= 2")
+    x, y = [c % p for c in a], [c % p for c in b]
+    if not (x and x[-1] and y and y[-1]):
+        raise ValueError("leading coefficient divisible by p")
+    m, n = len(x) - 1, len(y) - 1
+    res = 1
+    if m < n:
+        x, y, m, n = y, x, n, m
+        res = -1 if m * n % 2 else 1
+    while n > 0:
+        res = res * pow(y[-1], m, p) % p
+        y = _monic(y, p)
+        r = _divmod_mod(x, y, p)[1]
+        if not r:
+            return 0
+        if m * n % 2:
+            res = -res
+        x, y, m, n = y, r, n, len(r) - 1
+    return res * pow(y[0], m, p) % p
+
+
+def resultants(a, b, primes) -> list[int]:
+    """Res(a, b) mod each prime, in order, for coefficient sequences a and
+    b ascending in degree, with the sign convention of intpoly.resultant."""
+    return [_resultant(a, b, p) for p in primes]
+
+
 def _ddf_blocks(f: list[int], p: int) -> list[tuple[list[int], int]]:
     """Distinct-degree factorization of monic f, squarefree mod p.
 

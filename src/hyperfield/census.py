@@ -50,6 +50,7 @@ are measured on the Disc(F) axis, not on the paper's Disc(K) axis.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -212,7 +213,19 @@ class FieldFingerprint(NamedTuple):
 
     @property
     def hash_hex(self) -> str:
-        return hashlib.sha1(repr((self.degree, self.entries)).encode()).hexdigest()[:12]
+        """The first 12 hex digits of sha1(repr((degree, entries))); the
+        text is assembled from each entry's memoised repr."""
+        entries = ", ".join(map(_entry_repr, self.entries))
+        if len(self.entries) == 1:
+            entries += ","
+        return hashlib.sha1(f"({self.degree}, ({entries}))".encode()).hexdigest()[:12]
+
+
+@functools.lru_cache(maxsize=4096)
+def _entry_repr(entry: tuple[int, tuple[int, ...]]) -> str:
+    """repr of one (prime, splitting type) entry. Memoised like
+    perms._evidence_head: a census repeats a few types at each prime."""
+    return repr(entry)
 
 
 def fingerprint(F: IntPolynomial, count: int = 50) -> FieldFingerprint:

@@ -91,8 +91,9 @@ class WitnessFailed(Inadmissible):
 
 
 class SearchExhausted(ResourceCap):
-    """A bounded search found nothing: normalize_even no (k, p), or
-    isomorphic_exact no squarefree shift t."""
+    """A bounded search found nothing: normalize_even no (k, p),
+    isomorphic_exact no squarefree shift t, or intpoly.resultant too few
+    primes below 2^28 to pass twice Hadamard's bound."""
 
 
 class BoxTooLarge(ResourceCap):

@@ -28,7 +28,8 @@ import random
 from . import _kernels as kernels
 from ._kernels.pure import _ddf_blocks, _divmod_mod, _gcd_mod, _mul_mod, _pow_mod, _power_table, _prep, _reduce, _trim
 from .errors import BadPrime, ConstantPolynomial, DegreeCapExceeded, NotSquarefree, TooManyPrimes, ZeroInput
-# Nothing here calls discriminant; it stays for perfbench/trace_spans.WRAPPED.
+# Nothing here calls discriminant: good_splitting_types finds good primes
+# without it. The name stays for perfbench/trace_spans.WRAPPED and the tests.
 from .intpoly import IntPolynomial, discriminant, poly_gcd  # noqa: F401
 
 DEFAULT_DEGREE_CAP = 12

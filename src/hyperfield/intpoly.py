@@ -12,13 +12,23 @@ Resultant sign convention (fixed, also asserted in the tests):
 Res(a, b) = lc(a)^deg(b) * prod b(alpha_i) over the roots alpha_i of a,
 which equals the Sylvester determinant convention
 lc(a)^deg(b) * lc(b)^deg(a) * prod (alpha_i - beta_j).
+
+resultant and discriminant are modular (Collins, J. ACM 18, 1971; von
+zur Gathen and Gerhard, Modern Computer Algebra, section 6.11): the
+``resultants`` kernel of ``_kernels`` gives Res mod primes below 2^28,
+and Garner's Chinese remaindering combines them. Their product passes
+twice Hadamard's bound on the Sylvester determinant, so the answer is
+exact for any choice of primes. The subresultant PRS that this replaced
+is the tests' oracle (tests/oracles.py).
 """
 from __future__ import annotations
 
 import math
+from operator import mul
 from typing import Iterable
 
-from .errors import ConstantPolynomial, PolyParseError, ZeroInput, ZeroScale
+from . import _kernels
+from .errors import ConstantPolynomial, PolyParseError, SearchExhausted, ZeroInput, ZeroScale
 
 
 def _trim(coeffs: Iterable) -> tuple:
@@ -267,50 +277,64 @@ def monicize(f: IntPolynomial) -> IntPolynomial:
 # -- resultant and discriminant --------------------------------------------
 
 
+# The 64 largest primes below 2^28, descending. Below 2^28 the C kernel
+# takes a modulus up to degree 255 (lazy_fits in _speed.c); primes near
+# 2^31 would send every polynomial of degree 5 or more to pure.py.
+RESULTANT_PRIMES = (
+    268435399, 268435367, 268435361, 268435337, 268435331, 268435313, 268435291, 268435273,
+    268435243, 268435183, 268435171, 268435157, 268435147, 268435133, 268435129, 268435121,
+    268435109, 268435091, 268435067, 268435043, 268435039, 268435033, 268435019, 268435009,
+    268435007, 268434997, 268434979, 268434977, 268434961, 268434949, 268434941, 268434937,
+    268434857, 268434841, 268434827, 268434821, 268434787, 268434781, 268434779, 268434773,
+    268434731, 268434721, 268434713, 268434707, 268434703, 268434697, 268434659, 268434623,
+    268434619, 268434581, 268434577, 268434563, 268434557, 268434547, 268434511, 268434499,
+    268434479, 268434461, 268434401, 268434391, 268434389, 268434373, 268434289, 268434281,
+)
+
+
+def _resultant_primes():
+    """RESULTANT_PRIMES, then the primes below them, descending."""
+    yield from RESULTANT_PRIMES
+    from .factor import is_prime  # factor imports this module, so not at the top
+
+    yield from (q for q in range(RESULTANT_PRIMES[-1] - 2, 2, -2) if is_prime(q))
+
+
 def resultant(a: IntPolynomial, b: IntPolynomial) -> int:
-    """Exact resultant via the subresultant pseudo-remainder sequence.
+    """Exact resultant by Collins's modular algorithm: Res(a, b) mod
+    primes not dividing lc(a) lc(b), from one kernel call, combined by
+    Garner's Chinese remaindering into the symmetric residue. Hadamard's
+    bound |Res(a, b)| <= ||a||_2^deg(b) ||b||_2^deg(a) = B on the
+    Sylvester determinant fixes the primes: their product passes 2B, so
+    the symmetric residue is Res itself, whichever primes are taken.
 
     Convention: Res(a, b) = lc(a)^deg(b) * prod b(alpha_i), so e.g.
-    Res(x-2, x-3) = -1.
+    Res(x-2, x-3) = -1. Raises ZeroInput for a zero operand, and
+    SearchExhausted, rather than answer, where 2B passes the product of
+    every prime below 2^28 (about 2^(3.9e8)).
     """
     if a.is_zero() or b.is_zero():
         raise ZeroInput("resultant of the zero polynomial")
-    s = 1
-    if a.degree < b.degree:
-        if (a.degree * b.degree) % 2:
-            s = -s
-        a, b = b, a
-    if b.degree == 0:
-        return s * b.lc ** a.degree
-    ca, cb = abs(a.content()), abs(b.content())
-    sa = 1 if a.lc > 0 else -1
-    sb = 1 if b.lc > 0 else -1
-    # Content and unit factors: Res(u*A, v*B) = u^degB * v^degA * Res(A, B).
-    t = (sa * ca) ** b.degree * (sb * cb) ** a.degree
-    A = IntPolynomial(x // (sa * ca) for x in a.coeffs)
-    B = IntPolynomial(x // (sb * cb) for x in b.coeffs)
-    g = h = 1
-    while True:
-        delta = A.degree - B.degree
-        if (A.degree % 2) and (B.degree % 2):
-            s = -s
-        R = A.pseudo_rem(B)
-        if R.is_zero():
-            return 0
-        denom = g * h**delta
-        A = B
-        B = IntPolynomial(x // denom for x in R.coeffs)
-        g = A.lc
-        if delta:
-            # h = g^delta / h^(delta-1), exact in Z.
-            num = g**delta
-            h = num // h ** (delta - 1) if delta > 1 else num
-        if B.degree <= 0:
-            break
-    # Final constant remainder: fold in lc(B)^deg(A) / h^(deg(A)-1).
-    num = B.lc ** A.degree
-    h_final = num // h ** (A.degree - 1) if A.degree > 1 else num
-    return s * t * h_final
+    # The squared norms N have N < 2^bits(N), so B < 2^E for
+    # E = ceil((deg(b) bits(N_a) + deg(a) bits(N_b)) / 2): primes whose
+    # product is at least 2^(E + 1) > 2B suffice, and p >= 2^(bits(p) - 1).
+    na, nb = sum(map(mul, a.coeffs, a.coeffs)), sum(map(mul, b.coeffs, b.coeffs))
+    need = (b.degree * na.bit_length() + a.degree * nb.bit_length() + 1) // 2 + 1
+    lcs = a.lc * b.lc
+    primes = []
+    for p in _resultant_primes():
+        if lcs % p:
+            primes.append(p)
+            need -= p.bit_length() - 1
+            if need <= 0:
+                break
+    else:
+        raise SearchExhausted("Hadamard's bound on the resultant exceeds the primes below 2^28")
+    res, mod = 0, 1
+    for r, p in zip(_kernels.resultants(a.coeffs, b.coeffs, primes), primes):
+        res += (r - res) * pow(mod, -1, p) % p * mod
+        mod *= p
+    return res - mod if 2 * res > mod else res
 
 
 def discriminant(p: IntPolynomial) -> int:
@@ -320,10 +344,7 @@ def discriminant(p: IntPolynomial) -> int:
         raise ConstantPolynomial("discriminant requires degree >= 1")
     if d == 1:
         return 1
-    dp = p.derivative()
-    if dp.is_zero():
-        return 0
-    r = resultant(p, dp)
+    r = resultant(p, p.derivative())
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
     q, rem = divmod(sign * r, p.lc)
     assert rem == 0, "Res(p, p') must be divisible by lc(p)"

@@ -3,15 +3,16 @@
 They restate a claim of the package by a second route (the product rule
 for Newton polygons, a brute-force group closure and a Schreier-Sims
 group order against the S_n rules, pairwise fingerprint comparison
-against the class index) or bundle package calls the way a test reads
-them. Permutations are image tuples on {0..n-1}.
+against the class index, the subresultant PRS against the modular
+resultant) or bundle package calls the way a test reads them.
+Permutations are image tuples on {0..n-1}.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 from hyperfield.census import FieldFingerprint
-from hyperfield.errors import BadEvidence, DegreeCapExceeded
+from hyperfield.errors import BadEvidence, ConstantPolynomial, DegreeCapExceeded, ZeroInput
 from hyperfield.factor import DEFAULT_DEGREE_CAP, factor_over_q
 from hyperfield.intpoly import IntPolynomial
 from hyperfield.newton import (
@@ -46,6 +47,72 @@ def np_product_check(a: IntPolynomial, b: IntPolynomial, q: int) -> bool:
     if nab.x_power != na.x_power + nb.x_power:
         return False
     return slope_multiset(nab) == sorted(slope_multiset(na) + slope_multiset(nb))
+
+
+# -- resultant and discriminant ---------------------------------------------
+
+
+def prs_resultant(a: IntPolynomial, b: IntPolynomial) -> int:
+    """Exact resultant via the subresultant pseudo-remainder sequence.
+
+    Convention: Res(a, b) = lc(a)^deg(b) * prod b(alpha_i), so e.g.
+    Res(x-2, x-3) = -1.
+    """
+    if a.is_zero() or b.is_zero():
+        raise ZeroInput("resultant of the zero polynomial")
+    s = 1
+    if a.degree < b.degree:
+        if (a.degree * b.degree) % 2:
+            s = -s
+        a, b = b, a
+    if b.degree == 0:
+        return s * b.lc ** a.degree
+    ca, cb = abs(a.content()), abs(b.content())
+    sa = 1 if a.lc > 0 else -1
+    sb = 1 if b.lc > 0 else -1
+    # Content and unit factors: Res(u*A, v*B) = u^degB * v^degA * Res(A, B).
+    t = (sa * ca) ** b.degree * (sb * cb) ** a.degree
+    A = IntPolynomial(x // (sa * ca) for x in a.coeffs)
+    B = IntPolynomial(x // (sb * cb) for x in b.coeffs)
+    g = h = 1
+    while True:
+        delta = A.degree - B.degree
+        if (A.degree % 2) and (B.degree % 2):
+            s = -s
+        R = A.pseudo_rem(B)
+        if R.is_zero():
+            return 0
+        denom = g * h**delta
+        A = B
+        B = IntPolynomial(x // denom for x in R.coeffs)
+        g = A.lc
+        if delta:
+            # h = g^delta / h^(delta-1), exact in Z.
+            num = g**delta
+            h = num // h ** (delta - 1) if delta > 1 else num
+        if B.degree <= 0:
+            break
+    # Final constant remainder: fold in lc(B)^deg(A) / h^(deg(A)-1).
+    num = B.lc ** A.degree
+    h_final = num // h ** (A.degree - 1) if A.degree > 1 else num
+    return s * t * h_final
+
+
+def prs_discriminant(p: IntPolynomial) -> int:
+    """(-1)^(d(d-1)/2) Res(p, p') / lc(p) with the PRS resultant."""
+    d = p.degree
+    if d < 1:
+        raise ConstantPolynomial("discriminant requires degree >= 1")
+    if d == 1:
+        return 1
+    dp = p.derivative()
+    if dp.is_zero():
+        return 0
+    r = prs_resultant(p, dp)
+    sign = -1 if (d * (d - 1) // 2) % 2 else 1
+    q, rem = divmod(sign * r, p.lc)
+    assert rem == 0, "Res(p, p') must be divisible by lc(p)"
+    return q
 
 
 # -- permutations -----------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -273,6 +274,17 @@ class TestFingerprint:
 
     def test_hash_stable(self):
         assert fingerprint(P((1, 1, 0, 1))).hash_hex == fingerprint(P((1, 1, 0, 1))).hash_hex
+
+    @pytest.mark.parametrize("count", [0, 1, 50])
+    def test_hash_is_sha1_of_the_repr(self, count):
+        # hash_hex assembles the text from memoised entry reprs; it must stay
+        # repr((degree, entries)), with "()" for no entries and the trailing
+        # comma of a one-entry tuple.
+        fp = census.FieldFingerprint(3, fingerprint(P((1, 1, 0, 1)), 50).entries[:count])
+        assert len(fp.entries) == count
+        text = repr((3, fp.entries))
+        assert fp.hash_hex == hashlib.sha1(text.encode()).hexdigest()[:12]
+        assert fp.hash_hex == fp.hash_hex  # again, from the memoised reprs
 
     def test_census_records_carry_fingerprint(self):
         # classify_record builds the fingerprint in two kernel calls from

@@ -25,7 +25,7 @@ from hyperfield.factor import (
     primes_not_dividing,
 )
 from hyperfield.intpoly import IntPolynomial, discriminant
-from oracles import is_irreducible
+from oracles import is_irreducible, prs_resultant
 
 P = IntPolynomial
 X = sympy.Symbol("x")
@@ -270,10 +270,11 @@ class TestFactorModP:
 
 
 class TestKernelParity:
-    """pure.py and the compiled C kernel keep one contract: the same
-    results, and the same ValueError messages, for every modulus. Past the
-    C kernel's bound, the compiled module raises OverflowError and the
-    dispatcher in hyperfield._kernels answers from pure.py."""
+    """pure.py and the compiled C kernel keep one contract, for both
+    kernels (splitting_types and resultants): the same results, and the
+    same ValueError messages, for every modulus. Past the C kernel's
+    bound, the compiled module raises OverflowError and the dispatcher in
+    hyperfield._kernels answers from pure.py."""
 
     # primes on both sides of 2^31 and below 2^62 and 2^63, composites,
     # and moduli below 2
@@ -342,6 +343,43 @@ class TestKernelParity:
             "base is not invertible for the given modulus",
         }
 
+    def test_resultants_match(self):
+        # Res(a, b) mod every modulus of MODULI: the same residues, or the
+        # same ValueError, on both backends; at a prime not dividing either
+        # leading coefficient, the oracle's Res reduced mod that prime.
+        compiled = self._compiled()
+        rng = random.Random(4)
+        errors = set()
+        declined = 0
+        for _ in range(1200):
+            q = rng.choice(self.MODULI)
+            a, b = self._random_poly(rng, q), self._random_poly(rng, q)
+            if rng.random() < 0.02:
+                a = []  # the zero polynomial: no leading coefficient
+            longer = max(a, b, key=len)
+            got = self._outcome(pure.resultants, a, b, [q])
+            if q < 2 or self._compiled_takes(q, longer):
+                assert got == self._outcome(compiled.resultants, a, b, [q]), (a, b, q)
+            else:
+                declined += 1
+                with pytest.raises(OverflowError):
+                    compiled.resultants(a, b, [q])
+                assert got == self._outcome(_kernels.resultants, a, b, [q]), (a, b, q)
+            if isinstance(got, tuple):
+                errors.add(got[1])
+            elif factor.is_prime(q):
+                assert got == [prs_resultant(P(a), P(b)) % q], (a, b, q)
+            primes = rng.sample(self.MODULI, rng.randint(0, 4))
+            takes = all(r < 2 or self._compiled_takes(r, longer) for r in primes)
+            kernel = compiled.resultants if takes else _kernels.resultants
+            assert self._outcome(pure.resultants, a, b, primes) == self._outcome(kernel, a, b, primes)
+        assert declined > 100
+        assert errors == {
+            "modulus must be a prime >= 2",
+            "leading coefficient divisible by p",
+            "base is not invertible for the given modulus",
+        }
+
     def test_moduli_from_2_63_go_to_pure(self):
         compiled = self._compiled()
         f = [5, -3, 0, 7, 1]
@@ -350,6 +388,9 @@ class TestKernelParity:
                 compiled.splitting_types(f, [q])
             assert _kernels.splitting_types(f, [q]) == pure.splitting_types(f, [q])
             assert _kernels.splitting_types(f, [3, q]) == pure.splitting_types(f, [3, q])
+            with pytest.raises(OverflowError):
+                compiled.resultants(f, f[1:], [q])
+            assert _kernels.resultants(f, f[1:], [3, q]) == pure.resultants(f, f[1:], [3, q])
 
     def test_ddf_degrees_raises_exactly_where_splitting_types_marks(self, monkeypatch):
         # _kernels.ddf_degrees is splitting_types at one prime, on either

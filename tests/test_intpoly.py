@@ -1,12 +1,17 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperfield.errors import PolyParseError, ZeroInput, ZeroScale
+from hyperfield import _kernels, intpoly
+from hyperfield._kernels import pure
+from hyperfield.errors import ConstantPolynomial, PolyParseError, SearchExhausted, ZeroInput, ZeroScale
 from hyperfield.intpoly import (
+    RESULTANT_PRIMES,
     IntPolynomial,
     discriminant,
     format_poly,
@@ -17,6 +22,7 @@ from hyperfield.intpoly import (
     scale_x,
     translate,
 )
+from oracles import prs_discriminant, prs_resultant
 
 P = IntPolynomial
 
@@ -177,10 +183,15 @@ class TestResultantDiscriminant:
         assert resultant(P((-2, 1)), P((-3, 1))) == -1
         assert resultant(P((1, 0, 1)), P((1, 0, 1))) == 0
         assert resultant(P((-2, 0, 1)), P((-3, 0, 1))) == 1
+        # swapped: (-1)^(1*1) * -1; degree 2 against 1: (-1)^2, so both orders agree
+        assert resultant(P((-3, 1)), P((-2, 1))) == 1
+        assert resultant(P((-2, 0, 1)), P((-3, 1))) == resultant(P((-3, 1)), P((-2, 0, 1))) == 7
 
     def test_zero_input(self):
         with pytest.raises(ZeroInput):
             resultant(P(()), P((1, 1)))
+        with pytest.raises(ZeroInput):
+            resultant(P((1, 1)), P(()))
 
     def test_against_sylvester(self):
         rng = random.Random(2)
@@ -208,6 +219,108 @@ class TestResultantDiscriminant:
             c = P([rng.randint(-9, 9) for _ in range(2)] + [rng.randint(1, 5)])
             assert resultant(a, b * c) == resultant(a, b) * resultant(a, c)
 
+    @pytest.mark.parametrize("height", [1, 50, 10**6, 10**20, 2**200], ids=["1", "50", "1e6", "1e20", "2^200"])
+    def test_against_prs_oracle(self, height):
+        # random degrees 0-12, on both sides of zero, every sign of lc
+        rng = random.Random(height % 1000)
+        for _ in range(150 if height < 2**100 else 30):
+            a = P([rng.randint(-height, height) for _ in range(rng.randint(1, 13))])
+            b = P([rng.randint(-height, height) for _ in range(rng.randint(1, 13))])
+            if a.is_zero() or b.is_zero():
+                continue
+            assert resultant(a, b) == prs_resultant(a, b), (a, b)
+            if a.degree >= 1:
+                assert discriminant(a) == prs_discriminant(a), a
+
+    def test_extreme_heights(self):
+        # every coefficient at the height, where Hadamard's bound is nearly tight
+        for height in (1, 2**27, 2**28 - 57, 2**63, 10**40):
+            for d in (1, 2, 4, 6, 9):
+                for signs in ((1,) * (d + 1), tuple((-1) ** i for i in range(d + 1))):
+                    F = P(tuple(s * height for s in signs))
+                    G = P(tuple(s * (height - 1 + i) for i, s in enumerate(signs)))
+                    assert resultant(F, G) == prs_resultant(F, G), (height, d)
+                    assert discriminant(G) == prs_discriminant(G), (height, d)
+
+    def test_table_primes_dividing_lc_are_skipped(self):
+        # lc(a) lc(b) divisible by the first table primes: those are skipped
+        # (the kernel would refuse them) and the answer is still exact.
+        rng = random.Random(22)
+        lcs = (RESULTANT_PRIMES[0], RESULTANT_PRIMES[0] * RESULTANT_PRIMES[1], math.prod(RESULTANT_PRIMES[:5]))
+        for lc in lcs:
+            for _ in range(20):
+                a = P([rng.randint(-99, 99) for _ in range(rng.randint(0, 6))] + [lc])
+                b = P([rng.randint(-99, 99) for _ in range(rng.randint(0, 6))] + [rng.choice([1, -3, lc])])
+                assert resultant(a, b) == prs_resultant(a, b), (a, b)
+                if a.degree >= 1:
+                    assert discriminant(a) == prs_discriminant(a), a
+
+    def test_degree_zero_operand(self):
+        # Res(c, b) = c^deg b, Res(a, c) = c^deg a, and 1 for two constants
+        rng = random.Random(24)
+        for _ in range(100):
+            c = P((rng.choice([-1, 1]) * rng.randint(1, 10**30),))
+            b = P([rng.randint(-99, 99) for _ in range(rng.randint(0, 8))] + [rng.randint(1, 9)])
+            assert resultant(c, b) == prs_resultant(c, b) == c.lc**b.degree
+            assert resultant(b, c) == prs_resultant(b, c) == c.lc**b.degree
+        assert resultant(P((5,)), P((-7,))) == 1
+
+    def test_constant_has_no_discriminant(self):
+        with pytest.raises(ConstantPolynomial):
+            discriminant(P((5,)))
+
+    def test_prime_table(self):
+        # prime, strictly descending, below 2^28, and within the C kernel's
+        # delayed-reduction bound up to degree 255: 255 (p-1)^2 + (p-1) < 2^64
+        assert all(sympy.isprime(p) for p in RESULTANT_PRIMES)
+        assert all(p > q for p, q in zip(RESULTANT_PRIMES, RESULTANT_PRIMES[1:]))
+        assert RESULTANT_PRIMES[0] < 2**28
+        assert all(255 * (p - 1) ** 2 + (p - 1) < 2**64 for p in RESULTANT_PRIMES)
+
+    def test_table_primes_stay_in_the_compiled_kernel_to_degree_255(self):
+        compiled, _ = _kernels.load_compiled()
+        if compiled is None:
+            pytest.skip("no compiled kernel")
+        rng = random.Random(25)
+        a = [rng.randint(-(10**9), 10**9) for _ in range(255)] + [1]
+        b = [rng.randint(-(10**9), 10**9) for _ in range(200)] + [3]
+        ends = [RESULTANT_PRIMES[0], RESULTANT_PRIMES[-1]]
+        assert compiled.resultants(a, b, ends) == pure.resultants(a, b, ends)
+        longer = a + [1] * 45  # degree 300: past the bound, so pure.py answers
+        with pytest.raises(OverflowError):
+            compiled.resultants(longer, b, ends)
+        assert _kernels.resultants(longer, b, ends) == pure.resultants(longer, b, ends)
+
+    def test_bound_past_the_table_takes_primes_below_it(self, monkeypatch):
+        # Hadamard's bound for this degree-20 discriminant needs about 150
+        # primes of 27 bits: the table's 64, then the primes below it.
+        rng = random.Random(26)
+        F = P([rng.randint(-(2**100), 2**100) for _ in range(20)] + [2**100 + 1])
+        drawn = []
+        real = intpoly._resultant_primes
+
+        def recording():
+            for p in real():
+                drawn.append(p)
+                yield p
+
+        monkeypatch.setattr(intpoly, "_resultant_primes", recording)
+        assert discriminant(F) == prs_discriminant(F)
+        assert len(drawn) > 2 * len(RESULTANT_PRIMES)
+        below = drawn[len(RESULTANT_PRIMES):]
+        assert all(sympy.isprime(p) for p in below) and below == sorted(below, reverse=True)
+        assert below[0] == sympy.prevprime(RESULTANT_PRIMES[-1])
+
+    def test_too_few_primes_raise_rather_than_answer(self, monkeypatch):
+        # Were the primes exhausted before their product passed 2B, the
+        # residue could be wrong: resultant raises SearchExhausted (exit 5)
+        # instead.
+        monkeypatch.setattr(intpoly, "_resultant_primes", lambda: iter(RESULTANT_PRIMES[:2]))
+        F = P([10**6 + i for i in range(7)])
+        with pytest.raises(SearchExhausted):
+            discriminant(F)
+        assert resultant(P((-2, 1)), P((-3, 1))) == -1  # one prime suffices here
+
     def test_discriminant_quadratic(self):
         # b^2 - 4c at (b, c) = (1, 1)
         assert discriminant(P((1, 1, 1))) == -3
@@ -222,6 +335,13 @@ class TestResultantDiscriminant:
     def test_discriminant_repeated_factor(self):
         assert discriminant(P((1, -2, 1))) == 0
         assert discriminant(P((4, -4, 1)) * P((2, 1))) == 0
+        # squares times linear factors, and Res of operands with a common factor
+        rng = random.Random(23)
+        for _ in range(200):
+            g = P([rng.randint(-30, 30) for _ in range(rng.randint(1, 4))] + [rng.randint(1, 9)])
+            h = P([rng.randint(-30, 30), rng.randint(1, 9)])
+            assert discriminant(g * g * h) == 0
+            assert resultant(g * h, g * P((rng.randint(-9, 9), 1))) == 0
 
     def test_translation_invariance_monic(self):
         rng = random.Random(4)

@@ -184,6 +184,12 @@ def test_bench_kernels_backends_agree():
     outs, _ = bench.run(pure, cases)
     assert [len(rows) for rows in outs] == [50, 2]
     assert bench.run(compiled, cases)[0] == outs
+    # the discriminant rows: the PRS oracle and the modular path on both
+    # backends agree (resultant_rows asserts it) on a few members per box
+    selected = _kernels.impl
+    rows = bench.resultant_rows([pure, compiled], count=5)
+    assert [(name, n) for name, n, _, _ in rows] == [("census", 4), ("iso", 6), ("n5", 5)]
+    assert _kernels.impl is selected  # resultant_rows restores the backend
 
 
 def _backends(p: int, n: int):
