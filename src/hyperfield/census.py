@@ -16,14 +16,13 @@ multiplicity, class id), which all its records share. On an even curve
 the same classification: one F per mirror pair is classified, and the
 other takes a copy. A sweep reuses the classifications of its smaller
 boxes; only the multiplicities and field classes are computed again at
-each height. Irreducibility is decided by (in order) Musser's
-degree-set intersection over the splitting types at the first
-IRREDUCIBILITY_PRIMES good primes, a Newton polygon that is one
-irreducible block at one of the first POLYGON_PRIMES primes not dividing
-lc(F), then factor_over_q below the degree cap. S_n
-certification runs the recognition rules on Frobenius cycle types at the
-first fingerprint_primes good primes (not dividing lc(F) * Disc(F)),
-read from factor's prime table; they double as the field fingerprint.
+each height. Irreducibility is decided by (in order) Disc(F) = 0,
+Musser's degree-set intersection over the splitting types at the first
+IRREDUCIBILITY_PRIMES good primes, then factor_over_q below the degree
+cap. S_n certification runs the recognition rules on Frobenius cycle
+types at the first fingerprint_primes good primes (not dividing
+lc(F) * Disc(F)), read from factor's prime table; they double as the
+field fingerprint.
 
 Field classes merge records whose fingerprints agree at every shared
 prime. The compatible pairs come from an index of Python-int bitsets, one
@@ -54,7 +53,6 @@ import functools
 import hashlib
 import itertools
 import math
-import os
 from fractions import Fraction
 from operator import add, mul
 from typing import NamedTuple
@@ -66,7 +64,6 @@ from .errors import (
     HypothesisViolated,
     NonMonic,
     NotSquarefree,
-    PolyParseError,
     SearchExhausted,
     SearchWindowExceeded,
 )
@@ -88,7 +85,9 @@ from .family import (
     build_family_member,
 )
 from .intpoly import IntPolynomial, discriminant, format_poly, monicize, scale_x
-from .newton import factorization_shape, newton_polygon
+# Nothing here calls newton_polygon. The name stays for
+# perfbench/trace_spans.WRAPPED and the tests.
+from .newton import newton_polygon  # noqa: F401
 from .perms import SN, recognize_sn
 
 REDUCIBLE = "REDUCIBLE"
@@ -246,7 +245,6 @@ def _splitting_entries(F: IntPolynomial, primes: list[int]) -> tuple[tuple[int, 
 
 
 IRREDUCIBILITY_PRIMES = 5  # fingerprint primes whose splitting types screen for irreducibility
-POLYGON_PRIMES = 6  # Newton polygons tried at the first primes not dividing lc(F)
 ISO_CAP = 6  # largest degree at which field classes are confirmed by isomorphic_exact
 
 
@@ -311,15 +309,6 @@ class CensusRecord(NamedTuple):
         return self.entry.class_id
 
 
-def _np_irreducible(F: IntPolynomial) -> bool:
-    """The Newton polygon at some small prime is one irreducible block."""
-    return any(
-        block.length == F.degree and block.irreducible
-        for q in primes_not_dividing(F.lc, POLYGON_PRIMES)
-        for block in factorization_shape(newton_polygon(F, q))
-    )
-
-
 def classify_record(F: IntPolynomial, cfg: CensusConfig) -> FieldEntry:
     """Classify one distinct F: the census calls this once per F, and every
     record with that F shares the entry it returns."""
@@ -336,7 +325,7 @@ def classify_record(F: IntPolynomial, cfg: CensusConfig) -> FieldEntry:
     # the rest of the fingerprint, which a reducible F never needs.
     entries = _splitting_entries(F, good[:IRREDUCIBILITY_PRIMES])
 
-    if musser_degrees((t for _, t in entries), range(1, n // 2 + 1)) and not _np_irreducible(F):
+    if musser_degrees((t for _, t in entries), range(1, n // 2 + 1)):
         if n > cfg.factor_cap:
             raise DegreeCapExceeded(
                 f"cannot decide irreducibility at degree {n} above factor cap {cfg.factor_cap}"
@@ -365,21 +354,19 @@ def _box_records(
     cfg: CensusConfig,
     table: dict[tuple[int, ...], FieldEntry],
     classified: dict[tuple[int, ...], FieldEntry],
-    workers: int = 1,
 ):
     """Records of the whole box, in odometer order. `table` gets one entry
     per distinct F of the box. An F in `classified` (entries from smaller boxes
     of the same census) takes a copy of that classification; any other F
-    is classified once, here or, with `workers` > 1, in a pool of that many
-    processes fed only the F not classified yet.
+    is classified once, here or, with cfg.workers > 1, in a pool of that
+    many processes fed only the F not classified yet.
 
     On an even curve (f(-x) = f(x)) the mirror F(-x) of a member is also a
     member, and one F per mirror pair is classified: the other takes a
     copy. The copy is exact. n is even, so F(-x) has the leading
     coefficient and discriminant of F, hence the same good primes; x -> -x
     is an automorphism of F_p[x], so the splitting types agree at every
-    prime; the coefficients differ only in sign, so the Newton polygons
-    agree; and F(-x) is reducible exactly when F is."""
+    prime; and F(-x) is reducible exactly when F is."""
     shape = box.shape
     members = ((s, build_family_member(curve, shape, s)) for s in box.specializations())
     even = not any(curve.f.coeffs[1::2])
@@ -390,13 +377,13 @@ def _box_records(
         keys = (F.coeffs, scale_x(F, -1).coeffs) if even else (F.coeffs,)
         return next((m[k] for m in maps for k in keys if k in m), None)
 
-    if workers > 1:
+    if cfg.workers > 1:
         members = list(members)
         unseen = {}
         for _, F in members:
             if known(F, classified, unseen) is None:
                 unseen[F.coeffs] = F
-        table.update(zip(unseen, _classify_in_pool(list(unseen.values()), cfg, workers)))
+        table.update(zip(unseen, _classify_in_pool(list(unseen.values()), cfg, cfg.workers)))
     for s, F in members:
         entry = table.get(F.coeffs)
         if entry is None:
@@ -804,21 +791,16 @@ def run_census(
 ) -> CensusResult:
     """The census of one box. `classified` maps F.coeffs to the entries of
     earlier runs with the same curve, n and cfg (a sweep's smaller boxes):
-    their F are not classified again, and this run adds its own entries."""
+    their F are not classified again, and this run adds its own entries.
+    cfg.workers is the number of processes that classify; the CLI caps it
+    by HYPERFIELD_THREADS, and nothing here reads the environment."""
     shape = FamilyShape.census_shape(curve.d, n)
     Y = Fraction(Y)
     box = _capped_box(shape, Y, cfg)
-    workers = cfg.workers
-    env_threads = os.environ.get("HYPERFIELD_THREADS")
-    if env_threads:
-        try:
-            workers = max(1, min(workers, int(env_threads)))
-        except ValueError:
-            raise PolyParseError(f"HYPERFIELD_THREADS must be an integer, got {env_threads!r}") from None
     if classified is None:
         classified = {}
     table: dict[tuple[int, ...], FieldEntry] = {}
-    records = list(_box_records(curve, box, cfg, table, classified, workers))
+    records = list(_box_records(curve, box, cfg, table, classified))
     classified.update(table)
     entries = list(table.values())
 

@@ -204,6 +204,9 @@ def cmd_census(args) -> int:
         key: _positive_option(key, setting(key, getattr(defaults, key)))
         for key in ("fingerprint_primes", "factor_cap", "box_cap", "workers")
     })
+    threads = os.environ.get("HYPERFIELD_THREADS")
+    if threads:  # caps the workers, and is checked like them
+        cfg = cfg._replace(workers=min(cfg.workers, _positive_option("HYPERFIELD_THREADS", threads)))
     check_prime_count(cfg.fingerprint_primes)
     # --sweep and --Y set one thing, the heights: either flag beats the config.
     height_flags = args.sweep is not None or args.Y is not None

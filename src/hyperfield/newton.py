@@ -113,21 +113,20 @@ def newton_polygon(p: IntPolynomial, q: int) -> NewtonPolygon:
 
 
 class FactorBlock(NamedTuple):
-    """Q_p-factor of degree `length`; irreducible parts have degree divisible by `divisor`."""
+    """Q_p-factor of degree `length` whose irreducible parts have degree
+    divisible by `divisor`; it is irreducible when divisor == length."""
 
     length: int
     divisor: int
-    irreducible: bool
 
 
 def factorization_shape(np_: NewtonPolygon) -> list[FactorBlock]:
-    """Per-segment factor constraints: reduced slope r'/l' forces l' | deg."""
-    out = []
-    for seg in np_.segments:
-        l_red = seg.slope.denominator
-        out.append(FactorBlock(length=seg.length, divisor=l_red, irreducible=(l_red == seg.length)))
+    """Per-segment factor constraints: reduced slope r'/l' forces l' | deg.
+    The stripped power x^k comes first, as a block of length k and divisor 1.
+    verify_witness reads them for the ODD_EVEN_SPLIT recipe."""
+    out = [FactorBlock(length=seg.length, divisor=seg.slope.denominator) for seg in np_.segments]
     if np_.x_power:
-        out.insert(0, FactorBlock(length=np_.x_power, divisor=1, irreducible=(np_.x_power == 1)))
+        out.insert(0, FactorBlock(length=np_.x_power, divisor=1))
     return out
 
 

@@ -29,7 +29,6 @@ from hyperfield.errors import BoxTooLarge, DegreeCapExceeded, HypothesisViolated
 from hyperfield.factor import factor_mod_p
 from hyperfield.family import FamilyShape, HyperellipticCurve, build_family_member
 from hyperfield.intpoly import IntPolynomial, discriminant, scale_x, translate
-from hyperfield.newton import newton_polygon
 from hyperfield.perms import recognize_sn
 from oracles import compatible, is_irreducible
 
@@ -178,13 +177,11 @@ class TestEnumerateBox:
 
 
 class TestIrreducibilityScreen:
-    def test_factor_over_q_only_where_screen_and_polygon_fail(self, monkeypatch):
+    def test_factor_over_q_only_where_the_screen_fails(self, monkeypatch):
         """On --curve 1,1,0,1 --n 4 --Y 7/2, census.factor_over_q runs once
         for each distinct F among exactly the records with h != 0 and
         Disc F != 0 whose splitting types at the first five good primes
-        leave a factor degree in 1..n/2 (subset sums, recomputed here) and
-        whose Newton polygons at the first six primes not dividing lc(F)
-        are not one segment of length n and slope denominator n."""
+        leave a factor degree in 1..n/2 (subset sums, recomputed here)."""
         n, Y = 4, Fraction(7, 2)
         shape = FamilyShape.census_shape(C3.d, n)
         real, called = census.factor_over_q, []
@@ -199,11 +196,6 @@ class TestIrreducibilityScreen:
         def subset_sums(t):
             return {sum(c) for r in range(len(t) + 1) for c in itertools.combinations(t, r)}
 
-        def polygon_proves(F, q):
-            np_ = newton_polygon(F, q)
-            segs = np_.segments
-            return not np_.x_power and len(segs) == 1 and segs[0].length == n and segs[0].slope.denominator == n
-
         expected, wider_screen_only = [], 0
         for s in CoefficientBox.build(shape, Y).specializations():
             F = build_family_member(C3, shape, s)
@@ -212,13 +204,51 @@ class TestIrreducibilityScreen:
                 continue
             types = [factor_mod_p(F, q) for q in factor.primes_not_dividing(F.lc * disc, 5)]
             left = set(range(1, n // 2 + 1)).intersection(*map(subset_sums, types))
-            polygon = any(polygon_proves(F, q) for q in factor.primes_not_dividing(F.lc, 6))
-            if left and not polygon:
+            if left:
                 expected.append(F.coeffs)
-            elif not left and not polygon and (n,) not in types:
+            elif (n,) not in types:
                 wider_screen_only += 1  # no full cycle: a full-cycle screen would factor F
         assert called == list(dict.fromkeys(expected))  # the first record with each F
         assert wider_screen_only > 0
+
+    @pytest.mark.parametrize(
+        "curve, n, Y, lines, digest",
+        [
+            (C3, 4, Fraction(7, 2), 525, "e643596d6508be4ca66f43870f9c15c6d9019ea190a8fbc1dd5821513e974f9e"),
+            (QUARTIC, 6, Fraction(5, 4), 81, "abedafdcc2bcfc2d80fda41260b71d74ab1fb7500bdf3bcd8e739e328b6d37c2"),
+        ],
+    )
+    def test_census_computes_no_newton_polygon(self, monkeypatch, curve, n, Y, lines, digest):
+        """The census-cubic-n4 and census-quartic-iso boxes give the CSV
+        lines recorded when a Newton polygon stage ran between the screen and
+        Zassenhaus (SHA-256 of the lines joined by newlines), and no census
+        step computes a polygon."""
+
+        def refuse(*args):
+            raise AssertionError("the census computed a Newton polygon")
+
+        monkeypatch.setattr(census, "newton_polygon", refuse)
+        res = run_census(curve, n, Y)
+        assert len(res.csv_lines) == lines
+        assert hashlib.sha256("\n".join(res.csv_lines).encode()).hexdigest() == digest
+
+
+class TestFactorCap:
+    """Above the factor cap the census decides irreducibility by the screen
+    alone, and stops where it would need Zassenhaus."""
+
+    def test_screen_decides_above_the_cap(self, monkeypatch):
+        def refuse(F, cap):
+            raise AssertionError("factor_over_q called")
+
+        monkeypatch.setattr(census, "factor_over_q", refuse)
+        entry = census.classify_record(P((-1, -1, 0, 0, 0, 1)), CensusConfig(factor_cap=4))  # x^5 - x - 1
+        assert entry.status == SN_CERTIFIED
+
+    def test_reducible_above_the_cap_raises(self):
+        F = P((1, 0, 1)) * P((1, 1, 0, 1))  # (x^2 + 1)(x^3 + x + 1)
+        with pytest.raises(DegreeCapExceeded, match="cannot decide irreducibility at degree 5 above factor cap 4"):
+            census.classify_record(F, CensusConfig(factor_cap=4))
 
 
 def _groups_by_F(records):
@@ -695,7 +725,6 @@ class TestRunCensus:
             return real(Fs, cfg, workers)
 
         monkeypatch.setattr(census, "_classify_in_pool", recording)
-        monkeypatch.delenv("HYPERFIELD_THREADS", raising=False)
         base = run_census(C3, 4, 3, CensusConfig(workers=1))
         multi = run_census(C3, 4, 3, CensusConfig(workers=2))
         assert base.csv_lines == multi.csv_lines
@@ -762,7 +791,6 @@ class TestRunCensus:
             return real(Fs, cfg, workers)
 
         monkeypatch.setattr(census, "_classify_in_pool", recording)
-        monkeypatch.delenv("HYPERFIELD_THREADS", raising=False)
         base = run_census(QUARTIC, 6, Fraction(3, 2), CensusConfig(workers=1))
         multi = run_census(QUARTIC, 6, Fraction(3, 2), CensusConfig(workers=2))
         assert base.csv_lines == multi.csv_lines

@@ -361,6 +361,16 @@ class TestCensus:
         assert code == 5
         assert "exceeds cap" in err
 
+    def test_factor_cap_exit_5(self, capsys):
+        """A degree-3 F that the screen leaves open needs Zassenhaus, which a
+        factor cap of 2 forbids."""
+        code, out, err = run_cli(
+            ["census", "--curve", "1,1,0,1", "--n", "3", "--Y", "3", "--factor-cap", "2"], capsys
+        )
+        assert code == 5
+        assert out == ""
+        assert err == "error: cannot decide irreducibility at degree 3 above factor cap 2\n"
+
     @pytest.mark.parametrize("flag, line, code", [("1000", "box_cap=10", 0), ("10", "box_cap=1000", 5), (None, "box_cap=10", 5)])
     def test_box_cap_flag_beats_config(self, capsys, tmp_path, flag, line, code):
         # The n = 3, Y = 2 box has 15 members.
@@ -463,10 +473,18 @@ class TestEntryPoint:
 
     def test_threads_env_respected(self, capsys, monkeypatch):
         monkeypatch.setenv("HYPERFIELD_THREADS", "1")
+        real, workers = cli.run_census, []
+
+        def recording(curve, n, Y, cfg, classified):
+            workers.append(cfg.workers)
+            return real(curve, n, Y, cfg, classified)
+
+        monkeypatch.setattr(cli, "run_census", recording)
         code, out, _ = run_cli(
             ["census", "--curve", "1,1,0,1", "--n", "3", "--Y", "2", "--workers", "4"], capsys
         )
         assert code == 0
+        assert workers == [1]  # the census gets the effective count
 
 
 class TestBoundary:
@@ -518,6 +536,8 @@ class TestBoundary:
             (["certify", "--poly", "1,1,0,1", "--primes", "1000000"], 5),
             (["census", "--curve", "1,1,0,1", "--n", "3", "--Y", "2", "--fingerprint-primes", "100000000"], 5),
             (["census", "--config", Config(b"curve=1,1,0,1\nn=3\nY=2\nfingerprint_primes=100000000\n")], 5),
+            (["HYPERFIELD_THREADS=0", "census", "--curve", "1,1,0,1", "--n", "3", "--Y", "2"], 2),
+            (["HYPERFIELD_THREADS=-2", "census", "--curve", "1,1,0,1", "--n", "3", "--Y", "2"], 2),
         ],
     )
     def test_exit_code_within_10_s(self, args, code, tmp_path):

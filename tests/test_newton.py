@@ -101,16 +101,17 @@ class TestFactorizationShape:
     def test_irreducible_block(self):
         np_ = newton_polygon(P((-5, 0, 0, 0, 1)), 5)  # slope -1/4, length 4
         blocks = factorization_shape(np_)
-        assert blocks == [FactorBlock(4, 4, True)]
+        assert blocks == [FactorBlock(4, 4)]
+        assert blocks[0].divisor == blocks[0].length  # one irreducible Q_5-factor of degree 4
 
     def test_split_block(self):
         # slope -2/n, n even: factors divisible by n/2
         np_ = newton_polygon(P((25, 0, 5, 0, 1)), 5)
-        assert factorization_shape(np_) == [FactorBlock(4, 2, False)]
+        assert factorization_shape(np_) == [FactorBlock(4, 2)]
 
     def test_slope_zero_no_constraint(self):
         np_ = newton_polygon(P((1, 1, 0, 1)), 5)
-        assert factorization_shape(np_) == [FactorBlock(3, 1, False)]
+        assert factorization_shape(np_) == [FactorBlock(3, 1)]
 
     def test_consistent_with_rational_factorization(self):
         # Q-factor degrees must be expressible as sums of per-segment
