@@ -9,14 +9,15 @@ each coordinate swept from -bound to +bound.
 Every record carries the discriminant and a certification status:
 REDUCIBLE, IRREDUCIBLE_UNCERTIFIED, or SN_CERTIFIED. These depend on F
 alone, and F = g^2 - f h^2 does not change under g -> -g or h -> -h, so
-many records repeat an F. Each distinct F is classified once: the census
-keeps one table entry per F (status, Disc(F), fingerprint and its hash,
-multiplicity, class id), which all its records share. On an even curve
+many records repeat an F. Each distinct F is classified once, into an
+immutable entry (status, Disc(F), fingerprint and its hash) that all
+records with that F share, in every box of a census. On an even curve
 (f(-x) = f(x)), x -> -x maps the box onto itself and F to F(-x), which has
 the same classification: one F per mirror pair is classified, and the
-other takes a copy. A sweep reuses the classifications of its smaller
-boxes; only the multiplicities and field classes are computed again at
-each height. Irreducibility is decided by (in order) Disc(F) = 0,
+other gets that entry with its own F. A sweep reuses the entries of its
+smaller boxes. What belongs to one box, the multiplicity of each F and
+its field class, is counted by run_census for that box and kept out of
+the entries. Irreducibility is decided by (in order) Disc(F) = 0,
 Musser's degree-set intersection over the splitting types at the first
 IRREDUCIBILITY_PRIMES good primes, then factor_over_q below the degree
 cap. S_n certification runs the recognition rules on Frobenius cycle
@@ -53,6 +54,7 @@ import functools
 import hashlib
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from operator import add, mul
 from typing import NamedTuple
@@ -255,30 +257,16 @@ class CensusConfig(NamedTuple):
     workers: int = 1
 
 
-class FieldEntry:
-    """The table entry of one distinct F: its classification (status, Disc F,
-    fingerprint and its hash), then, for one box, the number of records with
-    this F and its field class. Every record with this F shares the entry."""
+class FieldEntry(NamedTuple):
+    """The classification of one distinct F: Disc F, status, fingerprint and
+    its hash. It depends on F alone and is made once per F; every record
+    with this F, in every box of a census, shares it."""
 
-    __slots__ = ("F", "disc_F", "status", "fingerprint", "hash_hex", "multiplicity", "class_id")
-
-    def __init__(
-        self,
-        F: IntPolynomial,
-        disc_F: int,
-        status: str,
-        fingerprint: FieldFingerprint | None = None,
-        hash_hex: str = "",
-        multiplicity: int = 0,
-        class_id: int | None = None,
-    ):
-        self.F = F
-        self.disc_F = disc_F
-        self.status = status
-        self.fingerprint = fingerprint
-        self.hash_hex = hash_hex
-        self.multiplicity = multiplicity
-        self.class_id = class_id
+    F: IntPolynomial
+    disc_F: int
+    status: str
+    fingerprint: FieldFingerprint | None = None
+    hash_hex: str = ""
 
     # Classification reads F alone. An h = 0 member has F = g^2, which has
     # Disc F = 0 and is REDUCIBLE like any other square; the record carries
@@ -291,6 +279,7 @@ class CensusRecord(NamedTuple):
     F: IntPolynomial
     no_point: bool
     entry: FieldEntry
+    class_id: int | None  # the field class of F in this record's box; None if F is reducible
 
     @property
     def disc_F(self) -> int:
@@ -303,10 +292,6 @@ class CensusRecord(NamedTuple):
     @property
     def fingerprint(self) -> FieldFingerprint | None:
         return self.entry.fingerprint
-
-    @property
-    def class_id(self) -> int | None:
-        return self.entry.class_id
 
 
 def classify_record(F: IntPolynomial, cfg: CensusConfig) -> FieldEntry:
@@ -341,60 +326,66 @@ def classify_record(F: IntPolynomial, cfg: CensusConfig) -> FieldEntry:
     return FieldEntry(F, disc_F, status, fingerprint=fp, hash_hex=fp.hash_hex)
 
 
-def _capped_box(shape: FamilyShape, Y, cfg: CensusConfig) -> CoefficientBox:
+def _capped_box(shape: FamilyShape, Y: Fraction, cfg: CensusConfig) -> CoefficientBox:
+    """The box of height Y, or BoxTooLarge if it has more than cfg.box_cap
+    members. For Y >= 1 every bound is at least 1, so k free coefficients
+    give at least 3^k > 2^k members: a box with k >= box_cap.bit_length()
+    is refused before its bounds are built."""
+    # Numbers above 64 bits are printed by their size: str() raises on an
+    # int of more than sys.get_int_max_str_digits() digits.
+    k = shape.a_len + shape.b_len
+    if Y >= 1 and k >= cfg.box_cap.bit_length():
+        bits = k if k.bit_length() <= 64 else f"2^{k.bit_length() - 1}"
+        raise BoxTooLarge(f"box cardinality of more than {bits} bits exceeds cap {cfg.box_cap}")
     box = CoefficientBox.build(shape, Y)
-    if box.cardinality > cfg.box_cap:
-        raise BoxTooLarge(f"box cardinality {box.cardinality} exceeds cap {cfg.box_cap}")
+    size = box.cardinality
+    if size > cfg.box_cap:
+        text = size if size.bit_length() <= 64 else f"of {size.bit_length()} bits"
+        raise BoxTooLarge(f"box cardinality {text} exceeds cap {cfg.box_cap}")
     return box
 
 
-def _box_records(
+def _box_members(
     curve: HyperellipticCurve,
     box: CoefficientBox,
     cfg: CensusConfig,
-    table: dict[tuple[int, ...], FieldEntry],
     classified: dict[tuple[int, ...], FieldEntry],
-):
-    """Records of the whole box, in odometer order. `table` gets one entry
-    per distinct F of the box. An F in `classified` (entries from smaller boxes
-    of the same census) takes a copy of that classification; any other F
-    is classified once, here or, with cfg.workers > 1, in a pool of that
-    many processes fed only the F not classified yet.
+) -> list[tuple[Specialization, IntPolynomial]]:
+    """(spec, F) for every member of the box, in odometer order, after
+    adding to `classified` (F.coeffs -> entry, kept across the boxes of one
+    census) an entry for each F of the box it lacks. Those F are classified
+    in order of first appearance, in this process or, with cfg.workers > 1,
+    in a pool of that many processes.
 
     On an even curve (f(-x) = f(x)) the mirror F(-x) of a member is also a
-    member, and one F per mirror pair is classified: the other takes a
-    copy. The copy is exact. n is even, so F(-x) has the leading
-    coefficient and discriminant of F, hence the same good primes; x -> -x
-    is an automorphism of F_p[x], so the splitting types agree at every
-    prime; and F(-x) is reducible exactly when F is."""
+    member, and one F per mirror pair is classified: the other gets its
+    entry with F replaced. That is exact. n is even, so F(-x) has the
+    leading coefficient and discriminant of F, hence the same good primes;
+    x -> -x is an automorphism of F_p[x], so the splitting types agree at
+    every prime; and F(-x) is reducible exactly when F is."""
     shape = box.shape
-    members = ((s, build_family_member(curve, shape, s)) for s in box.specializations())
+    members = [(s, build_family_member(curve, shape, s)) for s in box.specializations()]
     even = not any(curve.f.coeffs[1::2])
-
-    def known(F, *maps):
-        """The value of F, or on an even curve of its mirror, in the first map
-        that has either; None if none has."""
-        keys = (F.coeffs, scale_x(F, -1).coeffs) if even else (F.coeffs,)
-        return next((m[k] for m in maps for k in keys if k in m), None)
-
+    pending: dict[tuple[int, ...], IntPolynomial] = {}
+    for _, F in members:
+        if F.coeffs in classified or F.coeffs in pending:
+            continue
+        if even:
+            mirror = scale_x(F, -1).coeffs
+            if mirror in classified or mirror in pending:
+                continue
+        pending[F.coeffs] = F
+    Fs = list(pending.values())
     if cfg.workers > 1:
-        members = list(members)
-        unseen = {}
+        entries = _classify_in_pool(Fs, cfg, cfg.workers)
+    else:
+        entries = [classify_record(F, cfg) for F in Fs]
+    classified.update(zip(pending, entries))
+    if even:
         for _, F in members:
-            if known(F, classified, unseen) is None:
-                unseen[F.coeffs] = F
-        table.update(zip(unseen, _classify_in_pool(list(unseen.values()), cfg, cfg.workers)))
-    for s, F in members:
-        entry = table.get(F.coeffs)
-        if entry is None:
-            old = known(F, table, classified)
-            if old is None:
-                entry = classify_record(F, cfg)
-            else:  # the classification, without this box's multiplicity and class
-                entry = FieldEntry(F, old.disc_F, old.status, old.fingerprint, old.hash_hex)
-            table[F.coeffs] = entry
-        entry.multiplicity += 1
-        yield CensusRecord(s, F, s.h_poly(shape).is_zero(), entry)
+            if F.coeffs not in classified:
+                classified[F.coeffs] = classified[scale_x(F, -1).coeffs]._replace(F=F)
+    return members
 
 
 def _classify_in_pool(Fs: list[IntPolynomial], cfg: CensusConfig, workers: int) -> list[FieldEntry]:
@@ -799,18 +790,20 @@ def run_census(
     box = _capped_box(shape, Y, cfg)
     if classified is None:
         classified = {}
-    table: dict[tuple[int, ...], FieldEntry] = {}
-    records = list(_box_records(curve, box, cfg, table, classified))
-    classified.update(table)
-    entries = list(table.values())
+    members = _box_members(curve, box, cfg, classified)
+    multiplicity = Counter(F.coeffs for _, F in members)
+    entries = [classified[k] for k in multiplicity]
 
     classes, unconfirmed = _class_groups(entries)
-    for cid, group in enumerate(classes):
-        for e in group:
-            e.class_id = cid
+    class_of = {e.F.coeffs: cid for cid, group in enumerate(classes) for e in group}
+    records = [
+        CensusRecord(s, F, s.h_poly(shape).is_zero(), classified[F.coeffs], class_of.get(F.coeffs))
+        for s, F in members
+    ]
+    del members  # the records hold the same specs and F
 
     counts = {
-        key: sum(e.multiplicity for e in entries if e.status == status)
+        key: sum(multiplicity[e.F.coeffs] for e in entries if e.status == status)
         for key, status in (
             ("reducible", REDUCIBLE), ("irreducible", IRREDUCIBLE_UNCERTIFIED), ("sn_certified", SN_CERTIFIED)
         )
@@ -827,7 +820,7 @@ def run_census(
     mk_ratio = 0.0
     class_min_disc = []
     for group in classes:
-        mult = sum(e.multiplicity for e in group)
+        mult = sum(multiplicity[e.F.coeffs] for e in group)
         dmin = min(abs(e.disc_F) for e in group)
         class_min_disc.append((dmin, mult))
         bound = max(float(Y) ** n * dmin ** -0.5 if dmin else float("inf"), float(Y) ** (n / 2))
@@ -837,13 +830,13 @@ def run_census(
     hist: dict[int, int] = {}
     for e in entries:
         b = abs(e.disc_F).bit_length()
-        hist[b] = hist.get(b, 0) + e.multiplicity
+        hist[b] = hist.get(b, 0) + multiplicity[e.F.coeffs]
 
     report = exponents(curve.genus, curve.d, n)
     summary = {
         "counts": counts,
         "classes": len(classes),
-        "max_multiplicity": max((e.multiplicity for e in entries), default=0),
+        "max_multiplicity": max(multiplicity.values(), default=0),
         "exponent_report": report.to_json(),
         "diagnostics": {
             "box_cardinality": box.cardinality,
@@ -859,8 +852,8 @@ def run_census(
         },
     }
     # The F columns of a CSV line are the same for every record with that F.
-    tails = {e: _csv_tail(e) for e in entries}
-    csv_lines = [f"{_csv_spec(r.spec)};{tails[r.entry]}" for r in records]
+    tails = {e.F.coeffs: _csv_tail(e, class_of.get(e.F.coeffs)) for e in entries}
+    csv_lines = [f"{_csv_spec(r.spec)};{tails[r.F.coeffs]}" for r in records]
     return CensusResult(curve=curve, shape=shape, Y=Y, records=records, summary=summary, csv_lines=csv_lines)
 
 
@@ -882,8 +875,8 @@ def _csv_spec(s: Specialization) -> str:
     return ",".join(map(str, s.a)) + ";" + ",".join(map(str, s.b))
 
 
-def _csv_tail(e: FieldEntry) -> str:
-    cid = str(e.class_id) if e.class_id is not None else ""
+def _csv_tail(e: FieldEntry, class_id: int | None) -> str:
+    cid = str(class_id) if class_id is not None else ""
     return ";".join([format_poly(e.F), str(e.disc_F), e.status, e.hash_hex, cid])
 
 

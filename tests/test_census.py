@@ -261,11 +261,11 @@ def _groups_by_F(records):
 
 class TestDedupe:
     def test_sign_collision(self):
-        records = run_census(C3, 4, 2).records
+        res = run_census(C3, 4, 2)
+        records = res.records
         groups = _groups_by_F(records)
-        assert all(r.entry.multiplicity == len(groups[r.F.coeffs]) for r in records)
         assert all(r.entry is groups[r.F.coeffs][0].entry for r in records)  # one entry per distinct F
-        max_mult = max(r.entry.multiplicity for r in records)
+        max_mult = res.summary["max_multiplicity"]
         assert max_mult == max(map(len, groups.values())) == 2  # (g, b0) and (g, -b0) collide
         two = [g for g in groups.values() if len(g) == 2]
         assert two
@@ -741,13 +741,51 @@ class TestRunCensus:
         assert again.csv_lines == base.csv_lines and again.summary == base.summary
         assert set(classified) == {r.F.coeffs for r in base.records}
 
+    def test_sweep_shares_entries_and_leaves_smaller_boxes_alone(self):
+        """A sweep's larger box reuses the smaller box's entries themselves,
+        and running it changes nothing in the smaller box's result."""
+
+        def snapshot(res):
+            rows = [(r.spec, r.F.coeffs, r.no_point, r.disc_F, r.status, r.fingerprint, r.entry.hash_hex, r.class_id)
+                    for r in res.records]
+            return rows, list(res.csv_lines)
+
+        classified = {}
+        small = run_census(C3, 4, 2, CensusConfig(), classified)
+        before = snapshot(small)
+        large = run_census(C3, 4, 3, CensusConfig(), classified)
+        entries = {r.F.coeffs: r.entry for r in large.records}
+        assert all(entries[r.F.coeffs] is r.entry for r in small.records)
+        assert snapshot(small) == before == snapshot(run_census(C3, 4, 2))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_summary_matches_a_recount_of_the_records(self, workers):
+        """On the even-curve sweep x^4 + 1, n = 6, Y = 5/4 then 3/2: the
+        per-box figures of each summary, counted again from its records."""
+        keys = {REDUCIBLE: "reducible", IRREDUCIBLE_UNCERTIFIED: "irreducible", SN_CERTIFIED: "sn_certified"}
+        classified = {}
+        for Y in (Fraction(5, 4), Fraction(3, 2)):
+            res = run_census(QUARTIC, 6, Y, CensusConfig(workers=workers), classified)
+            counts = dict.fromkeys(keys.values(), 0)
+            hist = {}
+            for r in res.records:
+                counts[keys[r.status]] += 1
+                b = str(abs(r.disc_F).bit_length())
+                hist[b] = hist.get(b, 0) + 1
+            s, diag = res.summary, res.summary["diagnostics"]
+            assert s["counts"] == counts
+            assert diag["disc_histogram"] == hist
+            assert diag["h_zero_members"] == sum(r.no_point for r in res.records) > 0
+            assert s["max_multiplicity"] == max(map(len, _groups_by_F(res.records).values()))
+
     @pytest.mark.parametrize(
         "curve, n, Y",
         [(QUARTIC, 6, Fraction(3, 2)), (HyperellipticCurve(P((1, 0, 0, 0, 0, 0, 1))), 8, 1)],
     )
     def test_mirror_copies_equal_their_classification(self, curve, n, Y):
         """On an even curve the F whose mirror F(-x) was classified first
-        carry a copy: each entry equals classify_record of its own F."""
+        get the mirror's entry with their own F: each entry equals
+        classify_record of its F."""
         res = run_census(curve, n, Y)
         entries = {r.F.coeffs: r.entry for r in res.records}
         assert sum(mirror(F) in entries for F in entries) > len(entries) // 2

@@ -337,22 +337,41 @@ class TestCensus:
         assert out == ""
         assert "census needs --n" in err
 
+    GOLDEN = [
+        (["--curve", "1,1,0,1", "--n", "4", "--Y", "7/2"],
+         "3b92113c4120b4c98db75ae20bd91b82332e08b88fd919ac1b96d0885f453cd6",
+         "3eb1064af4e9a835d20da9f2574ea055e5f3bb1d9947e01f2affbcf1480a6bfd"),
+        # An even curve: one F per mirror pair is classified, and the sweep
+        # reuses the entries of its smaller box.
+        (["--curve", "1,0,0,0,1", "--n", "6", "--sweep", "5/4,3/2"],
+         "ff7bd0041518069afddb9f48c2dccdc8cf52704558341cd84582fcec12214c78",
+         "9e7190de87ebb655dda84b287c9aa3769c2da0d6c3860289f17ed1bf3c4eb726"),
+    ]
+
     def test_golden_digests(self, capsys, tmp_path):
-        """CSV and summary JSON of a small census, byte for byte, against
-        SHA-256 digests recorded when class grouping was a pairwise merge."""
+        """CSV and summary JSON of small censuses, byte for byte, against
+        SHA-256 digests: the first recorded when class grouping was a
+        pairwise merge, the second when entries were still copied per box."""
         csv, summary = tmp_path / "out.csv", tmp_path / "out.json"
-        code, _, _ = run_cli(
-            ["census", "--curve", "1,1,0,1", "--n", "4", "--Y", "7/2",
-             "--out-csv", str(csv), "--out-json", str(summary)],
-            capsys,
-        )
-        assert code == 0
-        assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
-            "3b92113c4120b4c98db75ae20bd91b82332e08b88fd919ac1b96d0885f453cd6"
-        )
-        assert hashlib.sha256(summary.read_bytes()).hexdigest() == (
-            "3eb1064af4e9a835d20da9f2574ea055e5f3bb1d9947e01f2affbcf1480a6bfd"
-        )
+        for args, csv_digest, json_digest in self.GOLDEN:
+            code, _, _ = run_cli(["census", *args, "--out-csv", str(csv), "--out-json", str(summary)], capsys)
+            assert code == 0
+            assert hashlib.sha256(csv.read_bytes()).hexdigest() == csv_digest
+            assert hashlib.sha256(summary.read_bytes()).hexdigest() == json_digest
+
+    def test_golden_digests_pure_backend(self, tmp_path):
+        """The same bytes from the pure-Python kernels, whichever backend
+        this process loaded."""
+        csv, summary = tmp_path / "out.csv", tmp_path / "out.json"
+        env = {"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin", "HYPERFIELD_PURE": "1"}
+        for args, csv_digest, json_digest in self.GOLDEN:
+            proc = subprocess.run(
+                [sys.executable, "-m", "hyperfield", "census", *args, "--out-csv", str(csv), "--out-json", str(summary)],
+                capture_output=True, env=env, timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert hashlib.sha256(csv.read_bytes()).hexdigest() == csv_digest
+            assert hashlib.sha256(summary.read_bytes()).hexdigest() == json_digest
 
     def test_box_cap_exit_5(self, capsys):
         code, _, err = run_cli(
@@ -360,6 +379,20 @@ class TestCensus:
         )
         assert code == 5
         assert "exceeds cap" in err
+
+    @pytest.mark.parametrize(
+        "n, Y",
+        [("400", "2"), ("20", "1" + "0" * 300), ("200000", "1")],
+        ids=["many_coefficients", "huge_height", "n_200000"],
+    )
+    def test_box_cap_refuses_any_size(self, capsys, n, Y):
+        """A box whose cardinality has more digits than str() prints, or too
+        many coefficients to enumerate the bounds of, is refused like any
+        other box above the cap."""
+        code, out, err = run_cli(["census", "--curve", "1,1,0,1", "--n", n, "--Y", Y], capsys)
+        assert code == 5
+        assert out == ""
+        assert err.startswith("error: box cardinality ") and err.endswith(" exceeds cap 100000000\n")
 
     def test_factor_cap_exit_5(self, capsys):
         """A degree-3 F that the screen leaves open needs Zassenhaus, which a
