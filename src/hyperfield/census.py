@@ -320,7 +320,7 @@ def classify_record(F: IntPolynomial, cfg: CensusConfig) -> FieldEntry:
             return FieldEntry(F, disc_F, REDUCIBLE)
 
     entries += _splitting_entries(F, good[IRREDUCIBILITY_PRIMES:])
-    cert = recognize_sn(n, [t for _, t in entries], transitive=True)
+    cert = recognize_sn(n, [(t, "") for _, t in entries])
     status = SN_CERTIFIED if cert.conclusion == SN else IRREDUCIBLE_UNCERTIFIED
     fp = FieldFingerprint(n, entries)
     return FieldEntry(F, disc_F, status, fingerprint=fp, hash_hex=fp.hash_hex)
@@ -377,7 +377,7 @@ def _box_members(
         pending[F.coeffs] = F
     Fs = list(pending.values())
     if cfg.workers > 1:
-        entries = _classify_in_pool(Fs, cfg, cfg.workers)
+        entries = _classify_in_pool(Fs, cfg)
     else:
         entries = [classify_record(F, cfg) for F in Fs]
     classified.update(zip(pending, entries))
@@ -388,13 +388,13 @@ def _box_members(
     return members
 
 
-def _classify_in_pool(Fs: list[IntPolynomial], cfg: CensusConfig, workers: int) -> list[FieldEntry]:
-    """classify_record on each F, in order, by a pool of `workers` processes."""
+def _classify_in_pool(Fs: list[IntPolynomial], cfg: CensusConfig) -> list[FieldEntry]:
+    """classify_record on each F, in order, by a pool of cfg.workers processes."""
     from concurrent.futures import ProcessPoolExecutor
 
-    size = max(64, len(Fs) // (workers * 8) + 1)
+    size = max(64, len(Fs) // (cfg.workers * 8) + 1)
     chunks = (Fs[i:i + size] for i in range(0, len(Fs), size))
-    with ProcessPoolExecutor(max_workers=workers) as ex:
+    with ProcessPoolExecutor(max_workers=cfg.workers) as ex:
         return [e for part in ex.map(_classify_chunk, ((c, cfg) for c in chunks)) for e in part]
 
 
@@ -604,6 +604,8 @@ def exponents(g: int, d: int, n: int) -> ExponentReport:
         raise HypothesisViolated(f"genus must be >= 1 (got g={g})")
     if d not in (2 * g + 1, 2 * g + 2):
         raise HypothesisViolated(f"degree d={d} inconsistent with genus g={g} (need 2g+1 or 2g+2)")
+    if n >= 10**1000:  # the exponents, with 3x its digits, would pass str()'s 4300-digit limit
+        raise DegreeCapExceeded("exponents need n below 10^1000")
     if d % 2 == 1:
         if n < d:
             raise HypothesisViolated(f"odd-degree case requires n >= d (got n={n})")

@@ -88,7 +88,7 @@ def cmd_certify(args) -> int:
         print(f"error: input is reducible; found factor {format_poly(proper[0])}", file=sys.stderr)
         return EXIT_INADMISSIBLE
     evidence = [(t, f"frobenius p={q}") for q, t in fingerprint(poly, args.primes).entries]
-    cert = recognize_sn(poly.degree, evidence, transitive=True)
+    cert = recognize_sn(poly.degree, evidence)
     print(cert.json_text())
     return EXIT_OK
 

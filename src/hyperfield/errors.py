@@ -70,10 +70,6 @@ class DegreeCapExceeded(ResourceCap):
     """Operation requested above its configured degree cap."""
 
 
-class BadEvidence(OutsideHypotheses):
-    """A cycle type does not sum to the claimed degree."""
-
-
 class DegreeDrop(OutsideHypotheses):
     """Family member degenerated below the target degree n."""
 

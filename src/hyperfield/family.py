@@ -25,6 +25,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import (
+    DegreeCapExceeded,
     DegreeDrop,
     HypothesisViolated,
     InadmissiblePrime,
@@ -47,6 +48,10 @@ from .newton import (
 ODD_D_EVEN_N = "ODD_D_EVEN_N"
 ODD_D_ODD_N = "ODD_D_ODD_N"
 EVEN_D_EVEN_N = "EVEN_D_EVEN_N"
+
+# Largest witness degree. Building a witness takes time n^2 (schoolbook
+# products): 0.6-1.2 s per recipe at n = 4096 with HYPERFIELD_PURE=1.
+WITNESS_DEGREE_CAP = 4096
 
 
 class HyperellipticCurve:
@@ -94,6 +99,8 @@ class FamilyShape(NamedTuple):
 
     @classmethod
     def proof_shape(cls, d: int, n: int) -> "FamilyShape":
+        if n > WITNESS_DEGREE_CAP:
+            raise DegreeCapExceeded(f"witness degree n exceeds cap {WITNESS_DEGREE_CAP}")
         d_g, d_h, case = cls._degrees(d, n)
         return cls(n=n, d_g=d_g, d_h=d_h, case=case)
 

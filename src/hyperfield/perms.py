@@ -1,6 +1,9 @@
 """Symmetric-group recognition from cycle evidence: recognize_sn and its
 rules on cycle types. Cycle types are descending integer tuples summing
-to n.
+to n, as the kernels return them (factor.good_splitting_types and the
+census's splitting_types); recognize_sn takes them as given. The group
+must be transitive, which is the caller's to prove: both callers pass
+the types of an F they have shown irreducible.
 
 Recognition works at the level of cycle TYPES (all that Dedekind or
 Newton-polygon evidence provides). A part l of a type is usable as an
@@ -21,7 +24,6 @@ import math
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
-from .errors import BadEvidence
 # Nothing here calls factor_mod_p; it stays for perfbench/trace_spans.WRAPPED.
 from .factor import factor_mod_p, is_prime  # noqa: F401
 
@@ -89,30 +91,15 @@ def usable_cycle_lengths(t: CycleType) -> frozenset[int]:
     )
 
 
-@functools.lru_cache(maxsize=4096)
-def _normalized_type(t: tuple, n: int) -> CycleType:
-    """t as a descending tuple of ints summing to n. Memoised like
-    usable_cycle_lengths; a BadEvidence raised here is not cached, so it is
-    raised again on every call with the same type."""
-    out = tuple(sorted((int(x) for x in t), reverse=True))
-    if sum(out) != n:
-        raise BadEvidence(f"cycle type {out} does not sum to degree {n}")
-    return out
+def recognize_sn(n: int, evidence) -> GroupCertificate:
+    """Apply the type-level generating rules to `evidence`, a sequence of
+    (cycle type, source) pairs from a transitive group of degree n. Each
+    type is a descending tuple summing to n, as the kernels return it; it
+    is neither checked nor sorted here. The pairs are kept, in order, as
+    the certificate's evidence."""
+    ev = tuple(evidence)
+    cert = lambda rule, concl: GroupCertificate(n, ev, rule, concl)
 
-
-def recognize_sn(n: int, evidence, transitive: bool) -> GroupCertificate:
-    """Apply the type-level generating rules; S_n only under transitivity."""
-    ev = []
-    for item in evidence:
-        if isinstance(item, tuple) and len(item) == 2 and isinstance(item[1], str):
-            t, src = item
-        else:
-            t, src = item, ""
-        ev.append((_normalized_type(tuple(t), n), src))
-    cert = lambda rule, concl: GroupCertificate(n, tuple(ev), rule, concl)
-
-    if not transitive:
-        return cert(None, INCONCLUSIVE)
     if n == 1:
         return cert(RULE_FULL_CYCLE, SN)
 
@@ -130,4 +117,3 @@ def recognize_sn(n: int, evidence, transitive: bool) -> GroupCertificate:
     if 3 in usable and n - 2 in usable and n >= 4:
         return cert(RULE_EVEN, SN)
     return cert(None, INCONCLUSIVE)
-

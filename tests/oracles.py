@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from hyperfield.census import FieldFingerprint
-from hyperfield.errors import BadEvidence, ConstantPolynomial, DegreeCapExceeded, ZeroInput
+from hyperfield.errors import ConstantPolynomial, DegreeCapExceeded, ZeroInput
 from hyperfield.factor import DEFAULT_DEGREE_CAP, factor_over_q
 from hyperfield.intpoly import IntPolynomial
 from hyperfield.newton import (
@@ -167,7 +167,7 @@ def cycle_type(p: Perm) -> CycleType:
 def canonical_of_type(t: CycleType, n: int) -> Perm:
     """Canonical placement: consecutive cycles, e.g. [2,1,1] -> (0 1)."""
     if sum(t) != n:
-        raise BadEvidence(f"type {t} does not sum to {n}")
+        raise ValueError(f"type {t} does not sum to {n}")
     cycles, start = [], 0
     for part in t:
         cycles.append(tuple(range(start, start + part)))

@@ -157,7 +157,7 @@ class TestEnumerateBox:
         zero = [r for r in records if r.spec.a == (0, 0)][0]
         assert zero.F.coeffs == (-1, -1, 0, -1)
         assert zero.status == SN_CERTIFIED
-        assert recognize_sn(3, [t for _, t in zero.fingerprint.entries], transitive=True).conclusion == "SN"
+        assert recognize_sn(3, [(t, "") for _, t in zero.fingerprint.entries]).conclusion == "SN"
         assert zero.fingerprint is not None and len(zero.fingerprint.entries) == 50
         with pytest.raises(BoxTooLarge):
             run_census(C3, 3, 2, CensusConfig(box_cap=10))
@@ -720,9 +720,9 @@ class TestRunCensus:
         sent = []
         real = census._classify_in_pool
 
-        def recording(Fs, cfg, workers):
+        def recording(Fs, cfg):
             sent.append([F.coeffs for F in Fs])
-            return real(Fs, cfg, workers)
+            return real(Fs, cfg)
 
         monkeypatch.setattr(census, "_classify_in_pool", recording)
         base = run_census(C3, 4, 3, CensusConfig(workers=1))
@@ -824,9 +824,9 @@ class TestRunCensus:
         sent = []
         real = census._classify_in_pool
 
-        def recording(Fs, cfg, workers):
+        def recording(Fs, cfg):
             sent.extend(F.coeffs for F in Fs)
-            return real(Fs, cfg, workers)
+            return real(Fs, cfg)
 
         monkeypatch.setattr(census, "_classify_in_pool", recording)
         base = run_census(QUARTIC, 6, Fraction(3, 2), CensusConfig(workers=1))

@@ -93,6 +93,38 @@ class TestCertify:
         assert evidence == list(fingerprint(F, 20).entries)
         assert evidence == [(q, factor_mod_p(F, q)) for q, _ in evidence]
 
+    GOLDEN = [
+        ["--poly", "-1,-1,0,0,0,1"],  # x^5 - x - 1: S_5
+        ["--poly", "2,0,0,0,0,-1"],  # 2 - x^5: its group has order 20, INCONCLUSIVE
+        ["--poly", "-1,0,1"],  # x^2 - 1: reducible, exit 3
+        ["--poly", "3,2"],  # degree 1
+    ]
+    GOLDEN_DIGEST = "c1c728ae5d67846c9a3bb24e0aa4b5a2b69e4de6a4196f2f72bb11e6c6c0e752"
+
+    @staticmethod
+    def _digest(runs) -> str:
+        """SHA-256 of the exit code, stdout and stderr of each run, in order."""
+        return hashlib.sha256("".join(f"{code}\n{out}{err}" for code, out, err in runs).encode()).hexdigest()
+
+    def test_golden_digest(self, capsys):
+        """certify's bytes and exit codes on four inputs, recorded before
+        recognize_sn stopped re-sorting and re-checking the kernels' types."""
+        runs = [run_cli(["certify", *args], capsys) for args in self.GOLDEN]
+        assert [code for code, _, _ in runs] == [0, 0, 3, 0]
+        assert self._digest(runs) == self.GOLDEN_DIGEST
+
+    def test_golden_digest_pure_backend(self):
+        """The same bytes from the pure-Python kernels, whichever backend
+        this process loaded."""
+        env = {"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin", "HYPERFIELD_PURE": "1"}
+        runs = []
+        for args in self.GOLDEN:
+            proc = subprocess.run(
+                [sys.executable, "-m", "hyperfield", "certify", *args], capture_output=True, text=True, env=env, timeout=60
+            )
+            runs.append((proc.returncode, proc.stdout, proc.stderr))
+        assert self._digest(runs) == self.GOLDEN_DIGEST
+
 
 class TestCertifyText:
     def test_stdout_is_its_own_indented_json(self, capsys, monkeypatch):
@@ -571,6 +603,9 @@ class TestBoundary:
             (["census", "--config", Config(b"curve=1,1,0,1\nn=3\nY=2\nfingerprint_primes=100000000\n")], 5),
             (["HYPERFIELD_THREADS=0", "census", "--curve", "1,1,0,1", "--n", "3", "--Y", "2"], 2),
             (["HYPERFIELD_THREADS=-2", "census", "--curve", "1,1,0,1", "--n", "3", "--Y", "2"], 2),
+            (["exponents", "--g", "1", "--d", "3", "--n", "1" + "0" * 1500], 5),
+            (["witness", "--curve", "1,1,0,1", "--n", "1000000001", "--recipe", "ODD_ODD_NCYCLE"], 5),
+            (["witness", "--curve", "1,0,0,0,1", "--n", "4096", "--recipe", "K_CYCLE(2048)"], 0),
         ],
     )
     def test_exit_code_within_10_s(self, args, code, tmp_path):
@@ -656,7 +691,7 @@ EXIT_CODES = {
          "BadPrime", "NonCoprimeH", "InadmissiblePrime", "WitnessFailed"],
         3,
     ),
-    **dict.fromkeys(["OutsideHypotheses", "BadEvidence", "DegreeDrop", "NonMonic", "HypothesisViolated"], 4),
+    **dict.fromkeys(["OutsideHypotheses", "DegreeDrop", "NonMonic", "HypothesisViolated"], 4),
     **dict.fromkeys(
         ["ResourceCap", "DegreeCapExceeded", "SearchExhausted", "BoxTooLarge", "TooManyPrimes", "SearchWindowExceeded"],
         5,

@@ -70,7 +70,7 @@ class TestRecipeAssembly:
     def test_each_case_recognizes_sn(self):
         for (d, n), recipes in CASE_RECIPES.items():
             evidence = _recipe_evidence(CURVES[d], n, recipes)
-            cert = recognize_sn(n, evidence, transitive=True)
+            cert = recognize_sn(n, evidence)
             assert cert.conclusion == SN, (d, n, evidence, cert.rule)
 
     def test_s5_evidence_contents(self):
