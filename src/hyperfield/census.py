@@ -6,10 +6,12 @@ non-monic side of the even-n family). Enumeration is a deterministic
 odometer, most-significant coefficient first (a descending, then b),
 each coordinate swept from -bound to +bound.
 
-Every record carries the discriminant and a certification status:
-REDUCIBLE, IRREDUCIBLE_UNCERTIFIED, or SN_CERTIFIED. These depend on F
-alone, and F = g^2 - f h^2 does not change under g -> -g or h -> -h, so
-many records repeat an F. Each distinct F is classified once, into an
+Each member of a box, a record, is kept only as its specialization and
+F until it becomes its CSV row: spec, F, Disc(F), a certification status
+(REDUCIBLE, IRREDUCIBLE_UNCERTIFIED, or SN_CERTIFIED), fingerprint hash
+and field class. All but the spec and the class depend on F alone, and
+F = g^2 - f h^2 does not change under g -> -g or h -> -h, so many
+records repeat an F. Each distinct F is classified once, into an
 immutable entry (status, Disc(F), fingerprint and its hash) that all
 records with that F share, in every box of a census. On an even curve
 (f(-x) = f(x)), x -> -x maps the box onto itself and F to F(-x), which has
@@ -37,8 +39,9 @@ merge it does not prove is counted in unconfirmed_classes.
 
 Members with h = 0 (possible only for the even-n shapes, where h has no
 forced monic term) are enumerated for the exact-cardinality invariant
-but flagged no_point: F = g^2 carries no point of the curve, and the
-Hilbert-proportion diagnostics are reported both with and without them.
+and counted apart (h_zero_members): F = g^2 carries no point of the
+curve, and the reducible proportion is reported both with and without
+them.
 
 Field discriminants are never computed (no maximal-order machinery in
 scope): the census records the polynomial discriminant Disc(F), an
@@ -72,7 +75,6 @@ from .errors import (
 from .factor import (
     DEFAULT_DEGREE_CAP,
     factor_over_q,
-    good_splitting_types,
     lift_and_recombine,
     musser_degrees,
     primes_not_dividing,
@@ -187,16 +189,13 @@ class CoefficientBox(NamedTuple):
         return out
 
     def specializations(self):
-        """Odometer over the box, most-significant coefficient first."""
-        ranges = [range(-b, b + 1) for _, _, b in self.bounds]
-        a_len, b_len = self.shape.a_len, self.shape.b_len
-        slots = [(side, j) for side, j, _ in self.bounds]
-        for values in itertools.product(*ranges):
-            a = [0] * a_len
-            b = [0] * b_len
-            for (side, j), v in zip(slots, values):
-                (a if side == "a" else b)[j] = v
-            yield Specialization(tuple(a), tuple(b))
+        """Odometer over the box, most-significant coefficient first. The
+        bounds list every a_j, then every b_j, each by descending j (see
+        box_exponents), so a member's values split at a_len and each side
+        reversed is its ascending coefficient tuple."""
+        a_len = self.shape.a_len
+        for values in itertools.product(*(range(-b, b + 1) for _, _, b in self.bounds)):
+            yield Specialization(values[:a_len][::-1], values[a_len:][::-1])
 
     def log_ratio(self) -> float:
         """log(cardinality) / log(Y): compare against the count exponent."""
@@ -229,18 +228,17 @@ def _entry_repr(entry: tuple[int, tuple[int, ...]]) -> str:
     return repr(entry)
 
 
-def fingerprint(F: IntPolynomial, count: int = 50) -> FieldFingerprint:
-    """Splitting types at the first `count` primes good for F (not dividing
-    lc(F) * Disc(F)), from factor.good_splitting_types, which finds them
-    without Disc(F); F must be squarefree. certify reads its Frobenius
-    sample here. Census records get the same types from classify_record,
-    which walks the primes not dividing lc(F) * Disc(F) itself."""
-    return FieldFingerprint(degree=F.degree, entries=tuple(good_splitting_types(F, count)))
+# Each (prime, splitting type) entry made in this process, kept once, so that
+# the fingerprints of all the F of a census share their entries. It holds at
+# most (primes sampled) x (partitions of n) entries for each degree n.
+_ENTRIES: dict[tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...]]] = {}
 
 
 def _splitting_entries(F: IntPolynomial, primes: list[int]) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """(p, splitting type of F mod p) for each good prime p, from one kernel call."""
-    return tuple(zip(primes, map(tuple, kernels.splitting_types(F.coeffs, primes))))
+    """(p, splitting type of F mod p) for each good prime p, from one kernel
+    call; each entry is the one kept in _ENTRIES."""
+    types = kernels.splitting_types(F.coeffs, primes)
+    return tuple(_ENTRIES.setdefault(e, e) for e in zip(primes, map(tuple, types)))
 
 
 # -- census records and classification ----------------------------------------
@@ -269,29 +267,11 @@ class FieldEntry(NamedTuple):
     hash_hex: str = ""
 
     # Classification reads F alone. An h = 0 member has F = g^2, which has
-    # Disc F = 0 and is REDUCIBLE like any other square; the record carries
-    # its own no_point flag.
+    # Disc F = 0 and is REDUCIBLE like any other square; run_census counts
+    # those members from their specs. The constant stays for
+    # perfbench/trace_spans, which reads no_point from what classify_record
+    # returns.
     no_point = False
-
-
-class CensusRecord(NamedTuple):
-    spec: Specialization
-    F: IntPolynomial
-    no_point: bool
-    entry: FieldEntry
-    class_id: int | None  # the field class of F in this record's box; None if F is reducible
-
-    @property
-    def disc_F(self) -> int:
-        return self.entry.disc_F
-
-    @property
-    def status(self) -> str:
-        return self.entry.status
-
-    @property
-    def fingerprint(self) -> FieldFingerprint | None:
-        return self.entry.fingerprint
 
 
 def classify_record(F: IntPolynomial, cfg: CensusConfig) -> FieldEntry:
@@ -302,7 +282,7 @@ def classify_record(F: IntPolynomial, cfg: CensusConfig) -> FieldEntry:
     if disc_F == 0:
         return FieldEntry(F, 0, REDUCIBLE)
     # The census needs Disc F for its CSV column anyway, so the good primes
-    # come from it, not from fingerprint: good_splitting_types would also
+    # come from it, not from good_splitting_types, which would also
     # send the primes dividing Disc F to the kernel (census-cubic-n4 made
     # 621 kernel calls that way, against 405) and ran slower.
     good = primes_not_dividing(F.lc * disc_F, cfg.fingerprint_primes)
@@ -703,7 +683,6 @@ class CensusResult(NamedTuple):
     curve: HyperellipticCurve
     shape: FamilyShape
     Y: Fraction
-    records: list[CensusRecord]
     summary: dict
     csv_lines: list[str]
 
@@ -798,11 +777,6 @@ def run_census(
 
     classes, unconfirmed = _class_groups(entries)
     class_of = {e.F.coeffs: cid for cid, group in enumerate(classes) for e in group}
-    records = [
-        CensusRecord(s, F, s.h_poly(shape).is_zero(), classified[F.coeffs], class_of.get(F.coeffs))
-        for s, F in members
-    ]
-    del members  # the records hold the same specs and F
 
     counts = {
         key: sum(multiplicity[e.F.coeffs] for e in entries if e.status == status)
@@ -810,12 +784,13 @@ def run_census(
             ("reducible", REDUCIBLE), ("irreducible", IRREDUCIBLE_UNCERTIFIED), ("sn_certified", SN_CERTIFIED)
         )
     }
-    pointed = [r for r in records if not r.no_point]
-    h_zero = len(records) - len(pointed)
-    red_all = counts["reducible"] / len(records) if records else 0.0
-    red_pointed = (
-        sum(r.status == REDUCIBLE for r in pointed) / len(pointed) if pointed else 0.0
-    )
+    # h = 0 needs a shape whose h has no monic term and every b_j = 0. Such a
+    # member has F = g^2, so Disc F = 0 and it is REDUCIBLE: the pointed
+    # members hold every other reducible record.
+    h_zero = 0 if shape.monic_h else sum(1 for s, _ in members if not any(s.b))
+    pointed = len(members) - h_zero
+    red_all = counts["reducible"] / len(members)
+    red_pointed = (counts["reducible"] - h_zero) / pointed
 
     # Per-class multiplicity against max(Y^n |disc|^(-1/2), Y^(n/2)); the
     # implied constant is unknown, so the ratio is reported, not asserted.
@@ -855,8 +830,8 @@ def run_census(
     }
     # The F columns of a CSV line are the same for every record with that F.
     tails = {e.F.coeffs: _csv_tail(e, class_of.get(e.F.coeffs)) for e in entries}
-    csv_lines = [f"{_csv_spec(r.spec)};{tails[r.F.coeffs]}" for r in records]
-    return CensusResult(curve=curve, shape=shape, Y=Y, records=records, summary=summary, csv_lines=csv_lines)
+    csv_lines = [f"{_csv_spec(s)};{tails[F.coeffs]}" for s, F in members]
+    return CensusResult(curve=curve, shape=shape, Y=Y, summary=summary, csv_lines=csv_lines)
 
 
 def _count_disc_slope(class_min_disc) -> float:

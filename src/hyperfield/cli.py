@@ -26,10 +26,9 @@ from .census import (
     CensusConfig,
     ev_threshold_search,
     exponents,
-    fingerprint,
     run_census,
 )
-from .factor import check_prime_count, factor_over_q
+from .factor import check_prime_count, factor_over_q, good_splitting_types
 from .family import (
     ALL_RECIPE_KINDS,
     D3N3_TRANSP,
@@ -87,7 +86,7 @@ def cmd_certify(args) -> int:
     if proper:
         print(f"error: input is reducible; found factor {format_poly(proper[0])}", file=sys.stderr)
         return EXIT_INADMISSIBLE
-    evidence = [(t, f"frobenius p={q}") for q, t in fingerprint(poly, args.primes).entries]
+    evidence = [(t, f"frobenius p={q}") for q, t in good_splitting_types(poly, args.primes)]
     cert = recognize_sn(poly.degree, evidence)
     print(cert.json_text())
     return EXIT_OK

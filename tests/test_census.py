@@ -1,13 +1,15 @@
+import copy
 import hashlib
 import itertools
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 import sympy
 
-from hyperfield import census, factor
+from hyperfield import census, factor, intpoly
 from hyperfield.census import (
     IRREDUCIBLE_UNCERTIFIED,
     REDUCIBLE,
@@ -18,7 +20,6 @@ from hyperfield.census import (
     c_n_positive,
     ev_threshold_search,
     exponents,
-    fingerprint,
     floor_pow,
     introot,
     isomorphic_exact,
@@ -27,7 +28,15 @@ from hyperfield.census import (
 )
 from hyperfield.errors import BoxTooLarge, DegreeCapExceeded, HypothesisViolated, NonMonic, SearchExhausted
 from hyperfield.factor import factor_mod_p
-from hyperfield.family import FamilyShape, HyperellipticCurve, build_family_member
+from hyperfield.family import (
+    EVEN_D_EVEN_N,
+    ODD_D_EVEN_N,
+    ODD_D_ODD_N,
+    FamilyShape,
+    HyperellipticCurve,
+    Specialization,
+    build_family_member,
+)
 from hyperfield.intpoly import IntPolynomial, discriminant, scale_x, translate
 from hyperfield.perms import recognize_sn
 from oracles import compatible, is_irreducible
@@ -49,12 +58,42 @@ def mirror(F):
     return scale_x(P(F), -1).coeffs
 
 
+class Row(NamedTuple):
+    """One CSV row of a census, parsed."""
+
+    spec: Specialization
+    F: tuple[int, ...]
+    disc_F: int
+    status: str
+    hash_hex: str
+    class_id: int | None
+
+
+def rows(res):
+    """The CSV rows of a census, in order, parsed into Rows."""
+
+    def ints(text):
+        return tuple(int(c) for c in text.split(",") if c)
+
+    out = []
+    for line in res.csv_lines:
+        a, b, F, disc_F, status, hash_hex, class_id = line.split(";")
+        spec = Specialization(ints(a), ints(b))
+        out.append(Row(spec, ints(F), int(disc_F), status, hash_hex, int(class_id) if class_id else None))
+    return out
+
+
+def sampled(F, count=50):
+    """The fingerprint of F at its first `count` good primes."""
+    return census.FieldFingerprint(F.degree, tuple(factor.good_splitting_types(F, count)))
+
+
 def multi_F_classes(res):
     """The field classes of a census that hold several distinct F, each as a sorted list."""
     classes = {}
-    for r in res.records:
+    for r in rows(res):
         if r.class_id is not None:
-            classes.setdefault(r.class_id, set()).add(r.F.coeffs)
+            classes.setdefault(r.class_id, set()).add(r.F)
     return [sorted(g) for g in classes.values() if len(g) > 1]
 
 
@@ -147,33 +186,62 @@ class TestBox:
         with pytest.raises(HypothesisViolated):
             CoefficientBox.build(FamilyShape.census_shape(3, 4), Fraction(1, 2))
 
+    @staticmethod
+    def _slot_specializations(box):
+        """The odometer with each value written to the (side, j) slot its
+        bound names: the reference for specializations()."""
+        slots = [(side, j) for side, j, _ in box.bounds]
+        for values in itertools.product(*(range(-b, b + 1) for _, _, b in box.bounds)):
+            a, b = [0] * box.shape.a_len, [0] * box.shape.b_len
+            for (side, j), v in zip(slots, values):
+                (a if side == "a" else b)[j] = v
+            yield Specialization(tuple(a), tuple(b))
+
+    @pytest.mark.parametrize(
+        "case, boxes",
+        [
+            (ODD_D_EVEN_N, [(3, 4, 3), (3, 6, 2)]),
+            (ODD_D_ODD_N, [(3, 3, 3), (3, 5, 3), (3, 7, 1)]),  # (d, n) = (3, 3) has no b
+            (EVEN_D_EVEN_N, [(4, 6, 2), (4, 8, 1)]),
+        ],
+    )
+    def test_specializations_match_slot_assignment(self, case, boxes):
+        """(d, n, Y) boxes of each parity case, with one, two and (odd n)
+        no free b coefficients."""
+        for d, n, Y in boxes:
+            shape = FamilyShape.census_shape(d, n)
+            assert shape.case == case
+            box = CoefficientBox.build(shape, Y)
+            assert list(box.specializations()) == list(self._slot_specializations(box)), (d, n, Y)
+
 
 class TestEnumerateBox:
     def test_statuses_and_cap(self):
-        records = run_census(C3, 3, 2).records
+        classified = {}
+        records = rows(run_census(C3, 3, 2, CensusConfig(), classified))
         assert len(records) == 15
         assert {r.status for r in records} <= {REDUCIBLE, IRREDUCIBLE_UNCERTIFIED, SN_CERTIFIED}
         # zero specialization gives F = -f, irreducible with group S3
         zero = [r for r in records if r.spec.a == (0, 0)][0]
-        assert zero.F.coeffs == (-1, -1, 0, -1)
+        assert zero.F == (-1, -1, 0, -1)
         assert zero.status == SN_CERTIFIED
-        assert recognize_sn(3, [(t, "") for _, t in zero.fingerprint.entries]).conclusion == "SN"
-        assert zero.fingerprint is not None and len(zero.fingerprint.entries) == 50
+        fp = classified[zero.F].fingerprint
+        assert fp is not None and len(fp.entries) == 50
+        assert recognize_sn(3, [(t, "") for _, t in fp.entries]).conclusion == "SN"
         with pytest.raises(BoxTooLarge):
             run_census(C3, 3, 2, CensusConfig(box_cap=10))
 
     def test_disc_attached(self):
-        for r in run_census(C3, 3, 2).records:
+        for r in rows(run_census(C3, 3, 2)):
             if r.status != REDUCIBLE:
-                from hyperfield.intpoly import discriminant
-
-                assert r.disc_F == discriminant(r.F) != 0
+                assert r.disc_F == discriminant(P(r.F)) != 0
 
     def test_h_zero_flagged(self):
-        records = run_census(C3, 4, 2).records
-        flagged = [r for r in records if r.no_point]
+        res = run_census(C3, 4, 2)
+        flagged = [r for r in rows(res) if r.spec.h_poly(res.shape).is_zero()]
         assert flagged and all(r.status == REDUCIBLE for r in flagged)
         assert all(r.spec.b == (0,) for r in flagged)
+        assert res.summary["diagnostics"]["h_zero_members"] == len(flagged)
 
 
 class TestIrreducibilityScreen:
@@ -252,19 +320,18 @@ class TestFactorCap:
 
 
 def _groups_by_F(records):
-    """Records regrouped by F: the oracle for the table's multiplicities."""
+    """CSV rows regrouped by F: the oracle for the table's multiplicities."""
     groups = {}
     for r in records:
-        groups.setdefault(r.F.coeffs, []).append(r)
+        groups.setdefault(r.F, []).append(r)
     return groups
 
 
 class TestDedupe:
     def test_sign_collision(self):
         res = run_census(C3, 4, 2)
-        records = res.records
-        groups = _groups_by_F(records)
-        assert all(r.entry is groups[r.F.coeffs][0].entry for r in records)  # one entry per distinct F
+        groups = _groups_by_F(rows(res))
+        assert all(len({r[1:] for r in g}) == 1 for g in groups.values())  # one set of F columns per F
         max_mult = res.summary["max_multiplicity"]
         assert max_mult == max(map(len, groups.values())) == 2  # (g, b0) and (g, -b0) collide
         two = [g for g in groups.values() if len(g) == 2]
@@ -278,7 +345,7 @@ class TestDedupe:
         for Y in (2, 3, 4):
             res = run_census(C3, 4, Y)
             m = res.summary["max_multiplicity"]
-            assert m == max(map(len, _groups_by_F(res.records).values()))
+            assert m == max(map(len, _groups_by_F(rows(res)).values()))
             mults.append(m)
         assert len(set(mults)) == 1
 
@@ -286,31 +353,30 @@ class TestDedupe:
 class TestFingerprint:
     def test_translation_invariant(self):
         F = P((1, 1, 0, 1))
-        assert fingerprint(F).entries == fingerprint(translate(F, 1)).entries
+        assert factor.good_splitting_types(F, 50) == factor.good_splitting_types(translate(F, 1), 50)
 
     def test_separates_quadratics(self):
-        f2 = fingerprint(P((-2, 0, 1)))
-        f3 = fingerprint(P((-3, 0, 1)))
-        assert f2.entries != f3.entries
+        d2 = dict(factor.good_splitting_types(P((-2, 0, 1)), 50))
+        d3 = dict(factor.good_splitting_types(P((-3, 0, 1)), 50))
+        assert d2 != d3
         # both 2 and 3 are non-residues mod 5; the first separating prime is 7
-        d2, d3 = dict(f2.entries), dict(f3.entries)
         assert d2[5] == d3[5] == (2,)
         assert d2[7] == (1, 1) and d3[7] == (2,)
 
     def test_separates_cubics(self):
-        a = fingerprint(P((1, 1, 0, 1)))
-        b = fingerprint(P((1, 2, 0, 1)))
-        assert a.entries != b.entries
+        a = factor.good_splitting_types(P((1, 1, 0, 1)), 50)
+        b = factor.good_splitting_types(P((1, 2, 0, 1)), 50)
+        assert a != b
 
     def test_hash_stable(self):
-        assert fingerprint(P((1, 1, 0, 1))).hash_hex == fingerprint(P((1, 1, 0, 1))).hash_hex
+        assert sampled(P((1, 1, 0, 1))).hash_hex == sampled(P((1, 1, 0, 1))).hash_hex
 
     @pytest.mark.parametrize("count", [0, 1, 50])
     def test_hash_is_sha1_of_the_repr(self, count):
         # hash_hex assembles the text from memoised entry reprs; it must stay
         # repr((degree, entries)), with "()" for no entries and the trailing
         # comma of a one-entry tuple.
-        fp = census.FieldFingerprint(3, fingerprint(P((1, 1, 0, 1)), 50).entries[:count])
+        fp = census.FieldFingerprint(3, sampled(P((1, 1, 0, 1))).entries[:count])
         assert len(fp.entries) == count
         text = repr((3, fp.entries))
         assert fp.hash_hex == hashlib.sha1(text.encode()).hexdigest()[:12]
@@ -318,11 +384,25 @@ class TestFingerprint:
 
     def test_census_records_carry_fingerprint(self):
         # classify_record builds the fingerprint in two kernel calls from
-        # its own walk; it must equal fingerprint(F) on every irreducible record.
-        records = [r for r in run_census(C3, 4, 2).records if r.fingerprint]
-        assert len(records) > 20
-        for r in records:
-            assert r.fingerprint == fingerprint(r.F), r.F
+        # its own walk; it must equal the good_splitting_types sample on
+        # every irreducible F.
+        classified = {}
+        run_census(C3, 4, 2, CensusConfig(), classified)
+        entries = [e for e in classified.values() if e.fingerprint]
+        assert len(entries) > 20
+        for e in entries:
+            assert e.fingerprint == sampled(e.F), e.F
+
+    def test_equal_entries_are_one_object(self):
+        # Each (prime, type) pair is kept once, whatever F it came from.
+        classified = {}
+        run_census(C3, 4, 3, CensusConfig(), classified)
+        kept, total = {}, 0
+        for e in classified.values():
+            for entry in e.fingerprint.entries if e.fingerprint else ():
+                assert kept.setdefault(entry, entry) is entry, entry
+                total += 1
+        assert total > 10 * len(kept)
 
     def test_compatibility_semantics(self):
         from hyperfield.census import FieldFingerprint
@@ -446,19 +526,20 @@ class TestIsomorphicExact:
         # F(-x-1) are isomorphic but not mirrors: their R_1 is not squarefree
         # (its roots -a_j - 1 - a_i come in pairs), so the good-prime walk of
         # lift_and_recombine raises NotSquarefree and Trager's search moves
-        # on to t = 2. No Disc(R_t) is computed.
+        # on to t = 2. No Disc(R_t) is computed: every discriminant goes
+        # through intpoly.resultant, and nothing on this path calls it.
         calls, tried = [], []
-        real = census._resultant_in_x
+        real, real_resultant = census._resultant_in_x, intpoly.resultant
 
-        def counting(R):
-            calls.append(R.degree)
-            return discriminant(R)
+        def counting(a, b):
+            calls.append(a.degree)
+            return real_resultant(a, b)
 
         def recording(F1, F2, t):
             tried.append(t)
             return real(F1, F2, t)
 
-        monkeypatch.setattr(census, "discriminant", counting)
+        monkeypatch.setattr(intpoly, "resultant", counting)
         monkeypatch.setattr(census, "_resultant_in_x", recording)
         not_mirrors = (self.F, translate(scale_x(self.F, -1), 1))
         for pair, shifts in ((self.QUARTIC_ISO_PAIR, []), (not_mirrors, [1, 2])):
@@ -518,7 +599,7 @@ class TestIsomorphicExact:
         polys = [P((1, 1, 0, 1)), P((-2, 0, 0, 1)), P((2, 3, 0, 1)), P((11, 13, 6, 1)), P((-1, -1, 0, 1))]
         for A, B in itertools.combinations(polys, 2):
             iso = isomorphic_exact(A, B)
-            fpa, fpb = fingerprint(A), fingerprint(B)
+            fpa, fpb = sampled(A), sampled(B)
             if iso:
                 assert compatible(fpa, fpb)
             if not compatible(fpa, fpb):
@@ -709,10 +790,10 @@ class TestRunCensus:
         monkeypatch.setattr(census, "classify_record", counted("classify", census.classify_record))
         monkeypatch.setattr(census, "build_family_member", counted("build", census.build_family_member))
         res = run_census(C3, 4, 3)
-        distinct = {r.F.coeffs for r in res.records}
-        assert len(distinct) < len(res.records)  # g -> -g or h -> -h repeats F in this box
+        distinct = {r.F for r in rows(res)}
+        assert len(distinct) < len(res.csv_lines)  # g -> -g or h -> -h repeats F in this box
         assert calls["classify"] == len(distinct)
-        assert calls["build"] == CoefficientBox.build(res.shape, 3).cardinality == len(res.records)
+        assert calls["build"] == CoefficientBox.build(res.shape, 3).cardinality == len(res.csv_lines)
 
     def test_pool_gets_only_unseen_F(self, monkeypatch):
         """At even n, h -> -h repeats F: the pool is sent each distinct F
@@ -729,33 +810,32 @@ class TestRunCensus:
         multi = run_census(C3, 4, 3, CensusConfig(workers=2))
         assert base.csv_lines == multi.csv_lines
         assert base.summary == multi.summary
-        assert sent == [list(dict.fromkeys(r.F.coeffs for r in base.records))]
+        in_order = list(dict.fromkeys(r.F for r in rows(base)))
+        assert sent == [in_order]
 
         sent.clear()
         classified = {}
         small = run_census(C3, 4, 2, CensusConfig(workers=2), classified)
         seen = set(classified)
-        assert seen == {r.F.coeffs for r in small.records}
+        assert seen == {r.F for r in rows(small)}
         again = run_census(C3, 4, 3, CensusConfig(workers=2), classified)
-        assert sent[1] == [k for k in dict.fromkeys(r.F.coeffs for r in base.records) if k not in seen]
+        assert sent[1] == [k for k in in_order if k not in seen]
         assert again.csv_lines == base.csv_lines and again.summary == base.summary
-        assert set(classified) == {r.F.coeffs for r in base.records}
+        assert set(classified) == set(in_order)
 
     def test_sweep_shares_entries_and_leaves_smaller_boxes_alone(self):
         """A sweep's larger box reuses the smaller box's entries themselves,
         and running it changes nothing in the smaller box's result."""
 
         def snapshot(res):
-            rows = [(r.spec, r.F.coeffs, r.no_point, r.disc_F, r.status, r.fingerprint, r.entry.hash_hex, r.class_id)
-                    for r in res.records]
-            return rows, list(res.csv_lines)
+            return list(res.csv_lines), copy.deepcopy(res.summary)
 
         classified = {}
         small = run_census(C3, 4, 2, CensusConfig(), classified)
-        before = snapshot(small)
+        before, small_entries = snapshot(small), dict(classified)
         large = run_census(C3, 4, 3, CensusConfig(), classified)
-        entries = {r.F.coeffs: r.entry for r in large.records}
-        assert all(entries[r.F.coeffs] is r.entry for r in small.records)
+        assert {r.F for r in rows(small)} < {r.F for r in rows(large)}
+        assert all(classified[F] is e for F, e in small_entries.items())
         assert snapshot(small) == before == snapshot(run_census(C3, 4, 2))
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -768,15 +848,19 @@ class TestRunCensus:
             res = run_census(QUARTIC, 6, Y, CensusConfig(workers=workers), classified)
             counts = dict.fromkeys(keys.values(), 0)
             hist = {}
-            for r in res.records:
+            records = rows(res)
+            for r in records:
                 counts[keys[r.status]] += 1
                 b = str(abs(r.disc_F).bit_length())
                 hist[b] = hist.get(b, 0) + 1
             s, diag = res.summary, res.summary["diagnostics"]
             assert s["counts"] == counts
             assert diag["disc_histogram"] == hist
-            assert diag["h_zero_members"] == sum(r.no_point for r in res.records) > 0
-            assert s["max_multiplicity"] == max(map(len, _groups_by_F(res.records).values()))
+            pointed = [r for r in records if not r.spec.h_poly(res.shape).is_zero()]
+            assert diag["h_zero_members"] == len(records) - len(pointed) > 0
+            assert diag["reducible_proportion_all"] == counts["reducible"] / len(records)
+            assert diag["reducible_proportion_pointed"] == sum(r.status == REDUCIBLE for r in pointed) / len(pointed)
+            assert s["max_multiplicity"] == max(map(len, _groups_by_F(records).values()))
 
     @pytest.mark.parametrize(
         "curve, n, Y",
@@ -786,8 +870,9 @@ class TestRunCensus:
         """On an even curve the F whose mirror F(-x) was classified first
         get the mirror's entry with their own F: each entry equals
         classify_record of its F."""
-        res = run_census(curve, n, Y)
-        entries = {r.F.coeffs: r.entry for r in res.records}
+        entries = {}
+        res = run_census(curve, n, Y, CensusConfig(), entries)
+        assert set(entries) == {r.F for r in rows(res)}
         assert sum(mirror(F) in entries for F in entries) > len(entries) // 2
         for F, e in entries.items():
             want = census.classify_record(P(F), CensusConfig())
@@ -815,7 +900,7 @@ class TestRunCensus:
 
         monkeypatch.setattr(census, "classify_record", counting)
         res = run_census(QUARTIC, 6, Fraction(5, 4))  # the census-quartic-iso box
-        distinct = {r.F.coeffs for r in res.records}
+        distinct = {r.F for r in rows(res)}
         orbits = {frozenset((F, mirror(F))) for F in distinct}
         assert (len(distinct), len(orbits), len(calls)) == (54, 30, 30)
         assert all(len(orbit & set(calls)) == 1 for orbit in orbits)
@@ -833,7 +918,7 @@ class TestRunCensus:
         multi = run_census(QUARTIC, 6, Fraction(3, 2), CensusConfig(workers=2))
         assert base.csv_lines == multi.csv_lines
         assert base.summary == multi.summary
-        distinct = {r.F.coeffs for r in base.records}
+        distinct = {r.F for r in rows(base)}
         orbits = {frozenset((F, mirror(F))) for F in distinct}
         assert len(sent) == len(orbits) < len(distinct)
         assert all(len(orbit & set(sent)) == 1 for orbit in orbits)
@@ -844,14 +929,14 @@ class TestRunCensus:
         from hyperfield.family import check_point_map
 
         res = run_census(C3, 3, 4)
-        for r, line in zip(res.records, res.csv_lines):
+        for r, line in zip(rows(res), res.csv_lines):
             assert line.split(";")[2] == f_from_spec(C3, res.shape, line)
             if r.status == SN_CERTIFIED:
-                assert check_point_map(C3, res.shape, r.spec) == r.F
+                assert check_point_map(C3, res.shape, r.spec).coeffs == r.F
 
     def test_class_ids_assigned(self):
         res = run_census(C3, 3, 4)
-        for r in res.records:
+        for r in rows(res):
             if r.status in (SN_CERTIFIED, IRREDUCIBLE_UNCERTIFIED):
                 assert r.class_id is not None
             else:
@@ -862,13 +947,13 @@ class TestRunCensus:
 
         res = run_census(C6, 8, 1)
         s = res.summary
-        assert s["diagnostics"]["box_cardinality"] == 3**5 == len(res.records)
+        assert s["diagnostics"]["box_cardinality"] == 3**5 == len(res.csv_lines)
         assert s["counts"]["sn_certified"] > 0
         assert s["diagnostics"]["h_zero_members"] == 3**4
-        for r, line in zip(res.records[:40], res.csv_lines):
+        for r, line in zip(rows(res)[:40], res.csv_lines):
             assert line.split(";")[2] == f_from_spec(C6, res.shape, line)
             if r.status == SN_CERTIFIED:
-                assert check_point_map(C6, res.shape, r.spec) == r.F
+                assert check_point_map(C6, res.shape, r.spec).coeffs == r.F
 
     def test_quartic_curve_census(self):
         c4 = HyperellipticCurve(P((1, 0, 0, 0, 1)))

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 from hyperfield import cli
 from hyperfield import errors as E
-from hyperfield.census import CensusConfig, fingerprint
+from hyperfield.census import CensusConfig
 from hyperfield.cli import main
-from hyperfield.factor import factor_mod_p, factor_over_q
+from hyperfield.factor import factor_mod_p, factor_over_q, good_splitting_types
 from hyperfield.family import ALL_RECIPE_KINDS
 from hyperfield.intpoly import IntPolynomial, parse_poly
 
@@ -90,7 +90,7 @@ class TestCertify:
             for e in json.loads(out)["evidence"]
         ]
         F = parse_poly(poly)
-        assert evidence == list(fingerprint(F, 20).entries)
+        assert evidence == good_splitting_types(F, 20)
         assert evidence == [(q, factor_mod_p(F, q)) for q, _ in evidence]
 
     GOLDEN = [
@@ -378,12 +378,17 @@ class TestCensus:
         (["--curve", "1,0,0,0,1", "--n", "6", "--sweep", "5/4,3/2"],
          "ff7bd0041518069afddb9f48c2dccdc8cf52704558341cd84582fcec12214c78",
          "9e7190de87ebb655dda84b287c9aa3769c2da0d6c3860289f17ed1bf3c4eb726"),
+        # Odd n: h is monic and g is not, so the b side holds d_h free coefficients.
+        (["--curve", "1,1,0,1", "--n", "5", "--Y", "2"],
+         "6d11edcc3495ccfc4eefa95c345864815390db0098ac9c1849bb9c9e1d09cbb1",
+         "6f4e8dcbf6b9c9f152e70fa1b05fdc81507141aa528fb64354be2bb823f1af2f"),
     ]
 
     def test_golden_digests(self, capsys, tmp_path):
         """CSV and summary JSON of small censuses, byte for byte, against
         SHA-256 digests: the first recorded when class grouping was a
-        pairwise merge, the second when entries were still copied per box."""
+        pairwise merge, the second when entries were still copied per box,
+        the third before a record was reduced to its (spec, F) pair."""
         csv, summary = tmp_path / "out.csv", tmp_path / "out.json"
         for args, csv_digest, json_digest in self.GOLDEN:
             code, _, _ = run_cli(["census", *args, "--out-csv", str(csv), "--out-json", str(summary)], capsys)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperfield.census import fingerprint
 from hyperfield.errors import DegreeCapExceeded
+from hyperfield.factor import good_splitting_types
 from hyperfield.intpoly import IntPolynomial
 from hyperfield.perms import (
     INCONCLUSIVE,
@@ -239,17 +239,17 @@ class TestJsonText:
 
 
 class TestFrobeniusSample:
-    """The Frobenius sample every caller reads: census.fingerprint."""
+    """The Frobenius sample every caller reads: factor.good_splitting_types."""
 
     def test_cubic(self):
         # x^3+x+1: irreducible mod 2 and 5; x=1 is a root mod 3
-        entries = fingerprint(IntPolynomial((1, 1, 0, 1)), 3).entries
-        assert entries == ((2, (3,)), (3, (2, 1)), (5, (3,)))
+        entries = good_splitting_types(IntPolynomial((1, 1, 0, 1)), 3)
+        assert entries == [(2, (3,)), (3, (2, 1)), (5, (3,))]
 
     def test_split_prime_gives_identity_type(self):
         # x^2-2 at p=7 (2 = 3^2 mod 7); Disc = 8 leaves out p=2
-        entries = fingerprint(IntPolynomial((-2, 0, 1)), 3).entries
+        entries = good_splitting_types(IntPolynomial((-2, 0, 1)), 3)
         assert entries[-1] == (7, (1, 1))
 
     def test_quadratic(self):
-        assert fingerprint(IntPolynomial((1, 0, 1)), 2).entries[1] == (5, (1, 1))
+        assert good_splitting_types(IntPolynomial((1, 0, 1)), 2)[1] == (5, (1, 1))
