@@ -43,6 +43,15 @@ algorithm (``intpoly.discriminant``: residues from the ``resultants``
 kernel, Chinese remaindering in Python) on each backend, best of three,
 and asserts that all give the same discriminants.
 
+The records rows time, in microseconds per record, the two per-record
+steps of the census on the same members of the same three boxes:
+building F, by the IntPolynomial products of ``tests/oracles.py``
+(``family_product``) against ``family.family_coeffs``, and the good-prime
+walk ``primes_not_dividing(lc(F) * Disc(F), 50)`` at each member with
+Disc(F) != 0, by the prime-by-prime walk (forced by setting
+``factor._GCD_PRIMES`` to 0) against the gcd with the product of the
+first primes. Both pairs must give identical output.
+
 Usage: python benchmarks/bench_kernels.py [--trials N]
 """
 import argparse
@@ -58,13 +67,13 @@ from fractions import Fraction
 ROOT = pathlib.Path(__file__).parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from hyperfield import _kernels  # noqa: E402
+from hyperfield import _kernels, factor  # noqa: E402
 from hyperfield._kernels import load_compiled, pure  # noqa: E402
-from hyperfield.census import CoefficientBox  # noqa: E402
+from hyperfield.census import CensusConfig, CoefficientBox  # noqa: E402
 from hyperfield.factor import primes_not_dividing  # noqa: E402
-from hyperfield.family import FamilyShape, HyperellipticCurve, build_family_member  # noqa: E402
+from hyperfield.family import FamilyShape, HyperellipticCurve, build_family_member, family_coeffs  # noqa: E402
 from hyperfield.intpoly import IntPolynomial, discriminant, parse_poly  # noqa: E402
-from oracles import prs_discriminant  # noqa: E402
+from oracles import family_product, prs_discriminant  # noqa: E402
 
 PRIMES = [2, 3, 5, 7, 11, 13, 101, 257, 997, 65537]
 POOL = [p for p in range(2, 230) if all(p % d for d in range(2, p))]  # the first 50 primes
@@ -233,13 +242,19 @@ RESULTANT_SHAPES = (("census", "1,1,0,1", 4, "7/2"), ("iso", "1,0,0,0,1", 6, "5/
 RESULTANT_POLYS = 200
 
 
-def resultant_cases(curve: str, n: int, Y: str, count: int = RESULTANT_POLYS) -> list[IntPolynomial]:
-    """About `count` members F of the census box of `curve` at (n, Y),
-    evenly spread through its odometer order."""
+def box_sample(curve: str, n: int, Y: str, count: int = RESULTANT_POLYS):
+    """(curve, shape, specs): about `count` members of the census box of
+    `curve` at (n, Y), evenly spread through its odometer order."""
     c = HyperellipticCurve(parse_poly(curve))
     shape = FamilyShape.census_shape(c.d, n)
     box = CoefficientBox.build(shape, Fraction(Y))
-    specs = itertools.islice(box.specializations(), 0, None, max(1, box.cardinality // count))
+    specs = list(itertools.islice(box.specializations(), 0, None, max(1, box.cardinality // count)))
+    return c, shape, specs
+
+
+def resultant_cases(curve: str, n: int, Y: str, count: int = RESULTANT_POLYS) -> list[IntPolynomial]:
+    """The members F of box_sample."""
+    c, shape, specs = box_sample(curve, n, Y, count)
     return [build_family_member(c, shape, s) for s in specs]
 
 
@@ -264,6 +279,40 @@ def resultant_rows(backends, count: int = RESULTANT_POLYS):
             rows.append((name, n, len(Fs), times))
     finally:
         _kernels.impl = saved
+    return rows
+
+
+def records_rows(count: int = RESULTANT_POLYS):
+    """(shape, degree, records, microseconds per record: F by the oracle's
+    products, by family_coeffs; the prime walk one prime at a time, by
+    gcd) per RESULTANT_SHAPES entry; asserts that each pair agrees."""
+    rows = []
+    saved = factor._GCD_PRIMES
+    try:
+        for name, curve, n, Y in RESULTANT_SHAPES:
+            c, shape, specs = box_sample(curve, n, Y, count)
+            f = c.f.coeffs
+            bads = [F.lc * d for F in map(IntPolynomial, (family_coeffs(f, shape, s) for s in specs))
+                    if (d := discriminant(F))]
+
+            def walk(gcd_primes):
+                factor._GCD_PRIMES = gcd_primes
+                return [factor.primes_not_dividing(bad, CensusConfig().fingerprint_primes) for bad in bads]
+
+            calls = {
+                "oracle": lambda: [family_product(c, shape, s).coeffs for s in specs],
+                "family_coeffs": lambda: [family_coeffs(f, shape, s) for s in specs],
+                "walk": lambda: walk(0),
+                "gcd": lambda: walk(saved),
+            }
+            outs = {key: call() for key, call in calls.items()}
+            assert outs["oracle"] == outs["family_coeffs"], f"F differs on the {name} row"
+            assert outs["walk"] == outs["gcd"], f"good primes differ on the {name} row"
+            sizes = {"oracle": len(specs), "family_coeffs": len(specs), "walk": len(bads), "gcd": len(bads)}
+            times = [min(timeit.repeat(call, number=1, repeat=5)) / sizes[key] * 1e6 for key, call in calls.items()]
+            rows.append((name, n, len(specs), times))
+    finally:
+        factor._GCD_PRIMES = saved
     return rows
 
 
@@ -305,6 +354,12 @@ def main():
         c_time = f"{times[2]:>9.1f}" if compiled else f"{'n/a':>9}"
         print(f"{name:<14}{n:>7}{calls:>7}{times[0]:>10.1f}{times[1]:>11.1f}{c_time}")
     print()
+
+    print(f"{'records':<10}{'degree':>7}{'records':>9}{'oracle F (us)':>15}{'family_coeffs (us)':>20}"
+          f"{'walk (us)':>11}{'gcd walk (us)':>15}")
+    for name, n, records, times in records_rows():
+        print(f"{name:<10}{n:>7}{records:>9}" + "".join(f"{t:>{w}.2f}" for t, w in zip(times, (15, 20, 11, 15))))
+    print("F and good primes identical on both sides of each row\n")
 
     cases = workload(args.trials)
     pure_out, pure_times = run(pure, cases)

@@ -7,15 +7,17 @@ odometer, most-significant coefficient first (a descending, then b),
 each coordinate swept from -bound to +bound.
 
 Each member of a box, a record, is kept only as its specialization and
-F until it becomes its CSV row: spec, F, Disc(F), a certification status
-(REDUCIBLE, IRREDUCIBLE_UNCERTIFIED, or SN_CERTIFIED), fingerprint hash
-and field class. All but the spec and the class depend on F alone, and
-F = g^2 - f h^2 does not change under g -> -g or h -> -h, so many
-records repeat an F. Each distinct F is classified once, into an
-immutable entry (status, Disc(F), fingerprint and its hash) that all
-records with that F share, in every box of a census. On an even curve
-(f(-x) = f(x)), x -> -x maps the box onto itself and F to F(-x), which has
-the same classification: one F per mirror pair is classified, and the
+the coefficient tuple of F (family.family_coeffs, plain-integer
+products) until it becomes its CSV row: spec, F, Disc(F), a
+certification status (REDUCIBLE, IRREDUCIBLE_UNCERTIFIED, or
+SN_CERTIFIED), fingerprint hash and field class. All but the spec and
+the class depend on F alone, and F = g^2 - f h^2 does not change under
+g -> -g or h -> -h, so many records repeat an F. Each distinct F is
+classified once, into an immutable entry (status, Disc(F), fingerprint
+and its hash) that all records with that F share, in every box of a
+census. Only an F that is classified, or a mirror copy (below), is made
+an IntPolynomial. On an even curve (f(-x) = f(x)), x -> -x maps the box
+onto itself and F to F(-x), which has the same classification: one F per mirror pair is classified, and the
 other gets that entry with its own F. A sweep reuses the entries of its
 smaller boxes. What belongs to one box, the multiplicity of each F and
 its field class, is counted by run_census for that box and kept out of
@@ -86,11 +88,13 @@ from .family import (
     FamilyShape,
     HyperellipticCurve,
     Specialization,
-    build_family_member,
+    build_family_member,  # noqa: F401
+    family_coeffs,
 )
 from .intpoly import IntPolynomial, discriminant, format_poly, monicize, scale_x
-# Nothing here calls newton_polygon. The name stays for
-# perfbench/trace_spans.WRAPPED and the tests.
+# Nothing here calls newton_polygon or build_family_member (records are
+# built by family_coeffs). The names stay for perfbench/trace_spans.WRAPPED
+# and the tests.
 from .newton import newton_polygon  # noqa: F401
 from .perms import SN, recognize_sn
 
@@ -330,12 +334,13 @@ def _box_members(
     box: CoefficientBox,
     cfg: CensusConfig,
     classified: dict[tuple[int, ...], FieldEntry],
-) -> list[tuple[Specialization, IntPolynomial]]:
-    """(spec, F) for every member of the box, in odometer order, after
-    adding to `classified` (F.coeffs -> entry, kept across the boxes of one
-    census) an entry for each F of the box it lacks. Those F are classified
-    in order of first appearance, in this process or, with cfg.workers > 1,
-    in a pool of that many processes.
+) -> list[tuple[Specialization, tuple[int, ...]]]:
+    """(spec, coefficients of F) for every member of the box, in odometer
+    order, after adding to `classified` (coefficients of F -> entry, kept
+    across the boxes of one census) an entry for each F of the box it
+    lacks. Those F are classified in order of first appearance, in this
+    process or, with cfg.workers > 1, in a pool of that many processes.
+    An IntPolynomial is made only for them and for mirror copies.
 
     On an even curve (f(-x) = f(x)) the mirror F(-x) of a member is also a
     member, and one F per mirror pair is classified: the other gets its
@@ -343,18 +348,19 @@ def _box_members(
     leading coefficient and discriminant of F, hence the same good primes;
     x -> -x is an automorphism of F_p[x], so the splitting types agree at
     every prime; and F(-x) is reducible exactly when F is."""
-    shape = box.shape
-    members = [(s, build_family_member(curve, shape, s)) for s in box.specializations()]
-    even = not any(curve.f.coeffs[1::2])
+    shape, f = box.shape, curve.f.coeffs
+    members = [(s, family_coeffs(f, shape, s)) for s in box.specializations()]
+    even = not any(f[1::2])
     pending: dict[tuple[int, ...], IntPolynomial] = {}
-    for _, F in members:
-        if F.coeffs in classified or F.coeffs in pending:
+    for _, c in members:
+        if c in classified or c in pending:
             continue
+        F = IntPolynomial(c)
         if even:
             mirror = scale_x(F, -1).coeffs
             if mirror in classified or mirror in pending:
                 continue
-        pending[F.coeffs] = F
+        pending[c] = F
     Fs = list(pending.values())
     if cfg.workers > 1:
         entries = _classify_in_pool(Fs, cfg)
@@ -362,20 +368,32 @@ def _box_members(
         entries = [classify_record(F, cfg) for F in Fs]
     classified.update(zip(pending, entries))
     if even:
-        for _, F in members:
-            if F.coeffs not in classified:
-                classified[F.coeffs] = classified[scale_x(F, -1).coeffs]._replace(F=F)
+        for _, c in members:
+            if c not in classified:
+                F = IntPolynomial(c)
+                classified[c] = classified[scale_x(F, -1).coeffs]._replace(F=F)
     return members
 
 
 def _classify_in_pool(Fs: list[IntPolynomial], cfg: CensusConfig) -> list[FieldEntry]:
-    """classify_record on each F, in order, by a pool of cfg.workers processes."""
+    """classify_record on each F, in order, by a pool of cfg.workers
+    processes. The entries come back unpickled, chunk by chunk; each
+    (prime, splitting type) of their fingerprints is replaced by the one
+    kept in _ENTRIES, as classify_record does in this process."""
     from concurrent.futures import ProcessPoolExecutor
 
     size = max(64, len(Fs) // (cfg.workers * 8) + 1)
     chunks = (Fs[i:i + size] for i in range(0, len(Fs), size))
     with ProcessPoolExecutor(max_workers=cfg.workers) as ex:
-        return [e for part in ex.map(_classify_chunk, ((c, cfg) for c in chunks)) for e in part]
+        entries = [e for part in ex.map(_classify_chunk, ((c, cfg) for c in chunks)) for e in part]
+    return [_interned(e) for e in entries]
+
+
+def _interned(e: FieldEntry) -> FieldEntry:
+    if e.fingerprint is None:
+        return e
+    shared = tuple(_ENTRIES.setdefault(x, x) for x in e.fingerprint.entries)
+    return e._replace(fingerprint=e.fingerprint._replace(entries=shared))
 
 
 def _classify_chunk(args):
@@ -772,7 +790,7 @@ def run_census(
     if classified is None:
         classified = {}
     members = _box_members(curve, box, cfg, classified)
-    multiplicity = Counter(F.coeffs for _, F in members)
+    multiplicity = Counter(c for _, c in members)
     entries = [classified[k] for k in multiplicity]
 
     classes, unconfirmed = _class_groups(entries)
@@ -830,7 +848,7 @@ def run_census(
     }
     # The F columns of a CSV line are the same for every record with that F.
     tails = {e.F.coeffs: _csv_tail(e, class_of.get(e.F.coeffs)) for e in entries}
-    csv_lines = [f"{_csv_spec(s)};{tails[F.coeffs]}" for s, F in members]
+    csv_lines = [f"{_csv_spec(s)};{tails[c]}" for s, c in members]
     return CensusResult(curve=curve, shape=shape, Y=Y, summary=summary, csv_lines=csv_lines)
 
 

@@ -21,6 +21,7 @@ prime_factors factors integers: trial division, then Brent's rho.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import random
@@ -167,12 +168,45 @@ def check_prime_count(count: int) -> None:
         raise TooManyPrimes(f"{count} primes requested; at most {MAX_PRIME_COUNT} are sampled")
 
 
+# primes_not_dividing finds which of the first _GCD_PRIMES primes divide
+# `bad` from one gcd with their product.
+_GCD_PRIMES = 64
+
+
+@functools.cache
+def _gcd_product() -> int:
+    """The product of the first _GCD_PRIMES primes, built on first use, not
+    at import."""
+    return math.prod(itertools.islice(primes_from(2), _GCD_PRIMES))
+
+
 def primes_not_dividing(bad: int, count: int, start: int = 2) -> list[int]:
     """The first `count` primes >= start that do not divide `bad` (for
-    example lc(F), or lc(F) * Disc(F) where Disc(F) is known anyway)."""
+    example lc(F), or lc(F) * Disc(F) where Disc(F) is known anyway).
+    From 2, when `count` of the first _GCD_PRIMES primes survive, they are
+    read off g = gcd(bad, their product): only a prime dividing g divides
+    `bad`. Otherwise the primes are tried one by one."""
     check_prime_count(count)
     if bad == 0:
         raise ValueError("every prime divides 0; no good primes exist")
+    if start <= 2 and count <= _GCD_PRIMES:
+        P = _gcd_product()
+        # The table holds every prime up to its end, so once it holds
+        # _GCD_PRIMES of them they are the primes of P.
+        if len(_PRIMES) >= _GCD_PRIMES:
+            good = _PRIMES[:_GCD_PRIMES]
+            g = math.gcd(bad, P)
+            # Every prime of g is among the first _GCD_PRIMES: strike each
+            # from `good`, and stop once g is 1.
+            for q in _PRIMES:
+                if g == 1:
+                    break
+                if g % q == 0:
+                    good.remove(q)
+                    while g % q == 0:
+                        g //= q
+            if len(good) >= count:
+                return good[:count]
     return list(itertools.islice((q for q in primes_from(start) if bad % q), count))
 
 

@@ -49,8 +49,10 @@ ODD_D_EVEN_N = "ODD_D_EVEN_N"
 ODD_D_ODD_N = "ODD_D_ODD_N"
 EVEN_D_EVEN_N = "EVEN_D_EVEN_N"
 
-# Largest witness degree. Building a witness takes time n^2 (schoolbook
-# products): 0.6-1.2 s per recipe at n = 4096 with HYPERFIELD_PURE=1.
+# Largest witness degree. Building F takes time n^2 (schoolbook products in
+# family_coeffs): 0.44-0.65 s per recipe at n = 4096, and a whole `witness`
+# run 0.7-1.2 s, with HYPERFIELD_PURE=1 on a 2-core x86-64 host. Doubling
+# the cap would quadruple that.
 WITNESS_DEGREE_CAP = 4096
 
 
@@ -125,13 +127,37 @@ class Specialization(NamedTuple):
     a: tuple[int, ...]
     b: tuple[int, ...]
 
-    def g_poly(self, shape: FamilyShape) -> IntPolynomial:
-        coeffs = list(self.a) + ([1] if shape.monic_g else [])
-        return IntPolynomial(coeffs)
-
     def h_poly(self, shape: FamilyShape) -> IntPolynomial:
         coeffs = list(self.b) + ([1] if shape.monic_h else [])
         return IntPolynomial(coeffs)
+
+
+def family_coeffs(f: tuple[int, ...], shape: FamilyShape, s: Specialization) -> tuple[int, ...]:
+    """The coefficients of F = g^2 - f*h^2, ascending, for the curve
+    coefficients f and a specialization whose lengths fit the shape;
+    DegreeDrop unless F has degree exactly n. Schoolbook products on plain
+    integers: the census calls this once per record and makes an
+    IntPolynomial only for an F it has not classified yet."""
+    g = (*s.a, 1) if shape.monic_g else s.a
+    h = (*s.b, 1) if shape.monic_h else s.b
+    # len(g^2) = 2 d_g + 1 and len(f h^2) = d + 2 d_h + 1; the larger is n + 1.
+    out = [0] * (shape.n + 1)
+    for i, gi in enumerate(g):
+        if gi:
+            for k, gj in enumerate(g, i):
+                out[k] += gi * gj
+    h2 = [0] * (2 * len(h) - 1)
+    for i, hi in enumerate(h):
+        if hi:
+            for k, hj in enumerate(h, i):
+                h2[k] += hi * hj
+    for w, fw in enumerate(f):
+        if fw:
+            for k, c in enumerate(h2, w):
+                out[k] -= fw * c
+    if not out[-1]:
+        raise DegreeDrop(f"family member has degree {IntPolynomial(out).degree}, expected {shape.n}")
+    return tuple(out)
 
 
 def build_family_member(curve: HyperellipticCurve, shape: FamilyShape, s: Specialization) -> IntPolynomial:
@@ -140,12 +166,7 @@ def build_family_member(curve: HyperellipticCurve, shape: FamilyShape, s: Specia
         raise ValueError(
             f"specialization lengths ({len(s.a)}, {len(s.b)}) do not match shape ({shape.a_len}, {shape.b_len})"
         )
-    g = s.g_poly(shape)
-    h = s.h_poly(shape)
-    F = g.square() - curve.f * h.square()
-    if F.degree != shape.n:
-        raise DegreeDrop(f"family member has degree {F.degree}, expected {shape.n}")
-    return F
+    return IntPolynomial(family_coeffs(curve.f.coeffs, shape, s))
 
 
 def check_point_map(curve: HyperellipticCurve, shape: FamilyShape, s: Specialization) -> IntPolynomial:

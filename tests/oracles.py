@@ -4,7 +4,8 @@ They restate a claim of the package by a second route (the product rule
 for Newton polygons, a brute-force group closure and a Schreier-Sims
 group order against the S_n rules, pairwise fingerprint comparison
 against the class index, the subresultant PRS against the modular
-resultant) or bundle package calls the way a test reads them.
+resultant, IntPolynomial products against family.family_coeffs) or
+bundle package calls the way a test reads them.
 Permutations are image tuples on {0..n-1}.
 """
 from __future__ import annotations
@@ -14,6 +15,7 @@ from fractions import Fraction
 from hyperfield.census import FieldFingerprint
 from hyperfield.errors import ConstantPolynomial, DegreeCapExceeded, ZeroInput
 from hyperfield.factor import DEFAULT_DEGREE_CAP, factor_over_q
+from hyperfield.family import FamilyShape, HyperellipticCurve, Specialization
 from hyperfield.intpoly import IntPolynomial
 from hyperfield.newton import (
     CycleCertificate,
@@ -47,6 +49,19 @@ def np_product_check(a: IntPolynomial, b: IntPolynomial, q: int) -> bool:
     if nab.x_power != na.x_power + nb.x_power:
         return False
     return slope_multiset(nab) == sorted(slope_multiset(na) + slope_multiset(nb))
+
+
+# -- family members ------------------------------------------------------------
+
+
+def g_poly(s: Specialization, shape: FamilyShape) -> IntPolynomial:
+    """g of a specialization: its a, and the leading 1 of a monic g."""
+    return IntPolynomial(list(s.a) + ([1] if shape.monic_g else []))
+
+
+def family_product(curve: HyperellipticCurve, shape: FamilyShape, s: Specialization) -> IntPolynomial:
+    """F = g^2 - f*h^2 from IntPolynomial products, whatever its degree."""
+    return g_poly(s, shape).square() - curve.f * s.h_poly(shape).square()
 
 
 # -- resultant and discriminant ---------------------------------------------

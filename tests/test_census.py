@@ -394,15 +394,17 @@ class TestFingerprint:
             assert e.fingerprint == sampled(e.F), e.F
 
     def test_equal_entries_are_one_object(self):
-        # Each (prime, type) pair is kept once, whatever F it came from.
-        classified = {}
-        run_census(C3, 4, 3, CensusConfig(), classified)
-        kept, total = {}, 0
-        for e in classified.values():
-            for entry in e.fingerprint.entries if e.fingerprint else ():
-                assert kept.setdefault(entry, entry) is entry, entry
-                total += 1
-        assert total > 10 * len(kept)
+        # Each (prime, type) pair is kept once, whatever F it came from, also
+        # where a pool of workers classified the F and sent the entries back.
+        for workers in (1, 2):
+            classified = {}
+            run_census(C3, 4, 3, CensusConfig(workers=workers), classified)
+            kept, total = {}, 0
+            for e in classified.values():
+                for entry in e.fingerprint.entries if e.fingerprint else ():
+                    assert kept.setdefault(entry, entry) is entry, (workers, entry)
+                    total += 1
+            assert total > 10 * len(kept)
 
     def test_compatibility_semantics(self):
         from hyperfield.census import FieldFingerprint
@@ -788,7 +790,7 @@ class TestRunCensus:
             return wrapper
 
         monkeypatch.setattr(census, "classify_record", counted("classify", census.classify_record))
-        monkeypatch.setattr(census, "build_family_member", counted("build", census.build_family_member))
+        monkeypatch.setattr(census, "family_coeffs", counted("build", census.family_coeffs))
         res = run_census(C3, 4, 3)
         distinct = {r.F for r in rows(res)}
         assert len(distinct) < len(res.csv_lines)  # g -> -g or h -> -h repeats F in this box

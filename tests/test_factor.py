@@ -92,6 +92,31 @@ class TestPrimes:
         assert all(is_prime(q) for q in factor._PRIMES)
         assert self._naive(1, len(factor._PRIMES), 2) == factor._PRIMES
 
+    def test_gcd_walk_falls_back_where_the_first_primes_divide_bad(self):
+        # bad is the product of all but a few of the first K primes (powers
+        # of some of them, times a sign and a random cofactor): fewer than
+        # `count` of those K survive, and the walk must go on past them.
+        K = factor._GCD_PRIMES
+        first = self._naive(1, K, 2)
+        rng = random.Random(11)
+        for _ in range(100):
+            spared = rng.sample(first, rng.randint(0, 6))
+            bad = math.prod(q ** rng.randint(1, 3) for q in first if q not in spared)
+            bad *= rng.choice([1, -1]) * rng.choice([1, rng.randint(2, 10**9)])
+            count = rng.choice([1, len(spared), len(spared) + 1, rng.randint(1, K), K, K + 1])
+            assert primes_not_dividing(bad, count) == self._naive(bad, count, 2), (spared, count)
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_gcd_walk_at_and_past_its_prime_count(self, extra):
+        # count = K takes the gcd path when no first prime divides bad and
+        # falls back when one does; count = K + 1 always falls back.
+        K = factor._GCD_PRIMES
+        count = K + extra
+        *_, last, after, next_after = self._naive(1, K + 2, 2)
+        rng = random.Random(extra)
+        for bad in [1, -1, 2, 3 * last, after * next_after, *(rng.randint(1, 10**30) for _ in range(50))]:
+            assert primes_not_dividing(bad, count) == self._naive(bad, count, 2), bad
+
     def test_walk_refuses_zero(self):
         with pytest.raises(ValueError):
             primes_not_dividing(0, 5)

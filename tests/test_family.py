@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from hyperfield.census import CoefficientBox
 from hyperfield.errors import (
     DegreeDrop,
     HypothesisViolated,
@@ -31,6 +32,7 @@ from hyperfield.family import (
     check_admissible,
     find_admissible_prime,
     check_point_map,
+    family_coeffs,
     normalize_even,
     select_bertrand_prime,
     verify_witness,
@@ -38,6 +40,7 @@ from hyperfield.family import (
 )
 from hyperfield.intpoly import IntPolynomial
 from hyperfield.newton import valuation
+from oracles import family_product, g_poly
 
 P = IntPolynomial
 
@@ -104,6 +107,49 @@ class TestBuildMember:
         with pytest.raises(ValueError):
             build_family_member(C3, sh, Specialization((1, 2), (1,)))
 
+    @pytest.mark.parametrize(
+        "f, n, Y",
+        [((1, 1, 0, 1), 4, 3), ((1, 1, 0, 1), 5, 2), ((1, 0, 0, 0, 1), 6, Fraction(3, 2))],
+        ids=["ODD_D_EVEN_N", "ODD_D_ODD_N", "EVEN_D_EVEN_N"],
+    )
+    def test_every_box_member_matches_the_product_oracle(self, f, n, Y):
+        curve = HyperellipticCurve(P(f))
+        sh = FamilyShape.census_shape(curve.d, n)
+        box = CoefficientBox.build(sh, Y)
+        for s in box.specializations():
+            want = family_product(curve, sh, s)
+            assert family_coeffs(f, sh, s) == want.coeffs, s
+            assert build_family_member(curve, sh, s) == want
+        assert box.cardinality > 80
+
+    def test_proof_shapes_match_the_oracle_and_drop_where_it_does(self):
+        # Random proof-shape specs, some with huge coefficients, and with the
+        # top coefficients often 0, so that F of degree below n shows up.
+        rng = random.Random(3)
+        kept = dropped = 0
+        for curve, degrees in ((C3, (3, 4, 5, 6, 7)), (C5, (5, 6, 7, 8)), (C6, (8, 10))):
+            for n in degrees:
+                sh = FamilyShape.proof_shape(curve.d, n)
+                for _ in range(40):
+                    height = rng.choice([9, 10**20])
+
+                    def coeff():
+                        return rng.choice([0, rng.randint(-height, height)])
+
+                    s = Specialization(tuple(coeff() for _ in range(sh.a_len)), tuple(coeff() for _ in range(sh.b_len)))
+                    want = family_product(curve, sh, s)
+                    if want.degree == n:
+                        assert family_coeffs(curve.f.coeffs, sh, s) == want.coeffs, s
+                        assert build_family_member(curve, sh, s) == want
+                        kept += 1
+                        continue
+                    with pytest.raises(DegreeDrop):
+                        family_coeffs(curve.f.coeffs, sh, s)
+                    with pytest.raises(DegreeDrop, match=f"has degree {want.degree}, expected {n}"):
+                        build_family_member(curve, sh, s)
+                    dropped += 1
+        assert kept > 150 and dropped > 150
+
 
 class TestPointResidue:
     def test_zero_for_valid_members(self):
@@ -118,7 +164,7 @@ class TestPointResidue:
                     tuple(rng.randint(-4, 4) for _ in range(sh.a_len)),
                     tuple(rng.choice([-2, -1, 1, 2]) for _ in range(sh.b_len)),
                 )
-                g, h = _sym(s.g_poly(sh).coeffs), _sym(s.h_poly(sh).coeffs)
+                g, h = _sym(g_poly(s, sh).coeffs), _sym(s.h_poly(sh).coeffs)
                 want = sympy.Poly(g**2 - _sym(C3.f.coeffs) * h**2, X)
                 shared = sympy.degree(sympy.gcd(want.as_expr(), h), X) > 0
                 try:
