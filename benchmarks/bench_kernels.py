@@ -22,6 +22,14 @@ rows is the least listed degree from which packing wins every row,
 given as a range when unresolved rows leave it open; ``pure._PACK_MIN``
 must lie in it.
 
+The gcd rows time the mod-p gcd of the distinct-degree loop,
+``pure._gcd_mod`` (Euclid by pseudo-remainders, the steps of the C
+kernel's ``gcd``), against the monic Euclid of ``tests/oracles.py``
+(``gcd_mod``: one modular inverse per step), in microseconds per call,
+best of five, on GCD_PAIRS pairs (a monic of degree d, a random
+polynomial of degree d - 1) at degrees 4, 8, 12 and 36 and moduli 13
+and 2^61 - 1. Both must give identical output.
+
 The splitting-type rows time one batched ``splitting_types`` call per
 polynomial at its first good primes (not dividing lc * Disc), in three
 shapes: census (degree 4, 50 primes, the census fingerprint), iso
@@ -73,7 +81,7 @@ from hyperfield.census import CensusConfig, CoefficientBox  # noqa: E402
 from hyperfield.factor import primes_not_dividing  # noqa: E402
 from hyperfield.family import FamilyShape, HyperellipticCurve, build_family_member, family_coeffs  # noqa: E402
 from hyperfield.intpoly import IntPolynomial, discriminant, parse_poly  # noqa: E402
-from oracles import family_product, prs_discriminant  # noqa: E402
+from oracles import family_product, gcd_mod, prs_discriminant  # noqa: E402
 
 PRIMES = [2, 3, 5, 7, 11, 13, 101, 257, 997, 65537]
 POOL = [p for p in range(2, 230) if all(p % d for d in range(2, p))]  # the first 50 primes
@@ -183,6 +191,27 @@ def crossover(rows) -> tuple[int | None, int | None]:
         return next((d for d in TOOLKIT_DEGREES if all(ok(v) for deg, v in verdicts if deg >= d)), None)
 
     return least(lambda v: v != "schoolbook"), least(lambda v: v == "packed")
+
+
+GCD_DEGREES = (4, 8, 12, 36)
+GCD_MODULI = (("13", 13), ("2^61-1", 2**61 - 1))
+GCD_PAIRS = 200
+
+
+def gcd_rows(count: int = GCD_PAIRS, seed: int = 0):
+    """(degree, modulus name, oracle microseconds per call, _gcd_mod
+    microseconds per call) per gcd row; asserts identical output."""
+    rng = random.Random(seed)
+    rows = []
+    for d in GCD_DEGREES:
+        for name, m in GCD_MODULI:
+            pairs = [([rng.randrange(m) for _ in range(d)] + [1], pure._trim([rng.randrange(m) for _ in range(d)]))
+                     for _ in range(count)]
+            calls = [lambda: [gcd_mod(a, b, m) for a, b in pairs], lambda: [pure._gcd_mod(a, b, m) for a, b in pairs]]
+            outs = [call() for call in calls]
+            assert outs[0] == outs[1], f"_gcd_mod differs from the monic Euclid at degree {d} mod {name}"
+            rows.append((d, name, *(min(timeit.repeat(call, number=1, repeat=5)) / count * 1e6 for call in calls)))
+    return rows
 
 
 CERTIFY_DEGREES = (8, 9, 10, 11, 12)
@@ -338,6 +367,11 @@ def main():
     verdict = "matches" if inside else "DIFFERS from"
     print(f"\npacked and schoolbook outputs identical; packing wins every row from {found}, "
           f"which {verdict} pure._PACK_MIN = {pure._PACK_MIN}\n")
+
+    print(f"{'gcd':<6}{'degree':>7}{'modulus':>9}{'monic Euclid (us)':>19}{'_gcd_mod (us)':>15}{'speedup':>9}")
+    for d, name, oracle, new in gcd_rows():
+        print(f"{'':<6}{d:>7}{name:>9}{oracle:>19.1f}{new:>15.1f}{oracle / new:>8.2f}x")
+    print("gcds identical on both sides of each row\n")
 
     compiled, why = load_compiled()
     backends = [pure] if compiled is None else [pure, compiled]

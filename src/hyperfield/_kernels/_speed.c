@@ -47,6 +47,15 @@
  * u64 and each coefficient is reduced once. Reductions are Barrett's (a
  * multiply by floor(2^64 / p) and a shift), not a hardware division.
  *
+ * The gcd (the squarefree test and each gcd(h - x, f)) is Euclid by
+ * pseudo-remainders (Knuth, TAOCP 2, 4.6.1, Algorithm R), with no
+ * inverse per step: x <- c x - t x^s y for c = lc(y) and t = lc(x), the
+ * top term dropped, and only the final gcd made monic. Each new
+ * coefficient c x_i + (p - t) y_i is reduced at once, and is below
+ * 2 (p-1)^2. It has the y term only where deg y >= 1, so deg F = n >= 2,
+ * and then lazy_fits(p, n) bounds it below 2^64; with deg y = 0 it is
+ * c x_i < (p-1)^2. So the gcd needs no bound beyond lazy_fits.
+ *
  * __init__.py compiles this file on first import:
  *     cc -O2 -shared -fPIC -I<Python include> _speed.c -o <cache file>
  */
@@ -163,17 +172,32 @@ static Py_ssize_t divide(u64 *r, Py_ssize_t lr, const u64 *f, Py_ssize_t lf, u64
     return trim(r, lr);
 }
 
-/* Monic gcd(a, b) into out, or -1 (error set); a and b may alias out. */
+/* Monic gcd(a, b) into out, or -1 (error set); a and b may alias out.
+ * Euclid by pseudo-remainders (Knuth, TAOCP 2, 4.6.1, Algorithm R), as
+ * pure._gcd_mod: while deg x >= deg y, x <- c x - t x^s y for c = lc(y),
+ * t = lc(x) and s = deg x - deg y, with the top term dropped; then x and
+ * y swap. Over a field each remainder is a nonzero multiple of the monic
+ * one, so only the final gcd is made monic, with one inversion. A new
+ * coefficient c x_i + (p - t) y_i is below 2 (p-1)^2; the y term is there
+ * only when deg y >= 1, so deg F = n >= 2, and lazy_fits(p, n) bounds
+ * 2 (p-1)^2 + (p-1) below 2^64. */
 static Py_ssize_t gcd(const u64 *a, Py_ssize_t la, const u64 *b, Py_ssize_t lb, u64 *out, Work *k)
 {
-    u64 *x = k->u, *y = k->v, *s;
+    u64 *x = k->u, *y = k->v, *s, p = k->p;
     Py_ssize_t n;
     memcpy(x, a, la * sizeof *x);
     memcpy(y, b, lb * sizeof *y);
     while (lb) {
-        if (make_monic(y, lb, k) < 0)
-            return -1;
-        la = divide(x, la, y, lb, NULL, k);
+        u64 c = y[lb - 1];
+        while (la >= lb) {
+            u64 t = p - x[--la];
+            Py_ssize_t shift = la - (lb - 1);
+            for (Py_ssize_t i = 0; i < shift; i++)
+                x[i] = reduce(c * x[i], k);
+            for (Py_ssize_t i = shift; i < la; i++)
+                x[i] = reduce(c * x[i] + t * y[i - shift], k);
+            la = trim(x, la);
+        }
         s = x, x = y, y = s;
         n = la, la = lb, lb = n;
     }

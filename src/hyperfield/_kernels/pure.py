@@ -30,6 +30,13 @@ big-integer row multiples and one ``% p`` per slot. h stays modulo the
 original f; each gcd(h - x, f) is against the part of f left. A
 composite modulus runs the same steps (and the C kernel mirrors them),
 so both backends still agree there, though the degrees mean nothing.
+
+``_gcd_mod`` (the squarefree test, the distinct-degree gcds and
+Cantor-Zassenhaus in ``factor``) is Euclid by pseudo-remainders (Knuth,
+TAOCP 2, 4.6.1, Algorithm R): x <- c x - t x^s y for c = lc(y) and
+t = lc(x), dropping the top term, with no inverse per step. Over a field
+each remainder is a nonzero multiple of the monic one, so making only
+the final gcd monic gives the same gcd with one inversion.
 """
 from __future__ import annotations
 
@@ -112,11 +119,23 @@ def _monic(a: list[int], p: int) -> list[int]:
 
 
 def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        b = _monic(b, p)
-        a, b = b, _divmod_mod(a, b, p)[1]
-    return _monic(a, p)
+    """The monic gcd of a and b mod p, for a and b reduced mod p and
+    trimmed: Euclid by pseudo-remainders (see the module docstring), step
+    for step as the C kernel's gcd. While deg x >= deg y, one step sets
+    x <- c x - t x^s y, for s = deg x - deg y."""
+    x, y = list(a), list(b)
+    while y:
+        c, dy = y[-1], len(y) - 1
+        while len(x) > dy:
+            t = p - x.pop()
+            s = len(x) - dy
+            for i in range(s):
+                x[i] = c * x[i] % p
+            for i in range(dy):
+                x[s + i] = (c * x[s + i] + t * y[i]) % p
+            _trim(x)
+        x, y = y, x
+    return _monic(x, p)
 
 
 def _power_table(f: list[int], p: int):

@@ -390,6 +390,13 @@ def witness(
     return Specialization(tuple(a), tuple(b))
 
 
+def _low_product(a, b, k: int) -> list[int]:
+    """The coefficients of a * b of degree 0..k (0 past its degree), for
+    coefficient sequences ascending in degree: O(k min(len a, len b))."""
+    return [sum(a[u] * b[i - u] for u in range(max(0, i - len(b) + 1), min(i + 1, len(a))))
+            for i in range(k + 1)]
+
+
 def _congruence_witness(curve, shape, k, p, rng, skip_avoid=False):
     """Shared builder for the transposition/k-cycle congruence displays.
 
@@ -399,10 +406,8 @@ def _congruence_witness(curve, shape, k, p, rng, skip_avoid=False):
     the quadratic coefficient is a unit by the choice of p).
     """
     f, n, d_g, d_h = curve.f, shape.n, shape.d_g, shape.d_h
-    p2 = p * p
     b = [1] * (d_h + 1)
-    h = IntPolynomial(b)
-    fh2 = f * h.square()
+    fh2 = _low_product(f.coeffs, _low_product(b, b, k), k)
     c0 = f[0]
     m = _sqrt_mod(c0, p)
     qt = ((c0 - m * m) // p) % p

@@ -113,9 +113,6 @@ class IntPolynomial:
 
     __rmul__ = __mul__
 
-    def square(self) -> "IntPolynomial":
-        return self * self
-
     def __pow__(self, e: int) -> "IntPolynomial":
         if e < 0:
             raise ValueError("negative power of a polynomial")
@@ -300,7 +297,7 @@ def _resultant_primes():
     yield from (q for q in range(RESULTANT_PRIMES[-1] - 2, 2, -2) if is_prime(q))
 
 
-def resultant(a: IntPolynomial, b: IntPolynomial) -> int:
+def resultant(a, b) -> int:
     """Exact resultant by Collins's modular algorithm: Res(a, b) mod
     primes not dividing lc(a) lc(b), from one kernel call, combined by
     Garner's Chinese remaindering into the symmetric residue. Hadamard's
@@ -308,19 +305,24 @@ def resultant(a: IntPolynomial, b: IntPolynomial) -> int:
     Sylvester determinant fixes the primes: their product passes 2B, so
     the symmetric residue is Res itself, whichever primes are taken.
 
+    a and b are IntPolynomials or coefficient sequences, ascending in
+    degree with a nonzero top coefficient; discriminant passes p' as a
+    list, without building an IntPolynomial.
+
     Convention: Res(a, b) = lc(a)^deg(b) * prod b(alpha_i), so e.g.
     Res(x-2, x-3) = -1. Raises ZeroInput for a zero operand, and
     SearchExhausted, rather than answer, where 2B passes the product of
     every prime below 2^28 (about 2^(3.9e8)).
     """
-    if a.is_zero() or b.is_zero():
+    a, b = getattr(a, "coeffs", a), getattr(b, "coeffs", b)
+    if not a or not b:
         raise ZeroInput("resultant of the zero polynomial")
     # The squared norms N have N < 2^bits(N), so B < 2^E for
     # E = ceil((deg(b) bits(N_a) + deg(a) bits(N_b)) / 2): primes whose
     # product is at least 2^(E + 1) > 2B suffice, and p >= 2^(bits(p) - 1).
-    na, nb = sum(map(mul, a.coeffs, a.coeffs)), sum(map(mul, b.coeffs, b.coeffs))
-    need = (b.degree * na.bit_length() + a.degree * nb.bit_length() + 1) // 2 + 1
-    lcs = a.lc * b.lc
+    na, nb = sum(map(mul, a, a)), sum(map(mul, b, b))
+    need = ((len(b) - 1) * na.bit_length() + (len(a) - 1) * nb.bit_length() + 1) // 2 + 1
+    lcs = a[-1] * b[-1]
     primes = []
     for p in _resultant_primes():
         if lcs % p:
@@ -331,7 +333,7 @@ def resultant(a: IntPolynomial, b: IntPolynomial) -> int:
     else:
         raise SearchExhausted("Hadamard's bound on the resultant exceeds the primes below 2^28")
     res, mod = 0, 1
-    for r, p in zip(_kernels.resultants(a.coeffs, b.coeffs, primes), primes):
+    for r, p in zip(_kernels.resultants(a, b, primes), primes):
         res += (r - res) * pow(mod, -1, p) % p * mod
         mod *= p
     return res - mod if 2 * res > mod else res
@@ -344,7 +346,8 @@ def discriminant(p: IntPolynomial) -> int:
         raise ConstantPolynomial("discriminant requires degree >= 1")
     if d == 1:
         return 1
-    r = resultant(p, p.derivative())
+    c = p.coeffs
+    r = resultant(c, [i * ci for i, ci in enumerate(c)][1:])
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
     q, rem = divmod(sign * r, p.lc)
     assert rem == 0, "Res(p, p') must be divisible by lc(p)"

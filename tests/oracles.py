@@ -4,7 +4,8 @@ They restate a claim of the package by a second route (the product rule
 for Newton polygons, a brute-force group closure and a Schreier-Sims
 group order against the S_n rules, pairwise fingerprint comparison
 against the class index, the subresultant PRS against the modular
-resultant, IntPolynomial products against family.family_coeffs) or
+resultant, the monic Euclid against the pseudo-remainder gcd of the
+kernels, IntPolynomial products against family.family_coeffs) or
 bundle package calls the way a test reads them.
 Permutations are image tuples on {0..n-1}.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from hyperfield._kernels.pure import _divmod_mod, _monic
 from hyperfield.census import FieldFingerprint
 from hyperfield.errors import ConstantPolynomial, DegreeCapExceeded, ZeroInput
 from hyperfield.factor import DEFAULT_DEGREE_CAP, factor_over_q
@@ -61,7 +63,7 @@ def g_poly(s: Specialization, shape: FamilyShape) -> IntPolynomial:
 
 def family_product(curve: HyperellipticCurve, shape: FamilyShape, s: Specialization) -> IntPolynomial:
     """F = g^2 - f*h^2 from IntPolynomial products, whatever its degree."""
-    return g_poly(s, shape).square() - curve.f * s.h_poly(shape).square()
+    return g_poly(s, shape) ** 2 - curve.f * s.h_poly(shape) ** 2
 
 
 # -- resultant and discriminant ---------------------------------------------
@@ -128,6 +130,20 @@ def prs_discriminant(p: IntPolynomial) -> int:
     q, rem = divmod(sign * r, p.lc)
     assert rem == 0, "Res(p, p') must be divisible by lc(p)"
     return q
+
+
+# -- mod-p gcd -----------------------------------------------------------------
+
+
+def gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    """The monic gcd of a and b mod p (a and b reduced and trimmed) by
+    Euclid with monic remainders: each divisor is made monic, one modular
+    inverse per step, before a long division."""
+    a, b = list(a), list(b)
+    while b:
+        b = _monic(b, p)
+        a, b = b, _divmod_mod(a, b, p)[1]
+    return _monic(a, p)
 
 
 # -- permutations -----------------------------------------------------------

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from hyperfield import family
 from hyperfield.census import CoefficientBox
 from hyperfield.errors import (
     DegreeDrop,
@@ -263,7 +264,41 @@ ODD_COMBOS = [
 ]
 
 
+def _full_product(a, b, k):
+    """a * b by IntPolynomial products, in full, padded up to degree k: the
+    f h^2 that _congruence_witness built before it kept degrees 0..k."""
+    c = list((P(a) * P(b)).coeffs)
+    return c + [0] * (k + 1 - len(c))
+
+
+CONGRUENCE_COMBOS = [
+    (C3, 3, Recipe(D3N3_TRANSP)),
+    (C3, 4, Recipe(ODD_EVEN_TRANSP)),
+    (C3, 5, Recipe(K_CYCLE, 2)),
+    (C5, 8, Recipe(K_CYCLE, 4)),
+    (C6, 8, Recipe(K_CYCLE, 3)),
+    (C3, 4096, Recipe(ODD_EVEN_TRANSP)),
+    (HyperellipticCurve(P((1, 0, 0, 0, 1))), 4096, Recipe(K_CYCLE, 2048)),
+]
+
+
 class TestWitnesses:
+    @pytest.mark.parametrize("curve,n,recipe", CONGRUENCE_COMBOS, ids=lambda v: getattr(v, "label", v))
+    def test_congruence_witness_matches_the_full_product(self, curve, n, recipe, monkeypatch):
+        # _congruence_witness reads f h^2 only up to degree k, and builds
+        # just those coefficients; the full product gives the same witness.
+        rng = random.Random(n)
+        for _ in range(50):
+            a, b = ([rng.randint(-9, 9) for _ in range(rng.randint(1, 6))] for _ in range(2))
+            k = rng.randint(0, 12)
+            assert family._low_product(a, b, k) == _full_product(a, b, k)[: k + 1]
+        sh = FamilyShape.proof_shape(curve.d, n)
+        p = find_admissible_prime(curve, sh, recipe)
+        seeds = range(3) if n < 100 else [0]
+        got = [witness(curve, sh, recipe, p, seed) for seed in seeds]
+        monkeypatch.setattr(family, "_low_product", _full_product)
+        assert got == [witness(curve, sh, recipe, p, seed) for seed in seeds]
+
     @pytest.mark.parametrize("curve,n,recipe", ODD_COMBOS, ids=lambda v: getattr(v, "label", v))
     def test_odd_recipes_force_polygons(self, curve, n, recipe):
         sh = FamilyShape.proof_shape(curve.d, n)

@@ -76,7 +76,7 @@ small_poly = st.lists(coeff, min_size=0, max_size=13).map(P)
 
 class TestArithmetic:
     def test_square_binomial(self):
-        assert P((1, 1)).square().coeffs == (1, 2, 1)
+        assert (P((1, 1)) ** 2).coeffs == (1, 2, 1)
 
     def test_mul_absorbing_zero(self):
         assert (P((3, 0, 1)) * P(())).is_zero()

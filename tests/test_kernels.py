@@ -14,6 +14,7 @@ from sympy.polys.galoistools import gf_ddf_zassenhaus, gf_irreducible_p, gf_mul,
 
 from hyperfield import _kernels
 from hyperfield._kernels import pure
+from oracles import gcd_mod
 
 SRC = Path(__file__).parent.parent / "src"
 SYSTEM_PATH = "/usr/bin:/bin"
@@ -184,6 +185,10 @@ def test_bench_kernels_backends_agree():
     outs, _ = bench.run(pure, cases)
     assert [len(rows) for rows in outs] == [50, 2]
     assert bench.run(compiled, cases)[0] == outs
+    # the gcd rows: the monic Euclid and the pseudo-remainder gcd agree
+    # (gcd_rows asserts it)
+    assert [(d, name) for d, name, _, _ in bench.gcd_rows(count=5)] == [
+        (d, name) for d in bench.GCD_DEGREES for name, _ in bench.GCD_MODULI]
     # the discriminant rows: the PRS oracle and the modular path on both
     # backends agree (resultant_rows asserts it) on a few members per box
     selected = _kernels.impl
@@ -265,3 +270,59 @@ class TestKnownSplittingTypes:
             if compiled is not None and p > bound:
                 with pytest.raises(OverflowError):
                     compiled.splitting_types(coeffs, [p])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_random_polynomials_at_the_bound_of_degrees_1_and_2(n):
+    """The C kernel against pure.py at the largest prime it takes at degree
+    n and at the first one it declines. At degree 2 a step of its gcd sums
+    c x_i + (p - t) y_i, up to 2 (p-1)^2, for p near 3.04e9: the edge of
+    lazy_fits. Past the bound the dispatcher answers from pure.py."""
+    compiled = _compiled()
+    if compiled is None:
+        pytest.skip("no C compiler on PATH or no Python headers")
+    bound = _lazy_bound(n)
+    rng = random.Random(n)
+    for p in (prevprime(bound + 1), nextprime(bound)):
+        polys = [[p - 1] * n + [1], [p - 1] * (n + 1)]
+        polys += [[rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)] for _ in range(300)]
+        factor_counts = set()
+        for coeffs in polys:
+            want = pure.splitting_types(coeffs, [p])
+            factor_counts.add(len(want[0] or ()))
+            if p <= bound:
+                assert compiled.splitting_types(coeffs, [p]) == want, (coeffs, p)
+            else:
+                with pytest.raises(OverflowError):
+                    compiled.splitting_types(coeffs, [p])
+                assert _kernels.splitting_types(coeffs, [p]) == want, (coeffs, p)
+        assert set(range(1, n + 1)) <= factor_counts  # irreducible and split F both occur
+
+
+class TestPseudoRemainderGcd:
+    """pure._gcd_mod, Euclid by pseudo-remainders, against the monic Euclid
+    of tests/oracles.py, at primes from 3 to 2^61 - 1."""
+
+    PRIMES = [3, 5, 13, 101, 65537, 2**31 - 1, 2**32 - 5, 2**61 - 1]
+
+    @staticmethod
+    def _poly(rng, p: int, d: int) -> list[int]:
+        """A random polynomial of degree d mod p, reduced; [] for d = -1."""
+        return [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)] if d >= 0 else []
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_matches_the_monic_euclid(self, p):
+        rng = random.Random(p)
+        cases = [([], []), ([], [1]), ([1], []), ([p - 1], [p - 1])]
+        for _ in range(200):
+            a, b = self._poly(rng, p, rng.randint(-1, 12)), self._poly(rng, p, rng.randint(-1, 12))
+            if rng.random() < 0.5:  # a common factor, so that the gcd is not 1
+                g = self._poly(rng, p, rng.randint(1, 4))
+                a, b = pure._mul_mod(a, g, p), pure._mul_mod(b, g, p)
+            cases += [(a, b), (b, a), (a, a), (a, []), ([], b), (a, self._poly(rng, p, 0))]
+        degrees = set()
+        for a, b in cases:
+            got = pure._gcd_mod(a, b, p)
+            assert got == gcd_mod(a, b, p), (a, b, p)
+            degrees.add(len(got) - 1)
+        assert {-1, 0, 1, 2, 3, 4} <= degrees
