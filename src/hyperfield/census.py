@@ -13,21 +13,22 @@ certification status (REDUCIBLE, IRREDUCIBLE_UNCERTIFIED, or
 SN_CERTIFIED), fingerprint hash and field class. All but the spec and
 the class depend on F alone, and F = g^2 - f h^2 does not change under
 g -> -g or h -> -h, so many records repeat an F. Each distinct F is
-classified once, into an immutable entry (status, Disc(F), fingerprint
+classified once, into an immutable entry (Disc(F), status, fingerprint
 and its hash) that all records with that F share, in every box of a
-census. Only an F that is classified, or a mirror copy (below), is made
-an IntPolynomial. On an even curve (f(-x) = f(x)), x -> -x maps the box
-onto itself and F to F(-x), which has the same classification: one F per mirror pair is classified, and the
-other gets that entry with its own F. A sweep reuses the entries of its
-smaller boxes. What belongs to one box, the multiplicity of each F and
-its field class, is counted by run_census for that box and kept out of
-the entries. Irreducibility is decided by (in order) Disc(F) = 0,
-Musser's degree-set intersection over the splitting types at the first
-IRREDUCIBILITY_PRIMES good primes, then factor_over_q below the degree
-cap. S_n certification runs the recognition rules on Frobenius cycle
-types at the first fingerprint_primes good primes (not dividing
-lc(F) * Disc(F)), read from factor's prime table; they double as the
-field fingerprint.
+census. The entry does not hold F: the coefficient tuple of F is its
+key. Only an F that is classified is made an IntPolynomial. On an even
+curve (f(-x) = f(x)), x -> -x maps the box onto itself and F to F(-x),
+which has the same classification: one F per mirror pair is classified,
+and the other shares that entry, the same object. A sweep reuses the
+entries of its smaller boxes. What belongs to one box, the multiplicity
+of each F and its field class, is counted by run_census for that box
+and kept out of the entries. Irreducibility is decided by (in order)
+Disc(F) = 0, Musser's degree-set intersection over the splitting types
+at the first IRREDUCIBILITY_PRIMES good primes, then factor_over_q
+below the degree cap. S_n certification runs the recognition rules on
+Frobenius cycle types at the first fingerprint_primes good primes (not
+dividing lc(F) * Disc(F)), read from factor's prime table; they double
+as the field fingerprint.
 
 Field classes merge records whose fingerprints agree at every shared
 prime. The compatible pairs come from an index of Python-int bitsets, one
@@ -91,7 +92,7 @@ from .family import (
     build_family_member,  # noqa: F401
     family_coeffs,
 )
-from .intpoly import IntPolynomial, discriminant, format_poly, monicize, scale_x
+from .intpoly import IntPolynomial, discriminant, monicize, scale_x
 # Nothing here calls newton_polygon or build_family_member (records are
 # built by family_coeffs). The names stay for perfbench/trace_spans.WRAPPED
 # and the tests.
@@ -145,31 +146,18 @@ def floor_pow(y: Fraction, e: Fraction) -> int:
 # -- the coefficient box -------------------------------------------------------
 
 
+# The exponent of b_j is d_h - j plus this offset; that of a_j is d_g - j.
+_B_OFFSET = {ODD_D_EVEN_N: Fraction(1, 2), ODD_D_ODD_N: Fraction(0), EVEN_D_EVEN_N: Fraction(1)}
+
+
 def box_exponents(shape: FamilyShape) -> list[tuple[str, int, Fraction]]:
     """(side, coefficient index, exponent) for every free coefficient, in
     enumeration order: a most-significant first, then b."""
-    out = []
-    if shape.case == ODD_D_EVEN_N:
-        assert shape.monic_g
-        for j in range(shape.d_g - 1, -1, -1):
-            out.append(("a", j, Fraction(shape.d_g - j)))
-        for j in range(shape.d_h, -1, -1):
-            out.append(("b", j, Fraction(shape.d_h - j) + Fraction(1, 2)))
-    elif shape.case == ODD_D_ODD_N:
-        assert shape.monic_h
-        for j in range(shape.d_g, -1, -1):
-            out.append(("a", j, Fraction(shape.d_g - j)))
-        for j in range(shape.d_h - 1, -1, -1):
-            out.append(("b", j, Fraction(shape.d_h - j)))
-    elif shape.case == EVEN_D_EVEN_N:
-        assert shape.monic_g
-        for j in range(shape.d_g - 1, -1, -1):
-            out.append(("a", j, Fraction(shape.d_g - j)))
-        for j in range(shape.d_h, -1, -1):
-            out.append(("b", j, Fraction(shape.d_h + 1 - j)))
-    else:  # pragma: no cover
-        raise AssertionError(shape.case)
-    return out
+    if shape.monic_g == shape.monic_h:
+        raise ValueError(f"box_exponents needs a census shape, with one side monic (got {shape})")
+    offset = _B_OFFSET[shape.case]
+    a = [("a", j, Fraction(shape.d_g - j)) for j in range(shape.a_len - 1, -1, -1)]
+    return a + [("b", j, shape.d_h - j + offset) for j in range(shape.b_len - 1, -1, -1)]
 
 
 class CoefficientBox(NamedTuple):
@@ -262,9 +250,10 @@ class CensusConfig(NamedTuple):
 class FieldEntry(NamedTuple):
     """The classification of one distinct F: Disc F, status, fingerprint and
     its hash. It depends on F alone and is made once per F; every record
-    with this F, in every box of a census, shares it."""
+    with this F, in every box of a census, shares it, and so does every
+    record with the mirror F(-x) on an even curve. It does not hold F:
+    the census keys it by the coefficient tuple of F."""
 
-    F: IntPolynomial
     disc_F: int
     status: str
     fingerprint: FieldFingerprint | None = None
@@ -284,7 +273,7 @@ def classify_record(F: IntPolynomial, cfg: CensusConfig) -> FieldEntry:
     n = F.degree
     disc_F = discriminant(F)
     if disc_F == 0:
-        return FieldEntry(F, 0, REDUCIBLE)
+        return FieldEntry(0, REDUCIBLE)
     # The census needs Disc F for its CSV column anyway, so the good primes
     # come from it, not from good_splitting_types, which would also
     # send the primes dividing Disc F to the kernel (census-cubic-n4 made
@@ -301,13 +290,13 @@ def classify_record(F: IntPolynomial, cfg: CensusConfig) -> FieldEntry:
             )
         factors = factor_over_q(F, cap=cfg.factor_cap)
         if sum(1 for f in factors if f.degree > 0) > 1:
-            return FieldEntry(F, disc_F, REDUCIBLE)
+            return FieldEntry(disc_F, REDUCIBLE)
 
     entries += _splitting_entries(F, good[IRREDUCIBILITY_PRIMES:])
     cert = recognize_sn(n, [(t, "") for _, t in entries])
     status = SN_CERTIFIED if cert.conclusion == SN else IRREDUCIBLE_UNCERTIFIED
     fp = FieldFingerprint(n, entries)
-    return FieldEntry(F, disc_F, status, fingerprint=fp, hash_hex=fp.hash_hex)
+    return FieldEntry(disc_F, status, fingerprint=fp, hash_hex=fp.hash_hex)
 
 
 def _capped_box(shape: FamilyShape, Y: Fraction, cfg: CensusConfig) -> CoefficientBox:
@@ -340,53 +329,56 @@ def _box_members(
     across the boxes of one census) an entry for each F of the box it
     lacks. Those F are classified in order of first appearance, in this
     process or, with cfg.workers > 1, in a pool of that many processes.
-    An IntPolynomial is made only for them and for mirror copies.
+    An IntPolynomial is made only for them.
 
     On an even curve (f(-x) = f(x)) the mirror F(-x) of a member is also a
-    member, and one F per mirror pair is classified: the other gets its
-    entry with F replaced. That is exact. n is even, so F(-x) has the
+    member, and one F per mirror pair is classified: the other is keyed to
+    the same entry object. That is exact. n is even, so F(-x) has the
     leading coefficient and discriminant of F, hence the same good primes;
     x -> -x is an automorphism of F_p[x], so the splitting types agree at
     every prime; and F(-x) is reducible exactly when F is."""
     shape, f = box.shape, curve.f.coeffs
     members = [(s, family_coeffs(f, shape, s)) for s in box.specializations()]
     even = not any(f[1::2])
-    pending: dict[tuple[int, ...], IntPolynomial] = {}
+    pending: dict[tuple[int, ...], None] = {}
     for _, c in members:
         if c in classified or c in pending:
             continue
-        F = IntPolynomial(c)
-        if even:
-            mirror = scale_x(F, -1).coeffs
-            if mirror in classified or mirror in pending:
-                continue
-        pending[c] = F
-    Fs = list(pending.values())
-    if cfg.workers > 1:
-        entries = _classify_in_pool(Fs, cfg)
-    else:
-        entries = [classify_record(F, cfg) for F in Fs]
+        if even and ((m := _mirror(c)) in classified or m in pending):
+            continue
+        pending[c] = None
+    Fs = [IntPolynomial(c) for c in pending]
+    entries = _classify_in_pool(Fs, cfg) if cfg.workers > 1 else _classify(Fs, cfg)
     classified.update(zip(pending, entries))
     if even:
         for _, c in members:
             if c not in classified:
-                F = IntPolynomial(c)
-                classified[c] = classified[scale_x(F, -1).coeffs]._replace(F=F)
+                classified[c] = classified[_mirror(c)]
     return members
 
 
+def _mirror(c: tuple[int, ...]) -> tuple[int, ...]:
+    """The coefficients of F(-x): those of odd degree negated. For the
+    even n of an even curve's census, F(-x) keeps the degree of F."""
+    return tuple(-x if i % 2 else x for i, x in enumerate(c))
+
+
+def _classify(Fs: list[IntPolynomial], cfg: CensusConfig) -> list[FieldEntry]:
+    return [classify_record(F, cfg) for F in Fs]
+
+
 def _classify_in_pool(Fs: list[IntPolynomial], cfg: CensusConfig) -> list[FieldEntry]:
-    """classify_record on each F, in order, by a pool of cfg.workers
-    processes. The entries come back unpickled, chunk by chunk; each
-    (prime, splitting type) of their fingerprints is replaced by the one
-    kept in _ENTRIES, as classify_record does in this process."""
+    """_classify on each F, in order, by a pool of cfg.workers processes.
+    The entries come back unpickled, chunk by chunk; each (prime, splitting
+    type) of their fingerprints is replaced by the one kept in _ENTRIES, as
+    classify_record does in this process."""
     from concurrent.futures import ProcessPoolExecutor
 
     size = max(64, len(Fs) // (cfg.workers * 8) + 1)
     chunks = (Fs[i:i + size] for i in range(0, len(Fs), size))
     with ProcessPoolExecutor(max_workers=cfg.workers) as ex:
-        entries = [e for part in ex.map(_classify_chunk, ((c, cfg) for c in chunks)) for e in part]
-    return [_interned(e) for e in entries]
+        parts = ex.map(_classify, chunks, itertools.repeat(cfg))
+        return [_interned(e) for part in parts for e in part]
 
 
 def _interned(e: FieldEntry) -> FieldEntry:
@@ -394,11 +386,6 @@ def _interned(e: FieldEntry) -> FieldEntry:
         return e
     shared = tuple(_ENTRIES.setdefault(x, x) for x in e.fingerprint.entries)
     return e._replace(fingerprint=e.fingerprint._replace(entries=shared))
-
-
-def _classify_chunk(args):
-    Fs, cfg = args
-    return [classify_record(F, cfg) for F in Fs]
 
 
 # -- exact isomorphism ---------------------------------------------------------
@@ -732,15 +719,17 @@ def _compatible_pairs(keys: list[tuple]):
             candidates ^= low
 
 
-def _class_groups(entries: list[FieldEntry]):
-    """Group the entries of irreducible F into field classes via fingerprints,
-    merging compatible keys; a class of several F that isomorphic_exact does
-    not prove (above ISO_CAP, only mirror pairs are proved) is unconfirmed."""
-    keyed: dict[tuple, list[FieldEntry]] = {}
-    for e in entries:
+def _class_groups(entries: dict[tuple[int, ...], FieldEntry]):
+    """Group the irreducible F of {coefficients of F: entry} into field
+    classes via fingerprints, merging compatible keys, each class a sorted
+    list of coefficient tuples; a class of several F that isomorphic_exact
+    does not prove (above ISO_CAP, only mirror pairs are proved) is
+    unconfirmed."""
+    keyed: dict[tuple, list[tuple[int, ...]]] = {}
+    for c, e in entries.items():
         if e.fingerprint is None:
             continue
-        keyed.setdefault(e.fingerprint.entries, []).append(e)
+        keyed.setdefault(e.fingerprint.entries, []).append(c)
     keys = list(keyed)
     parent = list(range(len(keys)))
 
@@ -752,16 +741,14 @@ def _class_groups(entries: list[FieldEntry]):
 
     for i, j in _compatible_pairs(keys):
         parent[find(i)] = find(j)
-    merged: dict[int, list[FieldEntry]] = {}
+    merged: dict[int, list[tuple[int, ...]]] = {}
     for i, k in enumerate(keys):
         merged.setdefault(find(i), []).extend(keyed[k])
-    classes = [sorted(v, key=lambda e: e.F.coeffs) for v in merged.values()]
-    classes.sort(key=lambda g: g[0].F.coeffs)
+    classes = sorted(map(sorted, merged.values()))
     unconfirmed = 0
     for group in classes:
-        distinct = sorted({e.F.coeffs for e in group})
-        base = IntPolynomial(distinct[0])
-        for other in distinct[1:]:
+        base = IntPolynomial(group[0])
+        for other in group[1:]:
             try:
                 proved = isomorphic_exact(base, IntPolynomial(other))
             except DegreeCapExceeded:  # no cheap proof, and Trager's test is capped
@@ -779,9 +766,10 @@ def run_census(
     cfg: CensusConfig = CensusConfig(),
     classified: dict[tuple[int, ...], FieldEntry] | None = None,
 ) -> CensusResult:
-    """The census of one box. `classified` maps F.coeffs to the entries of
-    earlier runs with the same curve, n and cfg (a sweep's smaller boxes):
-    their F are not classified again, and this run adds its own entries.
+    """The census of one box. `classified` maps the coefficient tuple of
+    each F to the entries of earlier runs with the same curve, n and cfg
+    (a sweep's smaller boxes): their F are not classified again, and this
+    run adds its own entries.
     cfg.workers is the number of processes that classify; the CLI caps it
     by HYPERFIELD_THREADS, and nothing here reads the environment."""
     shape = FamilyShape.census_shape(curve.d, n)
@@ -791,13 +779,13 @@ def run_census(
         classified = {}
     members = _box_members(curve, box, cfg, classified)
     multiplicity = Counter(c for _, c in members)
-    entries = [classified[k] for k in multiplicity]
+    entries = {c: classified[c] for c in multiplicity}
 
     classes, unconfirmed = _class_groups(entries)
-    class_of = {e.F.coeffs: cid for cid, group in enumerate(classes) for e in group}
+    class_of = {c: cid for cid, group in enumerate(classes) for c in group}
 
     counts = {
-        key: sum(multiplicity[e.F.coeffs] for e in entries if e.status == status)
+        key: sum(m for c, m in multiplicity.items() if entries[c].status == status)
         for key, status in (
             ("reducible", REDUCIBLE), ("irreducible", IRREDUCIBLE_UNCERTIFIED), ("sn_certified", SN_CERTIFIED)
         )
@@ -815,17 +803,17 @@ def run_census(
     mk_ratio = 0.0
     class_min_disc = []
     for group in classes:
-        mult = sum(multiplicity[e.F.coeffs] for e in group)
-        dmin = min(abs(e.disc_F) for e in group)
+        mult = sum(multiplicity[c] for c in group)
+        dmin = min(abs(entries[c].disc_F) for c in group)
         class_min_disc.append((dmin, mult))
         bound = max(float(Y) ** n * dmin ** -0.5 if dmin else float("inf"), float(Y) ** (n / 2))
         mk_ratio = max(mk_ratio, mult / bound)
 
     slope = _count_disc_slope(class_min_disc)
     hist: dict[int, int] = {}
-    for e in entries:
+    for c, e in entries.items():
         b = abs(e.disc_F).bit_length()
-        hist[b] = hist.get(b, 0) + multiplicity[e.F.coeffs]
+        hist[b] = hist.get(b, 0) + multiplicity[c]
 
     report = exponents(curve.genus, curve.d, n)
     summary = {
@@ -847,7 +835,7 @@ def run_census(
         },
     }
     # The F columns of a CSV line are the same for every record with that F.
-    tails = {e.F.coeffs: _csv_tail(e, class_of.get(e.F.coeffs)) for e in entries}
+    tails = {c: _csv_tail(c, e, class_of.get(c)) for c, e in entries.items()}
     csv_lines = [f"{_csv_spec(s)};{tails[c]}" for s, c in members]
     return CensusResult(curve=curve, shape=shape, Y=Y, summary=summary, csv_lines=csv_lines)
 
@@ -870,9 +858,9 @@ def _csv_spec(s: Specialization) -> str:
     return ",".join(map(str, s.a)) + ";" + ",".join(map(str, s.b))
 
 
-def _csv_tail(e: FieldEntry, class_id: int | None) -> str:
+def _csv_tail(c: tuple[int, ...], e: FieldEntry, class_id: int | None) -> str:
     cid = str(class_id) if class_id is not None else ""
-    return ";".join([format_poly(e.F), str(e.disc_F), e.status, e.hash_hex, cid])
+    return ";".join([",".join(map(str, c)), str(e.disc_F), e.status, e.hash_hex, cid])
 
 
 CSV_HEADER = "spec_a;spec_b;F_coeffs;disc_F;status;fingerprint_hash;class_id"

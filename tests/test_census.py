@@ -187,6 +187,46 @@ class TestBox:
             CoefficientBox.build(FamilyShape.census_shape(3, 4), Fraction(1, 2))
 
     @staticmethod
+    def _exponents_by_case(shape):
+        """The box exponents written out for each census shape on its own:
+        the oracle for box_exponents."""
+        out = []
+        if shape.case == ODD_D_EVEN_N:
+            for j in range(shape.d_g - 1, -1, -1):
+                out.append(("a", j, Fraction(shape.d_g - j)))
+            for j in range(shape.d_h, -1, -1):
+                out.append(("b", j, Fraction(shape.d_h - j) + Fraction(1, 2)))
+        elif shape.case == ODD_D_ODD_N:
+            for j in range(shape.d_g, -1, -1):
+                out.append(("a", j, Fraction(shape.d_g - j)))
+            for j in range(shape.d_h - 1, -1, -1):
+                out.append(("b", j, Fraction(shape.d_h - j)))
+        else:
+            assert shape.case == EVEN_D_EVEN_N
+            for j in range(shape.d_g - 1, -1, -1):
+                out.append(("a", j, Fraction(shape.d_g - j)))
+            for j in range(shape.d_h, -1, -1):
+                out.append(("b", j, Fraction(shape.d_h + 1 - j)))
+        return out
+
+    def test_box_exponents_match_the_case_table(self):
+        shapes = [
+            FamilyShape.census_shape(d, n)
+            for d in range(3, 9)
+            for n in range(d, 20)
+            if d % 2 or (n % 2 == 0 and n >= d + 2)
+        ]
+        assert len(shapes) == 63
+        assert {s.case for s in shapes} == {ODD_D_EVEN_N, ODD_D_ODD_N, EVEN_D_EVEN_N}
+        for shape in shapes:
+            assert census.box_exponents(shape) == self._exponents_by_case(shape), shape
+
+    @pytest.mark.parametrize("d, n", [(3, 4), (3, 5), (4, 6)])
+    def test_box_exponents_refuse_a_proof_shape(self, d, n):
+        with pytest.raises(ValueError):
+            census.box_exponents(FamilyShape.proof_shape(d, n))
+
+    @staticmethod
     def _slot_specializations(box):
         """The odometer with each value written to the (side, j) slot its
         bound names: the reference for specializations()."""
@@ -388,10 +428,10 @@ class TestFingerprint:
         # every irreducible F.
         classified = {}
         run_census(C3, 4, 2, CensusConfig(), classified)
-        entries = [e for e in classified.values() if e.fingerprint]
+        entries = {F: e for F, e in classified.items() if e.fingerprint}
         assert len(entries) > 20
-        for e in entries:
-            assert e.fingerprint == sampled(e.F), e.F
+        for F, e in entries.items():
+            assert e.fingerprint == sampled(P(F)), F
 
     def test_equal_entries_are_one_object(self):
         # Each (prime, type) pair is kept once, whatever F it came from, also
@@ -441,36 +481,40 @@ class TestClassIndex:
                 entries = [(p, rng.choice(self.TYPES)) for p in pool if rng.random() < 0.85]
                 fresh.append(entries)
             fingerprints.append(census.FieldFingerprint(7, tuple(entries)))
-        # Degree 7 > ISO_CAP: no isomorphism test runs, each F is just a label.
-        return [
-            census.FieldEntry(P((i, 0, 0, 0, 0, 0, 0, 1)), 1, SN_CERTIFIED, fingerprint=fp)
-            for i, fp in enumerate(fingerprints)
-        ]
+        # Degree 7 > ISO_CAP: no isomorphism test runs, each F is just a
+        # label. The labels are shuffled, so the table's order is not sorted.
+        labels = rng.sample(range(count), count)
+        return {
+            (label, 0, 0, 0, 0, 0, 0, 1): census.FieldEntry(1, SN_CERTIFIED, fingerprint=fp)
+            for label, fp in zip(labels, fingerprints)
+        }
 
     @staticmethod
     def _reference(records):
-        parent = list(range(len(records)))
+        keys = list(records)
+        parent = list(range(len(keys)))
 
         def find(i):
             while parent[i] != i:
                 i = parent[i]
             return i
 
-        for i, a in enumerate(records):
-            for j in range(i + 1, len(records)):
-                if compatible(a.fingerprint, records[j].fingerprint):
+        for i, a in enumerate(keys):
+            for j in range(i + 1, len(keys)):
+                if compatible(records[a].fingerprint, records[keys[j]].fingerprint):
                     parent[find(i)] = find(j)
         groups = {}
-        for i, r in enumerate(records):
-            groups.setdefault(find(i), set()).add(r.F.coeffs)
+        for i, F in enumerate(keys):
+            groups.setdefault(find(i), set()).add(F)
         return {frozenset(g) for g in groups.values()}
 
     def test_matches_pairwise_compatible_above_2000_keys(self):
         assert census.ISO_CAP < 7
         records = self._records(2300, seed=5)
-        assert len({r.fingerprint.entries for r in records}) > 2000
+        assert len({e.fingerprint.entries for e in records.values()}) > 2000
         classes, unconfirmed = census._class_groups(records)
-        got = {frozenset(r.F.coeffs for r in group) for group in classes}
+        assert all(group == sorted(group) for group in classes)
+        got = {frozenset(group) for group in classes}
         want = self._reference(records)
         assert got == want
         assert unconfirmed == sum(len(g) > 1 for g in want) > 100
@@ -479,7 +523,7 @@ class TestClassIndex:
     def test_empty_fingerprint_is_compatible_with_all(self):
         records = self._records(40, seed=6)
         empty = census.FieldFingerprint(7, ())
-        records.append(census.FieldEntry(P((99, 0, 0, 0, 0, 0, 0, 1)), 1, SN_CERTIFIED, fingerprint=empty))
+        records[(99, 0, 0, 0, 0, 0, 0, 1)] = census.FieldEntry(1, SN_CERTIFIED, fingerprint=empty)
         classes, _ = census._class_groups(records)
         assert len(classes) == 1 == len(self._reference(records))
 
@@ -870,18 +914,38 @@ class TestRunCensus:
     )
     def test_mirror_copies_equal_their_classification(self, curve, n, Y):
         """On an even curve the F whose mirror F(-x) was classified first
-        get the mirror's entry with their own F: each entry equals
+        share the mirror's entry, the same object: each entry equals
         classify_record of its F."""
         entries = {}
         res = run_census(curve, n, Y, CensusConfig(), entries)
         assert set(entries) == {r.F for r in rows(res)}
-        assert sum(mirror(F) in entries for F in entries) > len(entries) // 2
+        moved = [F for F in entries if mirror(F) != F]  # F and F(-x) both, for each pair
+        assert len(moved) == {6: 200, 8: 144}[n] > len(entries) // 2
+        assert all(entries[mirror(F)] is entries[F] for F in moved)
         for F, e in entries.items():
-            want = census.classify_record(P(F), CensusConfig())
-            assert e.F.coeffs == F
-            assert (e.disc_F, e.status, e.fingerprint, e.hash_hex) == (
-                want.disc_F, want.status, want.fingerprint, want.hash_hex
-            )
+            assert e == census.classify_record(P(F), CensusConfig()), F
+
+    def test_mirror_is_scale_x_by_minus_one(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            n = rng.choice(range(2, 17, 2))
+            c = (*(rng.randint(-50, 50) for _ in range(n)), rng.choice([-3, -1, 1, 2]))
+            assert census._mirror(c) == scale_x(P(c), -1).coeffs, c
+
+    @pytest.mark.parametrize("curve, n, Y", [(C3, 4, 2), (QUARTIC, 6, Fraction(3, 2))])
+    def test_entries_hold_no_polynomial(self, curve, n, Y):
+        def leaves(x):
+            if isinstance(x, tuple):
+                for y in x:
+                    yield from leaves(y)
+            else:
+                yield x
+
+        entries = {}
+        run_census(curve, n, Y, CensusConfig(), entries)
+        found = {type(x) for e in entries.values() for x in leaves(e)}
+        assert IntPolynomial not in found
+        assert found <= {int, str, bool, type(None)}
 
     def test_mirror_classes_above_iso_cap_are_confirmed(self):
         # x^6 + 1 at n = 8 > ISO_CAP: every class of several F is {F, F(-x)},
