@@ -60,6 +60,16 @@ Disc(F) != 0, by the prime-by-prime walk (forced by setting
 ``factor._GCD_PRIMES`` to 0) against the gcd with the product of the
 first primes. Both pairs must give identical output.
 
+The Zassenhaus rows time the two kernels of factor.lift_and_recombine,
+``irreducible_factors`` (the factors mod the chosen prime q) and
+``hensel_lift`` (their lift to Mignotte's modulus), in microseconds per
+call, best of five, on the inputs that lift_and_recombine hands them
+while ``factor_over_q`` factors about ZASSENHAUS_POLYS polynomials of
+each shape: census (degree 4, members of the census-cubic-n4 box), iso
+(degree 6, census-quartic-iso) and certify (products of two monic
+factors of degrees 8 to 12, as in ``certify``'s benchmark batch). Both
+backends must give identical output.
+
 Usage: python benchmarks/bench_kernels.py [--trials N]
 """
 import argparse
@@ -345,6 +355,62 @@ def records_rows(count: int = RESULTANT_POLYS):
     return rows
 
 
+ZASSENHAUS_POLYS = 60
+
+
+def zassenhaus_cases(name: str, count: int = ZASSENHAUS_POLYS, seed: int = 0):
+    """(coeffs, factors mod q, q, target) for each lift that factor_over_q
+    makes on `count` polynomials of the row `name`: members of the census
+    box for census and iso (see RESULTANT_SHAPES), or products of two
+    random monic factors (coefficients up to 30) of total degree 8 to 12
+    for certify."""
+    if name == "certify":
+        rng = random.Random(seed)
+        polys = []
+        for i in range(count):
+            d = CERTIFY_DEGREES[i % len(CERTIFY_DEGREES)]
+            a, b = (IntPolynomial([rng.randint(-30, 30) or 1 for _ in range(k)] + [1]) for k in (d // 2, d - d // 2))
+            polys.append(a * b)
+    else:
+        _, curve, n, Y = next(shape for shape in RESULTANT_SHAPES if shape[0] == name)
+        polys = resultant_cases(curve, n, Y, count)
+    lifts = []
+    real = factor.hensel_lift_factors
+
+    def recording(coeffs, factors, q, target):
+        lifts.append((list(coeffs), factors, q, target))
+        return real(coeffs, factors, q, target)
+
+    factor.hensel_lift_factors = recording
+    try:
+        for F in polys:
+            factor.factor_over_q(F)
+    finally:
+        factor.hensel_lift_factors = real
+    return lifts
+
+
+def zassenhaus_rows(backends, count: int = ZASSENHAUS_POLYS):
+    """(shape, degrees, lifts, {kernel: microseconds per call on each
+    backend}) per row; asserts that the backends agree."""
+    rows = []
+    for name in ("census", "iso", "certify"):
+        cases = zassenhaus_cases(name, count)
+        calls = {
+            "irreducible_factors": lambda b: [b.irreducible_factors(c, q) for c, _, q, _ in cases],
+            "hensel_lift": lambda b: [b.hensel_lift(c, fs, q, t) for c, fs, q, t in cases],
+        }
+        times = {}
+        for kernel, call in calls.items():
+            outs = [call(backend) for backend in backends]
+            assert all(out == outs[0] for out in outs), f"backends disagree on {kernel} in the {name} row"
+            times[kernel] = [min(timeit.repeat(lambda: call(backend), number=1, repeat=5)) / max(len(cases), 1) * 1e6
+                             for backend in backends]
+        degrees = sorted({len(c) - 1 for c, _, _, _ in cases})
+        rows.append((name, degrees, len(cases), times))
+    return rows
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--trials", type=int, default=20_000)
@@ -388,6 +454,14 @@ def main():
         c_time = f"{times[2]:>9.1f}" if compiled else f"{'n/a':>9}"
         print(f"{name:<14}{n:>7}{calls:>7}{times[0]:>10.1f}{times[1]:>11.1f}{c_time}")
     print()
+
+    print(f"{'zassenhaus':<12}{'degrees':>9}{'lifts':>7}{'kernel':>21}{'pure (us)':>11}{'c (us)':>9}")
+    for name, degrees, lifts, times in zassenhaus_rows(backends):
+        span = f"{degrees[0]}-{degrees[-1]}" if len(degrees) > 1 else str(degrees[0])
+        for kernel, (tp, *tc) in times.items():
+            c_time = f"{tc[0]:>9.1f}" if compiled else f"{'n/a':>9}"
+            print(f"{name:<12}{span:>9}{lifts:>7}{kernel:>21}{tp:>11.1f}{c_time}")
+    print("factors and lifts identical across backends\n")
 
     print(f"{'records':<10}{'degree':>7}{'records':>9}{'oracle F (us)':>15}{'family_coeffs (us)':>20}"
           f"{'walk (us)':>11}{'gcd walk (us)':>15}")

@@ -15,7 +15,7 @@ n (p-1)^2 + (p-1) < 2^64, so that it can delay reduction (p <= 2^31
 at degree 4, about 7.2e8 at degree 36, any p < 2^28 up to degree 255);
 it raises OverflowError for any other, and those go to pure.py.
 
-Both backends export two kernels:
+Both backends export four kernels:
 
 - splitting_types(coeffs, primes): the factor degrees of coeffs mod each
   prime, from one call, with None at a prime where coeffs is not
@@ -28,6 +28,17 @@ Both backends export two kernels:
   which intpoly.resultant combines by the Chinese remainder theorem. It
   raises the ValueError of splitting_types where p < 2 or p divides a
   leading coefficient.
+- irreducible_factors(coeffs, q): the monic irreducible factors of coeffs
+  mod an odd prime q, sorted by (length, coefficients), for coeffs
+  squarefree mod q with q not dividing its leading coefficient: the
+  distinct-degree blocks, each split by Cantor-Zassenhaus.
+- hensel_lift(coeffs, factors, q, target): those factors lifted to mod
+  target = q^k, in order, with lc * prod = coeffs mod target. The C
+  kernel takes target where lazy_fits holds for it at deg coeffs (target
+  <= 2^31 at degree 4, about 1.24e9 at degree 12); past that it raises
+  OverflowError, and the lift comes from pure.py.
+
+factor.lift_and_recombine calls the last two once per Zassenhaus search.
 """
 import hashlib
 import os
@@ -138,6 +149,24 @@ def resultants(a, b, primes) -> list[int]:
         return pure.resultants(a, b, primes)
 
 
+def irreducible_factors(coeffs, q: int) -> list[list[int]]:
+    """The monic irreducible factors of coeffs mod the odd prime q, sorted
+    by (length, coefficients); from pure.py where the C kernel declines q."""
+    try:
+        return impl.irreducible_factors(coeffs, q)
+    except OverflowError:  # a modulus past the C kernel's bound
+        return pure.irreducible_factors(coeffs, q)
+
+
+def hensel_lift(coeffs, factors, q: int, target: int) -> list[list[int]]:
+    """The monic factors of coeffs mod q lifted to mod target = q^k, in
+    order; from pure.py where the C kernel declines target."""
+    try:
+        return impl.hensel_lift(coeffs, factors, q, target)
+    except OverflowError:  # a target past the C kernel's bound
+        return pure.hensel_lift(coeffs, factors, q, target)
+
+
 def ddf_degrees(coeffs, p: int) -> list[int]:
     """The factor degrees of coeffs mod p, descending; ValueError where
     coeffs is not squarefree mod p."""
@@ -147,4 +176,4 @@ def ddf_degrees(coeffs, p: int) -> list[int]:
     return degs
 
 
-__all__ = ["BACKEND", "PURE_REASON", "ddf_degrees", "resultants", "splitting_types"]
+__all__ = ["BACKEND", "PURE_REASON", "ddf_degrees", "hensel_lift", "irreducible_factors", "resultants", "splitting_types"]

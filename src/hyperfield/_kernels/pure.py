@@ -1,14 +1,23 @@
 """Pure-Python mod-p polynomial kernels.
 
-Same contract as the compiled backend in ``_speed.c``; polynomials are
-lists of ints ascending in degree, moduli are Python ints of any size.
-These routines are the hot path of the census (irreducibility screening
-and splitting-type fingerprints), so they stay allocation-light.
+Same contract as the compiled backend in ``_speed.c``, and the reference
+for it; polynomials are lists of ints ascending in degree, moduli are
+Python ints of any size. Four kernels: ``splitting_types`` and
+``resultants`` (the hot path of the census: irreducibility screening,
+splitting-type fingerprints and Disc), and ``irreducible_factors`` and
+``hensel_lift``, the modular core of Zassenhaus's algorithm in
+``factor.lift_and_recombine``. The C kernel declines a Hensel target past
+its delayed-reduction bound, and this module lifts there.
 
 The private helpers are also the package's one mod-m polynomial toolkit:
 ``_reduce``, ``_mul_mod`` and ``_divmod_mod`` take any modulus m >= 2
-(Hensel lifting works mod q^k), and ``_ddf_blocks`` is the
-distinct-degree stage that Cantor-Zassenhaus in ``factor`` splits further.
+(Hensel lifting works mod q^k, and ``factor`` recombines lifted factors
+with ``_mul_mod``), and ``_ddf_blocks`` is the distinct-degree stage that
+Cantor-Zassenhaus (``_equal_degree``) splits further. It takes
+r^((q^d-1)/2) as N(r)^((q-1)/2) for the norm N(r) = prod_{i<d} r^(q^i),
+each r^(q^i) one product with the block's Frobenius matrix, as the C
+kernel must to keep its exponent in 64 bits; the random r come from
+``_draws``, the C kernel's generator, so both take the same steps.
 
 Products of operands of degree at least ``_PACK_MIN`` are Kronecker
 substitutions (Harvey, J. Symb. Comp. 44, 2009): each operand, reduced
@@ -32,7 +41,7 @@ composite modulus runs the same steps (and the C kernel mirrors them),
 so both backends still agree there, though the degrees mean nothing.
 
 ``_gcd_mod`` (the squarefree test, the distinct-degree gcds and
-Cantor-Zassenhaus in ``factor``) is Euclid by pseudo-remainders (Knuth,
+Cantor-Zassenhaus) is Euclid by pseudo-remainders (Knuth,
 TAOCP 2, 4.6.1, Algorithm R): x <- c x - t x^s y for c = lc(y) and
 t = lc(x), dropping the top term, with no inverse per step. Over a field
 each remainder is a nonzero multiple of the monic one, so making only
@@ -40,6 +49,7 @@ the final gcd monic gives the same gcd with one inversion.
 """
 from __future__ import annotations
 
+import itertools
 import sys
 from array import array
 
@@ -230,14 +240,21 @@ def _prep(coeffs, p: int) -> list[int]:
     return _monic(f, p)
 
 
+def _squarefree(coeffs, p: int) -> list[int] | None:
+    """coeffs reduced mod p and made monic (_prep), or None where that is
+    not squarefree mod p; ValueError where it is constant."""
+    f = _prep(coeffs, p)
+    if len(f) == 1:
+        raise ValueError("constant polynomial mod p")
+    return f if _gcd_mod(f, _deriv_mod(f, p), p) == [1] else None
+
+
 def _degrees(coeffs, p: int) -> list[int] | None:
     """The degrees of the irreducible factors of coeffs mod p, descending,
     or None where the reduction is not squarefree mod p. Requires p prime
     and not dividing the leading coefficient (the latter checked)."""
-    f = _prep(coeffs, p)
-    if len(f) == 1:
-        raise ValueError("constant polynomial mod p")
-    if _gcd_mod(f, _deriv_mod(f, p), p) != [1]:
+    f = _squarefree(coeffs, p)
+    if f is None:
         return None
     degs = [k for block, k in _ddf_blocks(f, p) for _ in range((len(block) - 1) // k)]
     degs.sort(reverse=True)
@@ -332,3 +349,178 @@ def _divmod_mod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int
             for i in range(db):
                 r[shift + i] = (r[shift + i] - t * b[i]) % m
     return _trim(q), _trim(r)
+
+
+# -- Cantor-Zassenhaus and Hensel lifting ------------------------------------
+
+_MASK64 = (1 << 64) - 1
+# Random polynomials drawn per split before _split gives up. For q an odd
+# prime a draw fails to split w with probability at most 1/2 (von zur
+# Gathen and Gerhard, Lemma 14.9), so 64 failures in a row have
+# probability at most 2^-64; a composite modulus can exhaust them.
+_SPLIT_TRIES = 64
+
+
+def _draws():
+    """splitmix64 from state 0 (Steele, Lea and Flood, OOPSLA 2014): the
+    one generator of the random polynomials, as the C kernel's splitmix."""
+    s = 0
+    while True:
+        s = (s + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        yield z ^ (z >> 31)
+
+
+def _split(w: list[int], d: int, q: int, frob, draws) -> list[int]:
+    """A monic factor g of w with 0 < deg g < deg w, for w monic and a
+    product of irreducibles of degree d mod q: gcd(r, w) or
+    gcd(N(r)^((q-1)/2) - 1, w) for r drawn from `draws`, where the norm
+    N(r) = prod_{i<d} r^(q^i) mod w takes each r^(q^i) from the last by
+    frob, the Frobenius matrix of a multiple of w (None for d = 1). On
+    each factor of w, N(r) lies in F_q and N(r)^((q-1)/2) equals
+    r^((q^d-1)/2). ValueError after _SPLIT_TRIES draws."""
+    n = len(w) - 1
+    table = _power_table(w, q)
+    for _ in range(_SPLIT_TRIES):
+        r = _trim([next(draws) % q for _ in range(n)])
+        if not r:
+            continue
+        g = _gcd_mod(r, w, q)
+        if 0 < len(g) - 1 < n:
+            return g
+        t = norm = r
+        for _ in range(d - 1):
+            t = _divmod_mod(_frobenius(t, frob, q), w, q)[1]
+            norm = _mul_rem_f(norm, t, w, q, table)
+        s = _pow_mod(norm, (q - 1) // 2, w, q, table) or [0]
+        s[0] = (s[0] - 1) % q
+        g = _gcd_mod(_trim(s), w, q)
+        if 0 < len(g) - 1 < n:
+            return g
+    raise ValueError("equal-degree splitting found no factor in 64 draws")
+
+
+def _equal_degree(block: list[int], d: int, q: int, draws) -> list[list[int]]:
+    """The monic irreducible factors of a distinct-degree block (all of
+    degree d), split by _split in last-in first-out order."""
+    if len(block) - 1 == d:
+        return [block]
+    frob = None
+    if d > 1:
+        table = _power_table(block, q)
+        frob = _frobenius_rows(block, _pow_mod([0, 1], q, block, q, table), q, table)
+    factors, work = [], [block]
+    while work:
+        w = work.pop()
+        if len(w) - 1 == d:
+            factors.append(w)
+            continue
+        g = _split(w, d, q, frob, draws)
+        work += [g, _divmod_mod(w, g, q)[0]]
+    return factors
+
+
+def irreducible_factors(coeffs, q: int) -> list[list[int]]:
+    """The monic irreducible factors of coeffs mod an odd prime q, sorted
+    by (length, coefficients): the distinct-degree blocks of _ddf_blocks,
+    each split by Cantor-Zassenhaus (_equal_degree). ValueError where q
+    is even or below 3, where q divides the leading coefficient, where
+    coeffs is constant or not squarefree mod q, and (q composite) where
+    an inverse does not exist or no split is found."""
+    if q < 3 or q % 2 == 0:
+        raise ValueError("modulus must be an odd prime")
+    f = _squarefree(coeffs, q)
+    if f is None:
+        raise ValueError("not squarefree mod p")
+    draws = _draws()
+    factors = [g for block, d in _ddf_blocks(f, q) for g in _equal_degree(block, d, q, draws)]
+    factors.sort(key=lambda v: (len(v), v))
+    return factors
+
+
+def _add_m(a, b, m, sign=1):
+    """a + sign * b mod m, every coefficient reduced, trimmed."""
+    return _trim([(x + sign * y) % m for x, y in itertools.zip_longest(a, b, fillvalue=0)])
+
+
+def _bezout_mod(g, h, q):
+    """s, t with s*g + t*h = 1 mod q, deg s < deg h, deg t < deg g."""
+    r0, r1 = list(g), list(h)
+    s0, s1 = [1], []
+    t0, t1 = [], [1]
+    while r1:
+        lead = pow(r1[-1], -1, q)
+        r1m = [(c * lead) % q for c in r1]
+        qq, rr = _divmod_mod(r0, r1m, q)
+        qq = [(c * lead) % q for c in qq]
+        r0, r1 = r1, _trim(rr)
+        s0, s1 = s1, _add_m(s0, _mul_mod(qq, s1, q), q, -1)
+        t0, t1 = t1, _add_m(t0, _mul_mod(qq, t1, q), q, -1)
+    if len(r0) != 1:
+        raise ValueError("factors not coprime mod q")
+    inv = pow(r0[-1], -1, q)
+    # Extended Euclid already gives deg s < deg h, deg t < deg g.
+    s = [(c * inv) % q for c in s0]
+    t = [(c * inv) % q for c in t0]
+    return s, t
+
+
+def _hensel_step(f, g, h, s, t, m, cap):
+    """One quadratic lift from modulus m to min(m*m, cap).
+
+    Invariants: f = g*h, s*g + t*h = 1 (mod m), h monic,
+    deg s < deg h, deg t < deg g. Returns (g, h, s, t, new_modulus).
+    """
+    m2 = min(m * m, cap)
+    fm = _reduce(f, m2)
+    e = _add_m(fm, _mul_mod(g, h, m2), m2, -1)
+    qq, r = _divmod_mod(_mul_mod(s, e, m2), h, m2)
+    g1 = _add_m(g, _add_m(_mul_mod(t, e, m2), _mul_mod(qq, g, m2), m2), m2)
+    h1 = _add_m(h, r, m2)
+    b = _add_m(_add_m(_mul_mod(s, g1, m2), _mul_mod(t, h1, m2), m2), [1], m2, -1)
+    cc, d = _divmod_mod(_mul_mod(s, b, m2), h1, m2)
+    s1 = _add_m(s, d, m2, -1)
+    t1 = _add_m(t, _add_m(_mul_mod(t, b, m2), _mul_mod(cc, g1, m2), m2), m2, -1)
+    return g1, h1, s1, t1, m2
+
+
+def hensel_lift(coeffs, factors, q: int, target: int) -> list[list[int]]:
+    """The monic factors of coeffs mod q lifted to mod target = q^k, in
+    order, with lc * prod = coeffs mod target (von zur Gathen and Gerhard,
+    Modern Computer Algebra, 15.4). Peels one factor at a time: the first
+    factor and lc times the product of the rest are lifted as a pair by
+    quadratic steps, and the lifted rest is split the same way.
+    ValueError where q < 2, where target is not a power of q, where q
+    divides the leading coefficient, or where the factors are not monic
+    and nonconstant mod q with lc * prod = coeffs mod q; and where they
+    are not coprime or (q composite) an inverse does not exist."""
+    if q < 2:
+        raise ValueError("modulus must be a prime >= 2")
+    m = q
+    while m < target:
+        m *= q
+    if m != target:
+        raise ValueError("target must be a power of q")
+    f = list(coeffs)
+    if not f or f[-1] % q == 0:
+        raise ValueError("leading coefficient divisible by p")
+    factors = [_reduce(u, q) for u in factors]
+    product = [f[-1] % q]
+    for u in factors:
+        product = _mul_mod(product, u, q)
+    if not factors or any(len(u) < 2 or u[-1] != 1 for u in factors) or product != _reduce(f, q):
+        raise ValueError("factors must be monic and nonconstant mod q, with lc(F) times their product F")
+    lifted = []
+    for i, h in enumerate(factors[:-1]):
+        g = [f[-1] % q]
+        for u in factors[i + 1:]:
+            g = _mul_mod(g, u, q)
+        s, t = _bezout_mod(g, h, q)
+        m = q
+        while m < target:
+            g, h, s, t, m = _hensel_step(f, g, h, s, t, m, target)
+        lifted.append(h)
+        f = g
+    inv = pow(f[-1] % target, -1, target)
+    return lifted + [_reduce([c * inv for c in f], target)]

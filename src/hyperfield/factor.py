@@ -14,7 +14,10 @@ at good primes, for the census screen and lift_and_recombine, the one
 Zassenhaus search (factor_over_q and the exact isomorphism test): the
 intersection at six good primes, factorization mod the prime with the
 fewest factors, one Hensel lift past Mignotte's bound for the largest
-target degree, and recombination of subsets by ascending degree.
+target degree, and recombination of subsets by ascending degree. The
+factorization mod q and the lift are the kernels' irreducible_factors
+and hensel_lift (hensel_lift_factors is the one call site of the lift);
+the recombination stays here.
 factor_over_q refuses degrees above its cap (default 12).
 prime_factors factors integers: trial division, then Brent's rho.
 """
@@ -24,10 +27,9 @@ import bisect
 import functools
 import itertools
 import math
-import random
 
 from . import _kernels as kernels
-from ._kernels.pure import _ddf_blocks, _divmod_mod, _gcd_mod, _mul_mod, _pow_mod, _power_table, _prep, _reduce, _trim
+from ._kernels.pure import _mul_mod
 from .errors import BadPrime, ConstantPolynomial, DegreeCapExceeded, NotSquarefree, TooManyPrimes, ZeroInput
 # Nothing here calls discriminant: good_splitting_types finds good primes
 # without it. The name stays for perfbench/trace_spans.WRAPPED and the tests.
@@ -223,23 +225,39 @@ def good_splitting_types(F: IntPolynomial, count: int, start: int = 2) -> list[t
     |Disc(F)| <= n^n ||F||_2^(2n-2) holds for n = deg F; so once the
     product of the marked primes passes it, Disc(F) = 0 and the walk
     raises NotSquarefree. Returning proves F squarefree.
+
+    Each batch asks for the primes still missing. After a batch with no
+    good prime the next is twice as long, but ends where the marked
+    product would pass the bound if it too were all marked: where
+    Disc(F) = 0 every prime is marked, and passing the bound can take
+    hundreds of them. Where Disc(F) != 0 the marked product never passes
+    it, and the primes past the first `count` good ones are dropped.
     """
     check_prime_count(count)
     if F.degree < 1:
         raise ConstantPolynomial("discriminant requires degree >= 1")
+    bound = F.degree**F.degree * sum(c * c for c in F.coeffs) ** (F.degree - 1)
     primes = (q for q in primes_from(start) if F.lc % q)
     found: list[tuple[int, tuple[int, ...]]] = []
-    marked = 1
+    marked, size, doubled = 1, count, False
     while len(found) < count:
-        batch = list(itertools.islice(primes, count - len(found)))
+        batch, reach = [], marked
+        for q in primes:
+            batch.append(q)
+            reach *= q
+            if len(batch) == size or doubled and reach > bound:
+                break
+        before = len(found)
         for q, t in zip(batch, kernels.splitting_types(F.coeffs, batch)):
             if t is None:
                 marked *= q
             else:
                 found.append((q, tuple(t)))
-        if marked > 1 and marked > F.degree**F.degree * sum(c * c for c in F.coeffs) ** (F.degree - 1):
+        if marked > bound:
             raise NotSquarefree("Disc = 0: the polynomial is not squarefree, so no good primes exist")
-    return found
+        doubled = len(found) == before
+        size = 2 * size if doubled else count - len(found)
+    return found[:count]
 
 
 def factor_mod_p(p: IntPolynomial, q: int) -> tuple[int, ...]:
@@ -262,112 +280,11 @@ def factor_mod_p(p: IntPolynomial, q: int) -> tuple[int, ...]:
         raise BadPrime(f"{q} divides the discriminant") from None
 
 
-# -- factorization mod p (full, for Zassenhaus) ------------------------------
-
-
-def _factor_mod_full(coeffs, q: int, rng: random.Random) -> list[list[int]]:
-    """Monic irreducible factors of coeffs mod q (squarefree mod q, q odd)."""
-    factors: list[list[int]] = []
-    # Equal-degree (Cantor-Zassenhaus) splitting of each distinct-degree block.
-    for block, d in _ddf_blocks(_prep(coeffs, q), q):
-        work = [block]
-        while work:
-            w = work.pop()
-            if len(w) - 1 == d:
-                factors.append(w)
-                continue
-            e = (q**d - 1) // 2
-            table = _power_table(w, q)
-            while True:
-                r = [rng.randrange(q) for _ in range(len(w) - 1)]
-                r = _trim(r)
-                if not r:
-                    continue
-                g = _gcd_mod(r, w, q)
-                if 0 < len(g) - 1 < len(w) - 1:
-                    break
-                rp = _pow_mod(r, e, w, q, table)
-                rp = list(rp) + [0] * max(0, 1 - len(rp))
-                rp[0] = (rp[0] - 1) % q
-                g = _gcd_mod(_trim(rp), w, q)
-                if 0 < len(g) - 1 < len(w) - 1:
-                    break
-            work.append(g)
-            work.append(_divmod_mod(w, g, q)[0])
-    factors.sort(key=lambda v: (len(v), v))
-    return factors
-
-
-# -- Hensel lifting -----------------------------------------------------------
-
-
-def _add_m(a, b, m, sign=1):
-    """a + sign * b mod m, every coefficient reduced, trimmed."""
-    return _trim([(x + sign * y) % m for x, y in itertools.zip_longest(a, b, fillvalue=0)])
-
-
-def _bezout_mod(g, h, q):
-    """s, t with s*g + t*h = 1 mod q, deg s < deg h, deg t < deg g."""
-    r0, r1 = list(g), list(h)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        lead = pow(r1[-1], -1, q)
-        r1m = [(c * lead) % q for c in r1]
-        qq, rr = _divmod_mod(r0, r1m, q)
-        qq = [(c * lead) % q for c in qq]
-        r0, r1 = r1, _trim(rr)
-        s0, s1 = s1, _add_m(s0, _mul_mod(qq, s1, q), q, -1)
-        t0, t1 = t1, _add_m(t0, _mul_mod(qq, t1, q), q, -1)
-    if len(r0) != 1:
-        raise ValueError("factors not coprime mod q")
-    inv = pow(r0[-1], -1, q)
-    # Extended Euclid already gives deg s < deg h, deg t < deg g.
-    s = [(c * inv) % q for c in s0]
-    t = [(c * inv) % q for c in t0]
-    return s, t
-
-
-def _hensel_step(f, g, h, s, t, m, cap):
-    """One quadratic lift from modulus m to min(m*m, cap).
-
-    Invariants: f = g*h, s*g + t*h = 1 (mod m), h monic,
-    deg s < deg h, deg t < deg g. Returns (g, h, s, t, new_modulus).
-    """
-    m2 = min(m * m, cap)
-    fm = _reduce(f, m2)
-    e = _add_m(fm, _mul_mod(g, h, m2), m2, -1)
-    qq, r = _divmod_mod(_mul_mod(s, e, m2), h, m2)
-    g1 = _add_m(g, _add_m(_mul_mod(t, e, m2), _mul_mod(qq, g, m2), m2), m2)
-    h1 = _add_m(h, r, m2)
-    b = _add_m(_add_m(_mul_mod(s, g1, m2), _mul_mod(t, h1, m2), m2), [1], m2, -1)
-    cc, d = _divmod_mod(_mul_mod(s, b, m2), h1, m2)
-    s1 = _add_m(s, d, m2, -1)
-    t1 = _add_m(t, _add_m(_mul_mod(t, b, m2), _mul_mod(cc, g1, m2), m2), m2, -1)
-    return g1, h1, s1, t1, m2
-
-
 def hensel_lift_factors(f_coeffs: list[int], mod_factors: list[list[int]], q: int, target: int) -> list[list[int]]:
-    """Lift monic factors of f mod q to mod q^K = target (f = lc * prod, mod q).
-
-    Peels one factor at a time: lift (rest-with-lc, first) as a pair to
-    full precision, recurse on the rest.
-    """
-    lc = f_coeffs[-1]
-    if len(mod_factors) == 1:
-        inv = pow(lc % target, -1, target)
-        out = _reduce([c * inv for c in f_coeffs], target)
-        return [out]
-    h = mod_factors[0]
-    g = [lc % q]
-    for u in mod_factors[1:]:
-        g = _mul_mod(g, u, q)
-    s, t = _bezout_mod(g, h, q)
-    m = q
-    while m < target:
-        g, h, s, t, m = _hensel_step(f_coeffs, g, h, s, t, m, target)
-    rest = hensel_lift_factors(g, mod_factors[1:], q, target)
-    return [h] + rest
+    """The monic factors of f mod q lifted to mod target = q^k, in order,
+    with lc(f) * prod = f mod target: the kernel's hensel_lift, named here
+    as the one call site of the lift."""
+    return kernels.hensel_lift(f_coeffs, mod_factors, q, target)
 
 
 # -- Zassenhaus: Musser's degree sets, one Hensel lift, recombination --------
@@ -435,8 +352,12 @@ def lift_and_recombine(g: IntPolynomial, degrees) -> list[IntPolynomial]:
 
     Target degrees that musser_degrees drops at six odd good primes
     cannot be factor degrees; if none is left nothing is lifted.
-    Otherwise the factors mod the prime with the fewest of them are
-    Hensel-lifted once, and for each target degree d, ascending, every
+    Otherwise the factors mod the prime q with the fewest of them
+    (kernels.irreducible_factors) are Hensel-lifted once, to the power of
+    q past Mignotte's bound (hensel_lift_factors; in the C kernel up to
+    its delayed-reduction bound, about 1.24e9 at degree 12, from pure.py
+    beyond). These factors and their lifts are unique, so the pool is the
+    same on either backend. For each target degree d, ascending, every
     subset of lifted factors of total degree d is tried by exact
     division. A factor found at degree d is irreducible when g has no
     irreducible factor of lower degree outside the search: degrees
@@ -450,8 +371,7 @@ def lift_and_recombine(g: IntPolynomial, degrees) -> list[IntPolynomial]:
     # Only factors of degree <= max(targets) are rebuilt from the lift; the
     # cofactor comes from exact division, so the bound is sized to them.
     m = _mignotte_modulus(g, q, max(targets))
-    rng = random.Random(hash(g.coeffs) & 0xFFFFFFFF)
-    pool = hensel_lift_factors(list(g.coeffs), _factor_mod_full(g.coeffs, q, rng), q, m)
+    pool = hensel_lift_factors(list(g.coeffs), kernels.irreducible_factors(g.coeffs, q), q, m)
 
     found: list[IntPolynomial] = []
     cur = g

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import sympy
 
-from hyperfield import census, factor, intpoly
+from hyperfield import _kernels, census, factor, intpoly
 from hyperfield.census import (
     IRREDUCIBLE_UNCERTIFIED,
     REDUCIBLE,
@@ -593,6 +593,22 @@ class TestIsomorphicExact:
             assert isomorphic_exact(*pair)
             assert tried == shifts
         assert calls == []
+
+    def test_non_mirror_pair_makes_few_kernel_calls(self, monkeypatch):
+        # Refuting R_1 of F and F(-x-1) takes 228 marked primes; the walk
+        # doubles its batch after each batch with no good prime, so the
+        # whole test makes at most 10 kernel calls (41 at one batch of the
+        # missing primes per call).
+        calls = []
+        real = _kernels.splitting_types
+
+        def counting(coeffs, primes):
+            calls.append(len(primes))
+            return real(coeffs, primes)
+
+        monkeypatch.setattr(_kernels, "splitting_types", counting)
+        assert isomorphic_exact(self.F, translate(scale_x(self.F, -1), 1))
+        assert len(calls) <= 10, calls
 
     def test_mirror_pairs_are_proved_without_resultant(self, monkeypatch):
         def no_resultant(*args):

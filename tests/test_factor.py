@@ -194,6 +194,23 @@ class TestGoodPrimeWalk:
             assert all(t == factor_mod_p(F, q) for q, t in walk)
             checked += 1
 
+    def test_doubled_batches_return_the_first_good_primes(self, monkeypatch):
+        # F = a (a + 30030 c) is squarefree but a square mod every prime up
+        # to 13: the batches [2, 3] and [5, 7, 11, 13] find no good prime, so
+        # the third asks for 8 primes and finds more good ones than asked.
+        F = P((-1, 1, 0, 1)) * (P((-1, 1, 0, 1)) + P((1, 0, 1)) * 30030)
+        batches = []
+        real = _kernels.splitting_types
+
+        def recording(coeffs, primes):
+            batches.append(list(primes))
+            return real(coeffs, primes)
+
+        monkeypatch.setattr(_kernels, "splitting_types", recording)
+        walk = good_splitting_types(F, 2)
+        assert batches == [[2, 3], [5, 7, 11, 13], [17, 19, 23, 29, 31, 37, 41, 43]]
+        assert [q for q, _ in walk] == primes_not_dividing(F.lc * discriminant(F), 2) == [17, 19]
+
     def test_walk_refuses_a_polynomial_that_is_not_squarefree(self):
         for F in (P((1, 0, 1)) * P((1, 0, 1)), P((-3, 1)) ** 3 * P((2, 1)), P((5, 1, 7)) * P((5, 1, 7)) * 6):
             with pytest.raises(ValueError, match="not squarefree") as refused:

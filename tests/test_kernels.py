@@ -5,24 +5,32 @@ import random
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from sympy import nextprime, prevprime
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_ddf_zassenhaus, gf_irreducible_p, gf_mul, gf_sqf_p
+from sympy.polys.galoistools import gf_ddf_zassenhaus, gf_factor_sqf, gf_irreducible_p, gf_mul, gf_sqf_p
 
-from hyperfield import _kernels
+from hyperfield import _kernels, factor
 from hyperfield._kernels import pure
+from hyperfield.factor import primes_not_dividing
+from hyperfield.intpoly import IntPolynomial, discriminant
 from oracles import gcd_mod
 
 SRC = Path(__file__).parent.parent / "src"
 SYSTEM_PATH = "/usr/bin:/bin"
 
 PROBE = (
-    "from hyperfield._kernels import BACKEND, ddf_degrees, splitting_types;"
-    "print(BACKEND, ddf_degrees([1,1,0,1], 2), splitting_types([1,0,1], [3, 5]))"
+    "from hyperfield._kernels import BACKEND, ddf_degrees, hensel_lift, irreducible_factors, splitting_types;"
+    "f = [-1, 0, 0, 0, 1];"
+    "print(BACKEND, ddf_degrees([1,1,0,1], 2), splitting_types([1,0,1], [3, 5]), irreducible_factors(f, 5),"
+    " hensel_lift(f, irreducible_factors(f, 5), 5, 125))"
 )
+# What PROBE prints after the backend: x^4 - 1 splits into linear factors
+# mod 5, lifted to the roots 1, -1 and +-57 of x^4 - 1 mod 125.
+PROBE_ANSWERS = "[3] [[2], [1, 1]] [[1, 1], [2, 1], [3, 1], [4, 1]] [[1, 1], [57, 1], [68, 1], [124, 1]]"
 
 REASON_PROBE = "from hyperfield._kernels import BACKEND, PURE_REASON; print(BACKEND, PURE_REASON, sep='|')"
 
@@ -45,19 +53,22 @@ def _probe(env_extra, src=SRC, code=PROBE):
 def test_default_backend_prefers_compiled():
     out = _probe({})
     expected = "c" if shutil.which("cc", path=SYSTEM_PATH) and HAS_HEADERS else "pure"
-    assert out == f"{expected} [3] [[2], [1, 1]]"
+    assert out == f"{expected} {PROBE_ANSWERS}"
     if expected == "c":
         assert _probe({}, code=REASON_PROBE) == "c|None"
 
 
 def test_pure_fallback_selected_by_env():
     out = _probe({"HYPERFIELD_PURE": "1"})
-    assert out == "pure [3] [[2], [1, 1]]"
+    assert out == f"pure {PROBE_ANSWERS}"
     assert _probe({"HYPERFIELD_PURE": "1"}, code=REASON_PROBE) == "pure|HYPERFIELD_PURE is set"
 
 
 def test_backends_give_same_answers_everywhere():
-    # the main parity sweep lives in test_factor; this is the quick seam check
+    # the main parity sweeps live in test_factor and TestZassenhausKernels;
+    # this is the quick seam check, in a fresh interpreter on each backend
+    answers = {_probe({}).partition(" ")[2], _probe({"HYPERFIELD_PURE": "1"}).partition(" ")[2]}
+    assert answers == {PROBE_ANSWERS}
     assert _kernels.ddf_degrees([1, 0, 1], 5) == [1, 1]
     assert _kernels.splitting_types([1, 0, 1], [3, 5]) == [[2], [1, 1]]
     assert (_kernels.PURE_REASON is None) == (_kernels.BACKEND == "c")
@@ -191,10 +202,16 @@ def test_bench_kernels_backends_agree():
         (d, name) for d in bench.GCD_DEGREES for name, _ in bench.GCD_MODULI]
     # the discriminant rows: the PRS oracle and the modular path on both
     # backends agree (resultant_rows asserts it) on a few members per box
-    selected = _kernels.impl
+    selected, real_lift = _kernels.impl, factor.hensel_lift_factors
     rows = bench.resultant_rows([pure, compiled], count=5)
     assert [(name, n) for name, n, _, _ in rows] == [("census", 4), ("iso", 6), ("n5", 5)]
     assert _kernels.impl is selected  # resultant_rows restores the backend
+    # the Zassenhaus rows: both kernels agree on both backends
+    # (zassenhaus_rows asserts it), on the lifts of a few polynomials each
+    rows = bench.zassenhaus_rows([pure, compiled], count=8)
+    assert [name for name, _, _, _ in rows] == ["census", "iso", "certify"]
+    assert all(lifts > 0 and set(times) == {"irreducible_factors", "hensel_lift"} for _, _, lifts, times in rows)
+    assert factor.hensel_lift_factors is real_lift  # zassenhaus_cases restores the name
 
 
 def _backends(p: int, n: int):
@@ -326,3 +343,186 @@ class TestPseudoRemainderGcd:
             assert got == gcd_mod(a, b, p), (a, b, p)
             degrees.add(len(got) - 1)
         assert {-1, 0, 1, 2, 3, 4} <= degrees
+
+
+def _by_length(factors):
+    """factors sorted as irreducible_factors returns them."""
+    return sorted(factors, key=lambda v: (len(v), v))
+
+
+def _squarefree_cases(rng, count: int, max_degree: int, primes: int = 2):
+    """(coeffs, q) for `count` random integer polynomials of degree 2 to
+    max_degree, each at its first `primes` odd good primes (not dividing
+    lc * Disc)."""
+    cases = []
+    while len(cases) < count * primes:
+        d = rng.choice([rng.randint(2, 12), rng.randint(2, max_degree)])
+        coeffs = [rng.randint(-30, 30) for _ in range(d)] + [rng.choice([1, 2, 3, -1])]
+        disc = discriminant(IntPolynomial(coeffs))
+        if disc:
+            cases += [(coeffs, q) for q in primes_not_dividing(coeffs[-1] * disc, primes, start=3)]
+    return cases
+
+
+def _outcome(kernel, *args):
+    try:
+        return kernel(*args)
+    except ValueError as e:
+        return ("ValueError", str(e))
+
+
+class TestZassenhausKernels:
+    """irreducible_factors and hensel_lift keep one contract on both
+    backends: the same factors and lifts, and the same ValueError
+    messages. Past the C kernel's bound (lazy_fits of target at deg F for
+    the lift) the compiled module raises OverflowError and the dispatcher
+    in hyperfield._kernels answers from pure.py."""
+
+    def test_irreducible_factors_match_sympy(self):
+        rng = random.Random(11)
+        counts = set()
+        for coeffs, q in _squarefree_cases(rng, 80, 36):
+            want = _by_length(
+                [[int(c) for c in reversed(g)] for g in gf_factor_sqf([c % q for c in reversed(coeffs)], q, ZZ)[1]])
+            for backend in _backends(q, len(coeffs) - 1):
+                assert backend.irreducible_factors(coeffs, q) == want, (backend.BACKEND, coeffs, q)
+            counts.add(min(len(want), 5))
+        assert counts == {1, 2, 3, 4, 5}
+
+    @pytest.mark.parametrize("p", [3, 547, 65537])
+    def test_products_of_irreducibles_of_equal_degree(self, p):
+        # Several factors of one degree, so that Cantor-Zassenhaus splits
+        # each distinct-degree block more than once.
+        rng = random.Random(p)
+        for shape in [(1, 1, 1, 2, 3, 3), (1, 1, 2, 3, 3, 4, 4), (3, 3, 4, 4, 4), (6, 6, 12, 12), (2, 2, 2, 5, 5)]:
+            factors = []
+            for d in shape:
+                factors.append(_irreducible(rng, p, d, factors))
+            product = [1]
+            for f in factors:
+                product = gf_mul(product, f, p, ZZ)
+            want = _by_length([f[::-1] for f in factors])
+            for backend in _backends(p, sum(shape)):
+                assert backend.irreducible_factors(product[::-1], p) == want, (backend.BACKEND, p, shape)
+
+    def test_irreducible_factors_errors_match(self):
+        compiled = _compiled()
+        if compiled is None:
+            pytest.skip("no C compiler on PATH or no Python headers")
+        rng = random.Random(12)
+        errors = set()
+        for _ in range(600):
+            q = rng.choice([3, 5, 7, 13, 101, 2, 4, 1, 0, -3, 9, 15, 2**61 - 1])
+            a = [rng.randint(-5, 5) for _ in range(rng.randint(0, 4))] + [rng.choice([1, 2, q or 1])]
+            f = pure._mul_mod(a, a, 2**64) if rng.random() < 0.3 else a  # a square: not squarefree
+            want = _outcome(pure.irreducible_factors, f, q)
+            backend = compiled if q <= _lazy_bound(max(len(f) - 1, 1)) else _kernels
+            assert _outcome(backend.irreducible_factors, f, q) == want, (f, q)
+            if isinstance(want, tuple):
+                errors.add(want[1])
+        assert errors == {
+            "modulus must be an odd prime",
+            "leading coefficient divisible by p",
+            "constant polynomial mod p",
+            "not squarefree mod p",
+            "base is not invertible for the given modulus",
+        }
+
+    def test_hensel_lift_on_both_sides_of_the_bound(self):
+        compiled = _compiled()
+        rng = random.Random(13)
+        declined = 0
+        for coeffs, q in _squarefree_cases(rng, 40, 36, primes=1):
+            n = len(coeffs) - 1
+            factors = pure.irreducible_factors(coeffs, q)
+            top = int(math.log(_lazy_bound(n), q))
+            while q ** (top + 1) <= _lazy_bound(n):
+                top += 1
+            for k in {1, 2, top, top + 1}:
+                target = q**k
+                lifted = pure.hensel_lift(coeffs, factors, q, target)
+                assert [[c % q for c in v] for v in lifted] == factors
+                assert all(v[-1] == 1 for v in lifted)
+                product = [coeffs[-1] % target]
+                for v in lifted:
+                    product = pure._mul_mod(product, v, target)
+                assert product == pure._reduce(coeffs, target), (coeffs, q, k)
+                assert _kernels.hensel_lift(coeffs, factors, q, target) == lifted
+                if compiled is None:
+                    continue
+                if target <= _lazy_bound(n):
+                    assert compiled.hensel_lift(coeffs, factors, q, target) == lifted, (coeffs, q, k)
+                else:
+                    declined += 1
+                    with pytest.raises(OverflowError):
+                        compiled.hensel_lift(coeffs, factors, q, target)
+        assert compiled is None or declined == 40
+
+    def test_hensel_lift_errors_match(self):
+        compiled = _compiled()
+        if compiled is None:
+            pytest.skip("no C compiler on PATH or no Python headers")
+        f = [-1, 0, 0, 0, 1]  # (x - 1)(x - 2)(x - 3)(x - 4) mod 5
+        good = [[4, 1], [3, 1], [2, 1], [1, 1]]
+        cases = {
+            "modulus must be a prime >= 2": [(f, good, 1, 1), (f, good, -5, 25)],
+            "target must be a power of q": [(f, good, 5, 100), (f, good, 5, 1), (f, good, 5, -25), (f, good, 5, 0)],
+            "leading coefficient divisible by p": [([1, 0, 5], good, 5, 25), ([], good, 5, 25)],
+            "factors must be monic and nonconstant mod q, with lc(F) times their product F": [
+                (f, [], 5, 25), (f, good[:3], 5, 25), (f, [[4, 2], [3, 1], [2, 1], [1, 1]], 5, 25),
+                (f, [[1]] + good, 5, 25), (f, [[4, 1], [3, 1], [2, 1], [2, 1]], 5, 25),
+            ],
+            "factors not coprime mod q": [([1, 2, 1], [[1, 1], [1, 1]], 5, 25)],
+            # (x + 1)(x + 4) mod 9: the remainder 3 of Euclid is not a unit
+            "base is not invertible for the given modulus": [([4, 5, 1], [[1, 1], [4, 1]], 9, 81)],
+        }
+        for message, calls in cases.items():
+            for args in calls:
+                assert _outcome(pure.hensel_lift, *args) == ("ValueError", message), args
+                assert _outcome(compiled.hensel_lift, *args) == ("ValueError", message), args
+        # factors are reduced mod q first: these are `good`
+        unreduced = (f, [[4, 1, 0, 0], [-2, 1], [2, 1], [1, 1, 5]], 5, 625)
+        assert compiled.hensel_lift(*unreduced) == pure.hensel_lift(*unreduced) == pure.hensel_lift(f, good, 5, 625)
+
+    def test_odd_composite_moduli_end_in_value_error(self):
+        # Both backends take the same steps at a composite modulus: the same
+        # ValueError, or the same (meaningless) factors and lift, each within
+        # 10 s.
+        backends = [pure] + ([_kernels] if _compiled() else [])
+        rng = random.Random(14)
+        errors = cases = 0
+        for q in (9, 15, 21, 25, 27, 45, 49, 1001, 3**19, 999_999_999):
+            for _ in range(12):
+                coeffs = [rng.randint(-50, 50) for _ in range(rng.randint(2, 24))] + [1]
+                outcomes = []
+                for backend in backends:
+                    start = time.perf_counter()
+                    got = _outcome(backend.irreducible_factors, coeffs, q)
+                    if isinstance(got, list):
+                        got = (got, _outcome(backend.hensel_lift, coeffs, got, q, q**3))
+                    assert time.perf_counter() - start < 10, (backend.BACKEND, coeffs, q)
+                    outcomes.append(got)
+                assert all(o == outcomes[0] for o in outcomes), (coeffs, q)
+                errors += outcomes[0][0] == "ValueError"
+                cases += 1
+        assert errors >= 0.9 * cases
+
+    def test_split_gives_up_after_bounded_draws(self):
+        # x^2 + 1 is irreducible mod 3, so no draw splits it into "degree 1"
+        # factors: _equal_degree stops after _SPLIT_TRIES draws.
+        draws = pure._draws()
+        counted = []
+
+        def counting():
+            for z in draws:
+                counted.append(z)
+                yield z
+
+        with pytest.raises(ValueError, match="equal-degree splitting found no factor"):
+            pure._equal_degree([1, 0, 1], 1, 3, counting())
+        assert len(counted) == 2 * pure._SPLIT_TRIES
+
+    def test_draws_are_splitmix64(self):
+        # The published first outputs of splitmix64 from seed 0.
+        draws = pure._draws()
+        assert [next(draws) for _ in range(3)] == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
