@@ -12,8 +12,8 @@ compiler's error line, for a failed compile), and is None on the C
 backend. The C kernel takes a modulus p for a polynomial of degree n
 (for resultants, the larger of the two degrees) when
 n (p-1)^2 + (p-1) < 2^64, so that it can delay reduction (p <= 2^31
-at degree 4, about 7.2e8 at degree 36, any p < 2^28 up to degree 255);
-it raises OverflowError for any other, and those go to pure.py.
+at degree 4, about 7.2e8 at degree 36, any p < 2^28 up to degree 255),
+and raises OverflowError for any other.
 
 Both backends export four kernels:
 
@@ -29,16 +29,18 @@ Both backends export four kernels:
   raises the ValueError of splitting_types where p < 2 or p divides a
   leading coefficient.
 - irreducible_factors(coeffs, q): the monic irreducible factors of coeffs
-  mod an odd prime q, sorted by (length, coefficients), for coeffs
-  squarefree mod q with q not dividing its leading coefficient: the
-  distinct-degree blocks, each split by Cantor-Zassenhaus.
+  mod an odd prime q, for coeffs squarefree mod q with q not dividing its
+  leading coefficient, in splitting order, the same on both backends: the
+  distinct-degree blocks by degree, each split by Cantor-Zassenhaus.
 - hensel_lift(coeffs, factors, q, target): those factors lifted to mod
   target = q^k, in order, with lc * prod = coeffs mod target. The C
   kernel takes target where lazy_fits holds for it at deg coeffs (target
-  <= 2^31 at degree 4, about 1.24e9 at degree 12); past that it raises
-  OverflowError, and the lift comes from pure.py.
+  <= 2^31 at degree 4, about 1.24e9 at degree 12).
 
-factor.lift_and_recombine calls the last two once per Zassenhaus search.
+factor.lift_and_recombine calls the last two once per Zassenhaus search
+and sorts the factors by (length, coefficients) before the lift. One
+helper, _fallback, makes all four: each looks impl's kernel up at the
+call (a caller may swap impl) and answers from pure.py on OverflowError.
 """
 import hashlib
 import os
@@ -130,41 +132,24 @@ impl = impl or pure
 BACKEND = impl.BACKEND
 
 
-def splitting_types(coeffs, primes) -> list[list[int] | None]:
-    """The factor degrees of coeffs mod each of primes, descending, with
-    None at each prime where coeffs is not squarefree; from pure.py where
-    the C kernel declines a modulus."""
-    try:
-        return impl.splitting_types(coeffs, primes)
-    except OverflowError:  # a modulus past the C kernel's bound
-        return pure.splitting_types(coeffs, primes)
+def _fallback(name: str):
+    """impl's kernel `name`, answered from pure.py on OverflowError."""
+    reference = getattr(pure, name)
+
+    def kernel(*args):
+        try:
+            return getattr(impl, name)(*args)
+        except OverflowError:
+            return reference(*args)
+
+    kernel.__name__ = kernel.__qualname__ = name
+    return kernel
 
 
-def resultants(a, b, primes) -> list[int]:
-    """Res(a, b) mod each of primes, in [0, p); from pure.py where the C
-    kernel declines a modulus."""
-    try:
-        return impl.resultants(a, b, primes)
-    except OverflowError:  # a modulus past the C kernel's bound
-        return pure.resultants(a, b, primes)
-
-
-def irreducible_factors(coeffs, q: int) -> list[list[int]]:
-    """The monic irreducible factors of coeffs mod the odd prime q, sorted
-    by (length, coefficients); from pure.py where the C kernel declines q."""
-    try:
-        return impl.irreducible_factors(coeffs, q)
-    except OverflowError:  # a modulus past the C kernel's bound
-        return pure.irreducible_factors(coeffs, q)
-
-
-def hensel_lift(coeffs, factors, q: int, target: int) -> list[list[int]]:
-    """The monic factors of coeffs mod q lifted to mod target = q^k, in
-    order; from pure.py where the C kernel declines target."""
-    try:
-        return impl.hensel_lift(coeffs, factors, q, target)
-    except OverflowError:  # a target past the C kernel's bound
-        return pure.hensel_lift(coeffs, factors, q, target)
+splitting_types = _fallback("splitting_types")
+resultants = _fallback("resultants")
+irreducible_factors = _fallback("irreducible_factors")
+hensel_lift = _fallback("hensel_lift")
 
 
 def ddf_degrees(coeffs, p: int) -> list[int]:

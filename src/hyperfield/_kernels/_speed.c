@@ -26,8 +26,9 @@
  * The other two are the modular core of Zassenhaus's algorithm
  * (factor.lift_and_recombine):
  * - irreducible_factors(coeffs, q): the monic irreducible factors of F mod
- *   an odd prime q, sorted by (length, coefficients), for F squarefree mod
- *   q with q not dividing lc(F).
+ *   an odd prime q, for F squarefree mod q with q not dividing lc(F), in
+ *   splitting order as in pure.py: the distinct-degree blocks by degree,
+ *   each split last in, first out. lift_and_recombine sorts them.
  * - hensel_lift(coeffs, factors, q, target): those factors lifted to mod
  *   target = q^k, in order, with lc(F) times their product F mod target.
  *   Here lazy_fits is asked of target at deg F: target <= 2^31 at degree 4
@@ -670,20 +671,8 @@ static int equal_degree(const u64 *b, Py_ssize_t lb, Py_ssize_t d, u64 *state, W
     return 0;
 }
 
-/* Whether factor a sorts before factor b: by length, then coefficients
- * from the constant term, as pure's sort key (len(v), v). */
-static int sorts_before(Span a, Span b, const u64 *c)
-{
-    if (a.len != b.len)
-        return a.len < b.len;
-    for (Py_ssize_t i = 0; i < a.len; i++)
-        if (c[a.at + i] != c[b.at + i])
-            return c[a.at + i] < c[b.at + i];
-    return 0;
-}
-
 /* pure.irreducible_factors: the monic irreducible factors of coeffs mod an
- * odd prime q, sorted by (length, coefficients), as a new list. */
+ * odd prime q, in the order equal_degree finds them, as a new list. */
 static PyObject *irreducible_factors(PyObject *Py_UNUSED(self), PyObject *args)
 {
     PyObject *coeffs, *q, *seq, *out = NULL;
@@ -703,27 +692,21 @@ static PyObject *irreducible_factors(PyObject *Py_UNUSED(self), PyObject *args)
     if (!(seq = PySequence_Fast(coeffs, "coefficients must be a sequence")))
         return NULL;
     if (work_init(&k, PySequence_Fast_GET_SIZE(seq)) == 0 && (squarefree = ddf(seq, q, &k)) >= 0) {
-        Py_ssize_t b = 0, nf;
+        Py_ssize_t b = 0;
         if (!squarefree)
             PyErr_SetString(PyExc_ValueError, "not squarefree mod p");
         else
             for (k.nfactors = 0; b < k.nblocks; b++)
                 if (equal_degree(k.blk + k.blocks[b].at, k.blocks[b].len, k.blocks[b].d, &state, &k) < 0)
                     break;
-        if (squarefree && b == k.nblocks && (out = PyList_New(nf = k.nfactors))) {
-            for (Py_ssize_t i = 1; i < nf; i++) /* insertion sort: a handful of factors */
-                for (Py_ssize_t j = i; j > 0 && sorts_before(k.factors[j], k.factors[j - 1], k.fac); j--) {
-                    Span s = k.factors[j];
-                    k.factors[j] = k.factors[j - 1], k.factors[j - 1] = s;
-                }
-            for (Py_ssize_t i = 0; out && i < nf; i++) {
+        if (squarefree && b == k.nblocks && (out = PyList_New(k.nfactors)))
+            for (Py_ssize_t i = 0; out && i < k.nfactors; i++) {
                 PyObject *f = to_list(k.fac + k.factors[i].at, k.factors[i].len);
                 if (!f)
                     Py_CLEAR(out);
                 else
                     PyList_SET_ITEM(out, i, f);
             }
-        }
     }
     PyMem_Free(k.buf);
     Py_DECREF(seq);
@@ -1098,8 +1081,8 @@ static PyMethodDef methods[] = {
      "Res(a, b) mod p for each p in primes, from coefficient sequences\n"
      "ascending in degree."},
     {"irreducible_factors", irreducible_factors, METH_VARARGS,
-     "The monic irreducible factors of coeffs mod the odd prime q, sorted\n"
-     "by (length, coefficients)."},
+     "The monic irreducible factors of coeffs mod the odd prime q, in\n"
+     "splitting order."},
     {"hensel_lift", hensel_lift, METH_VARARGS,
      "The monic factors of coeffs mod q lifted to mod target = q^k, in order."},
     {NULL, NULL, 0, NULL},

@@ -422,21 +422,20 @@ def _equal_degree(block: list[int], d: int, q: int, draws) -> list[list[int]]:
 
 
 def irreducible_factors(coeffs, q: int) -> list[list[int]]:
-    """The monic irreducible factors of coeffs mod an odd prime q, sorted
-    by (length, coefficients): the distinct-degree blocks of _ddf_blocks,
-    each split by Cantor-Zassenhaus (_equal_degree). ValueError where q
-    is even or below 3, where q divides the leading coefficient, where
-    coeffs is constant or not squarefree mod q, and (q composite) where
-    an inverse does not exist or no split is found."""
+    """The monic irreducible factors of coeffs mod an odd prime q, in
+    splitting order, as the C kernel returns them: the distinct-degree
+    blocks of _ddf_blocks by degree, each split by Cantor-Zassenhaus
+    (_equal_degree), last in, first out; lift_and_recombine sorts them.
+    ValueError where q is even or below 3, where q divides the leading
+    coefficient, where coeffs is constant or not squarefree mod q, and
+    (q composite) where an inverse does not exist or no split is found."""
     if q < 3 or q % 2 == 0:
         raise ValueError("modulus must be an odd prime")
     f = _squarefree(coeffs, q)
     if f is None:
         raise ValueError("not squarefree mod p")
     draws = _draws()
-    factors = [g for block, d in _ddf_blocks(f, q) for g in _equal_degree(block, d, q, draws)]
-    factors.sort(key=lambda v: (len(v), v))
-    return factors
+    return [g for block, d in _ddf_blocks(f, q) for g in _equal_degree(block, d, q, draws)]
 
 
 def _add_m(a, b, m, sign=1):

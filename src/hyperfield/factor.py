@@ -17,7 +17,7 @@ fewest factors, one Hensel lift past Mignotte's bound for the largest
 target degree, and recombination of subsets by ascending degree. The
 factorization mod q and the lift are the kernels' irreducible_factors
 and hensel_lift (hensel_lift_factors is the one call site of the lift);
-the recombination stays here.
+the sort of the factors into one order and the recombination stay here.
 factor_over_q refuses degrees above its cap (default 12).
 prime_factors factors integers: trial division, then Brent's rho.
 """
@@ -353,15 +353,16 @@ def lift_and_recombine(g: IntPolynomial, degrees) -> list[IntPolynomial]:
     Target degrees that musser_degrees drops at six odd good primes
     cannot be factor degrees; if none is left nothing is lifted.
     Otherwise the factors mod the prime q with the fewest of them
-    (kernels.irreducible_factors) are Hensel-lifted once, to the power of
-    q past Mignotte's bound (hensel_lift_factors; in the C kernel up to
-    its delayed-reduction bound, about 1.24e9 at degree 12, from pure.py
-    beyond). These factors and their lifts are unique, so the pool is the
-    same on either backend. For each target degree d, ascending, every
-    subset of lifted factors of total degree d is tried by exact
-    division. A factor found at degree d is irreducible when g has no
-    irreducible factor of lower degree outside the search: degrees
-    1..deg/2 give the factorization into irreducibles.
+    (kernels.irreducible_factors, in splitting order) are sorted by
+    (length, coefficients) and Hensel-lifted once, to the power of q past
+    Mignotte's bound (hensel_lift_factors; in the C kernel up to its
+    delayed-reduction bound, about 1.24e9 at degree 12, from pure.py
+    beyond). The factors and their lifts are unique and the sort fixes
+    their order, so the pool is the same on either backend. For each
+    target degree d, ascending, every subset of lifted factors of total
+    degree d is tried by exact division. A factor found at degree d is
+    irreducible when g has no irreducible factor of lower degree outside
+    the search: degrees 1..deg/2 give the factorization into irreducibles.
     """
     entries = good_splitting_types(g, _MUSSER_PRIMES, 3)
     targets = musser_degrees((t for _, t in entries), degrees)
@@ -371,7 +372,8 @@ def lift_and_recombine(g: IntPolynomial, degrees) -> list[IntPolynomial]:
     # Only factors of degree <= max(targets) are rebuilt from the lift; the
     # cofactor comes from exact division, so the bound is sized to them.
     m = _mignotte_modulus(g, q, max(targets))
-    pool = hensel_lift_factors(list(g.coeffs), kernels.irreducible_factors(g.coeffs, q), q, m)
+    factors = sorted(kernels.irreducible_factors(g.coeffs, q), key=lambda v: (len(v), v))
+    pool = hensel_lift_factors(list(g.coeffs), factors, q, m)
 
     found: list[IntPolynomial] = []
     cur = g

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 from .errors import (
@@ -418,12 +419,11 @@ def _congruence_witness(curve, shape, k, p, rng, skip_avoid=False):
     a[0] = m + k0 * p
     inv2a0 = pow(2 * a[0], -1, p)
 
+    # sum_{0<u<i} a_u a_(i-u) - (f h^2)_i. No index passes d_g: i <= d_g,
+    # as the loop stops below d_g + 1, check_admissible asks k <= n // 2 =
+    # d_g, and D3N3_TRANSP (k = 2 > d_g = 1) skips known(k).
     def known(i: int) -> int:
-        tot = -fh2[i]
-        for u in range(1, i):
-            if u <= d_g and 0 <= i - u <= d_g:
-                tot += a[u] * a[i - u]
-        return tot
+        return sum(map(mul, a[1:i], a[i - 1:0:-1])) - fh2[i]
 
     # Clear the coefficients of x^1..x^(k-1) mod p.
     for i in range(1, min(k, d_g + 1)):

@@ -651,6 +651,34 @@ class TestFactorOverQ:
         with pytest.raises(AssertionError):
             factor_over_q(P((1, 0, -10, 0, 1)))  # splits mod every prime: must lift
 
+    def test_lift_takes_the_factors_sorted(self, monkeypatch):
+        # The kernels return the factors mod q in splitting order;
+        # lift_and_recombine sorts them by (length, coefficients) before the
+        # lift, so the pool and the recombination are the same on either
+        # backend.
+        compiled, _ = _kernels.load_compiled()
+        real = factor.hensel_lift_factors
+        for impl in [pure] + ([compiled] if compiled is not None else []):
+            monkeypatch.setattr(_kernels, "impl", impl)
+            seen = []
+
+            def recording(coeffs, factors, q, target):
+                seen.append((list(coeffs), [list(v) for v in factors], q))
+                return real(coeffs, factors, q, target)
+
+            monkeypatch.setattr(factor, "hensel_lift_factors", recording)
+            rng = random.Random(7)
+            for _ in range(40):
+                a, b = (P([rng.randint(-9, 9) for _ in range(rng.randint(1, 5))] + [1]) for _ in range(2))
+                assert product(factor_over_q(a * b)) == a * b
+            unsorted = 0
+            for coeffs, factors, q in seen:
+                assert factors == sorted(factors, key=lambda v: (len(v), v)), (impl.BACKEND, coeffs, q)
+                raw = _kernels.irreducible_factors(coeffs, q)
+                assert sorted(raw, key=lambda v: (len(v), v)) == factors
+                unsorted += raw != factors
+            assert len(seen) >= 20 and unsorted >= 5, (impl.BACKEND, len(seen), unsorted)
+
     # Squarefree g with an irreducible factor that has a coefficient larger
     # than ||g||_2. The first 14 are every x^d + a x^i + c and
     # x^d + a x^i + b x^j + c with a, b, c in {-2, -1, 1, 2} and 3 <= d <= 12

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from sympy import nextprime, prevprime
@@ -17,7 +18,7 @@ from hyperfield import _kernels, factor
 from hyperfield._kernels import pure
 from hyperfield.factor import primes_not_dividing
 from hyperfield.intpoly import IntPolynomial, discriminant
-from oracles import gcd_mod
+from oracles import gcd_mod, prs_resultant
 
 SRC = Path(__file__).parent.parent / "src"
 SYSTEM_PATH = "/usr/bin:/bin"
@@ -29,8 +30,10 @@ PROBE = (
     " hensel_lift(f, irreducible_factors(f, 5), 5, 125))"
 )
 # What PROBE prints after the backend: x^4 - 1 splits into linear factors
-# mod 5, lifted to the roots 1, -1 and +-57 of x^4 - 1 mod 125.
-PROBE_ANSWERS = "[3] [[2], [1, 1]] [[1, 1], [2, 1], [3, 1], [4, 1]] [[1, 1], [57, 1], [68, 1], [124, 1]]"
+# mod 5, in the order Cantor-Zassenhaus splits them off (the same on both
+# backends), lifted in that order to the roots -57, 57, -1 and 1 of
+# x^4 - 1 mod 125.
+PROBE_ANSWERS = "[3] [[2], [1, 1]] [[3, 1], [2, 1], [4, 1], [1, 1]] [[68, 1], [57, 1], [124, 1], [1, 1]]"
 
 REASON_PROBE = "from hyperfield._kernels import BACKEND, PURE_REASON; print(BACKEND, PURE_REASON, sep='|')"
 
@@ -316,6 +319,77 @@ def test_random_polynomials_at_the_bound_of_degrees_1_and_2(n):
         assert set(range(1, n + 1)) <= factor_counts  # irreducible and split F both occur
 
 
+def test_largest_prime_below_2_32_at_degrees_1_and_2():
+    """p = 4,294,967,291, the largest prime below 2^32: lazy_fits holds at
+    degree 1, where the C kernel takes p, and fails at degree 2, where
+    2 (p-1)^2 passes 2^64. A resultant step that summed c x_i + (p - t) y_i
+    before reducing would overflow here already at degree 1."""
+    compiled = _compiled()
+    if compiled is None:
+        pytest.skip("no C compiler on PATH or no Python headers")
+    p = prevprime(2**32)
+    assert p == 4_294_967_291 and _lazy_bound(2) < p <= _lazy_bound(1)
+    rng = random.Random(16)
+
+    def poly(d):
+        return [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)]
+
+    top = [p - 1, p - 1]  # every residue at its largest
+    pairs = [(top, top), (top, [p - 1]), ([p - 1], top)]
+    pairs += [(poly(1), poly(rng.choice([0, 1, 1]))) for _ in range(600)]
+    for a, b in pairs:
+        want = pure.resultants(a, b, [p])
+        assert compiled.resultants(a, b, [p]) == want, (a, b)
+        assert want == [prs_resultant(IntPolynomial(a), IntPolynomial(b)) % p], (a, b)
+        for f in (v for v in (a, b) if len(v) == 2):
+            assert compiled.splitting_types(f, [p]) == pure.splitting_types(f, [p]) == [[1]]
+    for _ in range(50):
+        a, b = poly(2), poly(rng.choice([0, 1, 2]))
+        with pytest.raises(OverflowError):
+            compiled.resultants(a, b, [p])
+        with pytest.raises(OverflowError):
+            compiled.splitting_types(a, [p])
+        assert _kernels.resultants(a, b, [p]) == pure.resultants(a, b, [p])
+        assert _kernels.splitting_types(a, [p]) == pure.splitting_types(a, [p])
+
+
+# One call per kernel of hyperfield._kernels: x^4 - 1 at primes the C kernel
+# takes.
+KERNEL_CALLS = {
+    "splitting_types": ([-1, 0, 0, 0, 1], [3, 5]),
+    "resultants": ([-1, 0, 0, 0, 1], [2, 1], [3, 5]),
+    "irreducible_factors": ([-1, 0, 0, 0, 1], 5),
+    "hensel_lift": ([-1, 0, 0, 0, 1], [[1, 1], [2, 1], [3, 1], [4, 1]], 5, 125),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CALLS))
+def test_one_fallback_for_every_kernel(monkeypatch, name):
+    # Each kernel of hyperfield._kernels looks the backend up in impl at
+    # the call, answers from pure.py where it raises OverflowError, and
+    # passes every other outcome through.
+    args, kernel = KERNEL_CALLS[name], getattr(_kernels, name)
+    calls = []
+
+    def declines(*got):
+        calls.append(got)
+        raise OverflowError("past the bound")
+
+    monkeypatch.setattr(_kernels, "impl", SimpleNamespace(**{name: declines}))
+    assert kernel(*args) == getattr(pure, name)(*args)
+    assert calls == [args]
+    sentinel = object()
+    monkeypatch.setattr(_kernels, "impl", SimpleNamespace(**{name: lambda *got: sentinel}))
+    assert kernel(*args) is sentinel
+
+    def refuses(*got):
+        raise ValueError("refused")
+
+    monkeypatch.setattr(_kernels, "impl", SimpleNamespace(**{name: refuses}))
+    with pytest.raises(ValueError, match="refused"):
+        kernel(*args)
+
+
 class TestPseudoRemainderGcd:
     """pure._gcd_mod, Euclid by pseudo-remainders, against the monic Euclid
     of tests/oracles.py, at primes from 3 to 2^61 - 1."""
@@ -346,7 +420,8 @@ class TestPseudoRemainderGcd:
 
 
 def _by_length(factors):
-    """factors sorted as irreducible_factors returns them."""
+    """factors sorted as lift_and_recombine sorts them: by (length,
+    coefficients)."""
     return sorted(factors, key=lambda v: (len(v), v))
 
 
@@ -385,7 +460,7 @@ class TestZassenhausKernels:
             want = _by_length(
                 [[int(c) for c in reversed(g)] for g in gf_factor_sqf([c % q for c in reversed(coeffs)], q, ZZ)[1]])
             for backend in _backends(q, len(coeffs) - 1):
-                assert backend.irreducible_factors(coeffs, q) == want, (backend.BACKEND, coeffs, q)
+                assert _by_length(backend.irreducible_factors(coeffs, q)) == want, (backend.BACKEND, coeffs, q)
             counts.add(min(len(want), 5))
         assert counts == {1, 2, 3, 4, 5}
 
@@ -403,7 +478,27 @@ class TestZassenhausKernels:
                 product = gf_mul(product, f, p, ZZ)
             want = _by_length([f[::-1] for f in factors])
             for backend in _backends(p, sum(shape)):
-                assert backend.irreducible_factors(product[::-1], p) == want, (backend.BACKEND, p, shape)
+                assert _by_length(backend.irreducible_factors(product[::-1], p)) == want, (backend.BACKEND, p, shape)
+
+    def test_backends_return_factors_in_one_order(self):
+        # Splitting order, not a sort, is the contract: the C kernel and
+        # pure.py return the same lists in the same order, or the same
+        # ValueError, at primes and at odd composite moduli.
+        compiled = _compiled()
+        if compiled is None:
+            pytest.skip("no C compiler on PATH or no Python headers")
+        rng = random.Random(15)
+        unsorted = composite_lists = 0
+        for _ in range(600):
+            q = rng.choice([3, 5, 7, 11, 101, 997, 65537, 9, 15, 1001])
+            coeffs = [rng.randint(-50, 50) for _ in range(rng.randint(2, 24))] + [rng.choice([1, 2, 3, -1])]
+            want = _outcome(pure.irreducible_factors, coeffs, q)
+            assert _outcome(compiled.irreducible_factors, coeffs, q) == want, (coeffs, q)
+            if isinstance(want, list):
+                unsorted += want != _by_length(want)
+                composite_lists += q in (9, 15, 1001)
+        assert unsorted >= 50  # the order compared is not the sorted one
+        assert composite_lists >= 1
 
     def test_irreducible_factors_errors_match(self):
         compiled = _compiled()
