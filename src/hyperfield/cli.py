@@ -4,21 +4,18 @@ All output is data (JSON or CSV) for external plotting. Exit codes:
 0 success, 2 parse error, 3 inadmissible input, 4 hypothesis violation,
 5 resource cap. HYPERFIELD_THREADS caps census workers. Config files
 are flat key=value lines (UTF-8); unknown keys are rejected, and a flag
-beats its config key, which beats the default.
+beats its config key, which beats the default. main walks argv once
+against COMMANDS, the one option table: --name value or --name=value,
+names exact, a value always the next token ("--poly -5,0,1"). --help
+prints the table; a parse error is one "error: ..." line.
 """
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
-import re
 import sys
 from fractions import Fraction
-
-# Let values like "-5,0,1" (coefficient lists) follow --poly/--curve without
-# being mistaken for option strings.
-_COEFF_LIST = re.compile(r"^-\d+(?:[,/]-?\d+)*$")
+from types import SimpleNamespace
 
 from . import errors as E
 from .census import (
@@ -49,7 +46,6 @@ from .newton import newton_polygon
 from .perms import recognize_sn
 
 EXIT_OK = 0
-EXIT_PARSE = E.ParseFailure.exit_code
 EXIT_INADMISSIBLE = E.Inadmissible.exit_code
 
 
@@ -141,21 +137,6 @@ def cmd_witness(args) -> int:
         report["normalized_model"] = {"f": format_poly(curve.f), **transform}
     _emit(report)
     return EXIT_OK
-
-
-_CONFIG_KEYS = {
-    "curve",
-    "monicize",
-    "n",
-    "Y",
-    "sweep",
-    "fingerprint_primes",
-    "factor_cap",
-    "box_cap",
-    "workers",
-    "out_csv",
-    "out_json",
-}
 
 
 def load_config(path: str) -> dict:
@@ -280,12 +261,12 @@ def _switch(key: str, text: str) -> bool:
     return text == "true"
 
 
-def _positive_option(key: str, value) -> int:
-    """A count setting, from its flag or the config file: at least 1."""
-    try:
-        return _positive_int(_integer(key, value))
-    except argparse.ArgumentTypeError as e:
-        raise E.PolyParseError(f"{key} {e}") from None
+def _positive_option(key: str, text) -> int:
+    """A count, from a flag, the config file or the environment: at least 1."""
+    value = _integer(key, text)
+    if value < 1:
+        raise E.PolyParseError(f"{key} must be at least 1, got {value}")
+    return value
 
 
 def _height(text: str) -> Fraction:
@@ -297,81 +278,113 @@ def _height(text: str) -> Fraction:
         raise E.PolyParseError(f"height {text!r} is not a rational number") from None
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _help(command) -> int:
+    """Print the options of one command, or of every command, from COMMANDS."""
+    print("usage: hyperfield COMMAND [--OPTION VALUE | --OPTION=VALUE ...]")
+    for name in [command] if command else COMMANDS:
+        _, text, options = COMMANDS[name]
+        print(f"\nhyperfield {name}: {text}")
+        for option, (kind, default, note) in options.items():
+            flag = f"--{option}" if kind == "switch" else f"--{option} {kind.upper()}"
+            if default is not None and kind != "switch":
+                note += " (required)" if default is REQUIRED else f" (default {default})"
+            print(f"  {flag:<28}{note}")
+    return EXIT_OK
 
 
-class _Parser(argparse.ArgumentParser):
-    def _parse_optional(self, arg_string):
-        if _COEFF_LIST.match(arg_string):
-            return None  # treat as a value, not an option
-        return super()._parse_optional(arg_string)
+# How each kind of option reads its value's text (a switch takes none).
+_KINDS = {"text": lambda key, text: text, "integer": _integer, "count": _positive_option, "switch": lambda *_: True}
+REQUIRED = object()  # the default of an option that must be given
+
+# command: (function, help, {option: (kind, default, help)}). The function
+# gets each option --a-b as args.a_b: its value, or the default.
+COMMANDS = {
+    "np": (cmd_np, "Newton polygon of a polynomial at a prime", {
+        "poly": ("text", REQUIRED, "comma-separated coefficients, ascending"),
+        "prime": ("integer", REQUIRED, "the prime p"),
+        "json": ("switch", False, "print the polygon as JSON"),
+    }),
+    "certify": (cmd_certify, "S_n certificate from Frobenius sampling", {
+        "poly": ("text", REQUIRED, "comma-separated coefficients, ascending"),
+        "primes": ("count", 100, "number of good primes to sample"),
+        "factor-cap": ("count", 12, "highest degree factored over Q"),
+    }),
+    "witness": (cmd_witness, "generate and verify a recipe witness", {
+        "curve": ("text", REQUIRED, "f coefficients, ascending"),
+        "monicize": ("switch", False, "use the monic model of the curve"),
+        "n": ("integer", REQUIRED, "degree of the field"),
+        "recipe": ("text", REQUIRED, "a recipe name, or K_CYCLE(k)"),
+        "prime": ("integer", None, "default: an admissible prime"),
+        "seed": ("integer", 0, "seed of the specialization"),
+    }),
+    "census": (cmd_census, "enumerate and certify a coefficient box", {
+        "config": ("text", None, "flat key=value config file"),
+        "curve": ("text", None, "f coefficients, ascending"),
+        "monicize": ("switch", False, "use the monic model of the curve"),
+        "n": ("integer", None, "degree of the field"),
+        "Y": ("text", None, "the height, a rational number"),
+        "sweep": ("text", None, "comma-separated Y values"),
+        # Defaults of these four come from CensusConfig; a flag beats the config file.
+        "fingerprint-primes": ("count", None, "good primes sampled per F"),
+        "factor-cap": ("count", None, "highest degree factored over Q"),
+        "box-cap": ("count", None, "most records in one box"),
+        "workers": ("count", None, "worker processes"),
+        "out-csv": ("text", None, "CSV file of the records"),
+        "out-json": ("text", None, "JSON file of the summary"),
+    }),
+    "exponents": (cmd_exponents, "exact growth exponents / EV threshold", {
+        "g": ("integer", REQUIRED, "genus"),
+        "d": ("integer", None, "degree of the curve"),
+        "n": ("integer", None, "degree of the field"),
+        "threshold": ("switch", False, "search the EV improvement threshold instead"),
+    }),
+}
+# A census config file sets what the census flags set, --config aside.
+_CONFIG_KEYS = {option.replace("-", "_") for option in COMMANDS["census"][2]} - {"config"}
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of this process: built on the first main call, not at
-    import, and reused by every later call (parsing leaves it unchanged)."""
-    ap = _Parser(prog="hyperfield", description=__doc__)
-    sub = ap.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("np", help="Newton polygon of a polynomial at a prime")
-    p.add_argument("--poly", required=True, help="comma-separated coefficients, ascending")
-    p.add_argument("--prime", required=True, type=int)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_np)
-
-    p = sub.add_parser("certify", help="S_n certificate from Frobenius sampling")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--primes", type=_positive_int, default=100, help="number of good primes to sample")
-    p.add_argument("--factor-cap", type=_positive_int, default=12)
-    p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser("witness", help="generate and verify a recipe witness")
-    p.add_argument("--curve", required=True, help="f coefficients, ascending")
-    p.add_argument("--monicize", action="store_true")
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--recipe", required=True)
-    p.add_argument("--prime", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_witness)
-
-    p = sub.add_parser("census", help="enumerate and certify a coefficient box")
-    p.add_argument("--config", default=None, help="flat key=value config file")
-    p.add_argument("--curve", default=None)
-    p.add_argument("--monicize", action="store_true")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--Y", default=None)
-    p.add_argument("--sweep", default=None, help="comma-separated Y values")
-    # Defaults of these four come from CensusConfig; a flag beats the config file.
-    p.add_argument("--fingerprint-primes", type=_positive_int, default=None)
-    p.add_argument("--factor-cap", type=_positive_int, default=None)
-    p.add_argument("--box-cap", type=_positive_int, default=None)
-    p.add_argument("--workers", type=_positive_int, default=None)
-    p.add_argument("--out-csv", default=None)
-    p.add_argument("--out-json", default=None)
-    p.set_defaults(func=cmd_census)
-
-    p = sub.add_parser("exponents", help="exact growth exponents / EV threshold")
-    p.add_argument("--g", required=True, type=int)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--threshold", action="store_true")
-    p.set_defaults(func=cmd_exponents)
-    return ap
+def _parse(argv: list[str]):
+    """(function, its argument) for argv, in one pass: a command of
+    COMMANDS and then its options, the last of a repeated option winning;
+    (_help, the command or None) where -h or --help stands for an option."""
+    if not argv:
+        raise E.ParseFailure(f"a command is required: {', '.join(COMMANDS)}")
+    command, tokens = argv[0], iter(argv[1:])
+    if command in ("-h", "--help"):
+        return _help, None
+    if command not in COMMANDS:
+        raise E.ParseFailure(f"unknown command {command!r}; the commands are {', '.join(COMMANDS)}")
+    func, _, options = COMMANDS[command]
+    given = {}
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return _help, command
+        if not token.startswith("--"):
+            raise E.ParseFailure(f"{command}: unexpected argument {token!r}")
+        name, eq, value = token[2:].partition("=")
+        if name not in options:
+            known = ", ".join(f"--{option}" for option in options)
+            raise E.ParseFailure(f"{command}: unknown option --{name}; its options are {known}")
+        kind = options[name][0]
+        if kind == "switch" and eq:
+            raise E.ParseFailure(f"{command}: --{name} takes no value")
+        if kind != "switch" and not eq and (value := next(tokens, None)) is None:
+            raise E.ParseFailure(f"{command}: --{name} needs a value")
+        given[name] = _KINDS[kind](f"--{name}", value)
+    args = SimpleNamespace()
+    for name, (_, default, _) in options.items():
+        if default is REQUIRED and name not in given:
+            raise E.ParseFailure(f"{command} needs --{name}")
+        setattr(args, name.replace("-", "_"), given.get(name, default))
+    return func, args
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    """Run the command that argv (by default sys.argv[1:]) names, and
+    return its exit code."""
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as e:
-        return EXIT_PARSE if e.code not in (0, None) else EXIT_OK
-    try:
-        return args.func(args)
+        func, args = _parse(sys.argv[1:] if argv is None else argv)
+        return func(args)
     except E.HyperfieldError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code

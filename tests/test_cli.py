@@ -471,8 +471,7 @@ class TestCensus:
             seen.append((curve.f.coeffs, n, y, cfg))
             return SimpleNamespace(summary={}, csv_lines=[])
 
-        parser = cli.build_parser()  # built before the patch: main must reuse it and still reach the fake
-        monkeypatch.setattr(cli, "run_census", fake_census)
+        monkeypatch.setattr(cli, "run_census", fake_census)  # after import: main must still reach the fake
         args = ["census", *flags]
         if config is not None:
             (tmp_path / "run.cfg").write_text(config, encoding="utf-8")
@@ -480,12 +479,11 @@ class TestCensus:
         assert run_cli(args, capsys)[0] == 0
         curve, n, ys, cfg = want
         assert seen == [(curve, n, y, cfg) for y in ys]
-        assert cli.build_parser() is parser
 
 
 class TestParserReuse:
-    """main builds its parser on its first call and reuses it: in one
-    process, each command gives what it gives run alone."""
+    """In one process, each command gives what it gives run alone: main
+    keeps no state between calls."""
 
     COMMANDS = [
         ["certify", "--poly", "1,1,0,1", "--primes", "0"],  # a parse error
@@ -493,10 +491,8 @@ class TestParserReuse:
         ["census", "--curve", "1,1,0,1", "--n", "3", "--Y", "2"],
     ]
 
-    def test_one_process_matches_each_command_alone(self, capsys, monkeypatch):
-        env = {"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin", "COLUMNS": "80"}  # argparse wraps at COLUMNS
-        monkeypatch.setenv("COLUMNS", "80")
-        cli.build_parser.cache_clear()
+    def test_one_process_matches_each_command_alone(self, capsys):
+        env = {"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"}
         codes = []
         for argv in self.COMMANDS:
             alone = subprocess.run([sys.executable, "-m", "hyperfield", *argv], capture_output=True, text=True, env=env)
@@ -504,13 +500,6 @@ class TestParserReuse:
             assert got == (alone.returncode, alone.stdout, alone.stderr), argv
             codes.append(got[0])
         assert codes == [2, 0, 0]
-        assert cli.build_parser.cache_info().misses == 1  # built once, by the first command
-
-    def test_not_built_at_import(self):
-        code = "import hyperfield.cli as cli; print(cli.build_parser.cache_info().currsize)"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"})
-        assert proc.stdout.strip() == "0", proc.stderr
 
 
 class TestImportCost:
@@ -528,6 +517,78 @@ class TestImportCost:
         assert "hyperfield.cli" in loaded, proc.stderr
         assert "dataclasses" not in loaded
         assert "inspect" not in loaded
+
+    def test_no_argparse_gettext_or_locale_after_import_or_a_command(self):
+        # argparse (with gettext, which loads locale) took about 4.5 ms of the
+        # first census or certify call in a fresh process; the option table
+        # needs none of them.
+        code = (
+            "import sys\nimport hyperfield.cli as cli\nwatched = {'argparse', 'gettext', 'locale'}\n"
+            "after_import = sorted(watched & set(sys.modules))\n"
+            "code = cli.main(['certify', '--poly', '-1,-1,0,0,0,1'])\n"
+            "print(after_import, sorted(watched & set(sys.modules)), code)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"})
+        assert proc.stdout.splitlines()[-1] == "[] [] 0", proc.stderr
+
+
+class TestOptionTable:
+    """main walks argv against cli.COMMANDS: --name value or --name=value,
+    exact names, the last of a repeated option winning. A parse error is
+    one error: line and exit 2, with nothing on stdout."""
+
+    NP = ["np", "--poly", "-5,0,1", "--prime", "5"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["np", "--poly=-5,0,1", "--prime=5"],
+            ["np", "--poly", "-5,0,1", "--prime=5"],
+            ["np", "--prime", "5", "--poly", "-5,0,1"],
+            ["np", "--poly", "1,2", "--prime", "7", "--poly", "-5,0,1", "--prime", "5"],  # the last one wins
+        ],
+    )
+    def test_spellings_of_one_command(self, argv, capsys):
+        assert run_cli(argv, capsys) == run_cli(self.NP, capsys)
+
+    def test_negative_values_are_values(self, capsys):
+        assert run_cli(["np", "--poly", "6,0,1", "--prime", "-3"], capsys) == (3, "", "error: -3 is not prime\n")
+        code, out, _ = run_cli(["certify", "--poly", "-1,-1,0,0,0,1", "--primes", "5"], capsys)
+        assert (code, json.loads(out)["degree"]) == (0, 5)
+
+    def test_argv_defaults_to_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["hyperfield", *self.NP])
+        assert run_cli(None, capsys) == run_cli(self.NP, capsys)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["np", "--poly", "-5,0,1", "--prime"], "--prime needs a value"),
+            (["np", "--poly", "-5,0,1", "--prime", "5", "--bogus"], "unknown option --bogus"),
+            (["certify", "--poly", "1,1,0,1", "--prim", "5"], "unknown option --prim"),  # no prefix matching
+            (["certify", "--poly", "1,1,0,1", "--primes=x"], "--primes must be an integer, got 'x'"),
+            (["np", "--poly", "-5,0,1"], "np needs --prime"),
+            (["np", "--poly", "-5,0,1", "--prime", "5", "--json=yes"], "--json takes no value"),
+            (["np", "--poly", "-5,0,1", "--prime", "5", "json"], "unexpected argument 'json'"),
+            (["nope", "--poly", "1"], "unknown command 'nope'"),
+            ([], "a command is required"),
+        ],
+    )
+    def test_parse_errors(self, argv, message, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    @pytest.mark.parametrize("command", [None, *cli.COMMANDS])
+    def test_help_lists_every_option(self, command, flag, capsys):
+        code, out, err = run_cli([command, flag] if command else [flag], capsys)
+        assert (code, err) == (0, "")
+        for name in [command] if command else cli.COMMANDS:
+            _, text, options = cli.COMMANDS[name]
+            assert f"hyperfield {name}: {text}" in out
+            assert all(f"--{option}" in out.split() for option in options), name
 
 
 class TestEntryPoint:

@@ -4,7 +4,10 @@ import operator
 import os
 import random
 import shutil
+import subprocess
+import sys
 import time
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -26,6 +29,8 @@ from hyperfield.factor import (
 )
 from hyperfield.intpoly import IntPolynomial, discriminant
 from oracles import is_irreducible, prs_resultant
+
+SRC = Path(__file__).parent.parent / "src"
 
 P = IntPolynomial
 X = sympy.Symbol("x")
@@ -122,6 +127,33 @@ class TestPrimes:
             primes_not_dividing(0, 5)
         with pytest.raises(ValueError):
             good_for(P((0, 0, 1)), 3)  # x^2: Disc = 0
+
+    @staticmethod
+    def _fresh(code: str) -> str:
+        """The output of code run in a fresh interpreter, whose prime table
+        holds only 2."""
+        env = {"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip()
+
+    @pytest.mark.parametrize("start", [2, 3, 4, 2048, 104_729, 104_730])
+    def test_sieved_table_matches_is_prime(self, start):
+        # The first walk grows the table from [2] by sieving (last, 2 * last].
+        code = (
+            "import itertools\nfrom hyperfield import factor\n"
+            f"got = list(itertools.takewhile(lambda q: q < 110_000, factor.primes_from({start})))\n"
+            f"print(got == [n for n in range({start}, 110_000) if factor.is_prime(n)], len(got),"
+            " factor._PRIMES == [n for n in range(factor._PRIMES[-1] + 1) if factor.is_prime(n)])"
+        )
+        assert self._fresh(code) == f"True {sympy.primepi(109_999) - sympy.primepi(start - 1)} True"
+
+    def test_ten_thousandth_prime(self):
+        code = (
+            "import itertools\nfrom hyperfield import factor\n"
+            "print(*itertools.islice(factor.primes_from(2), 9_999, 10_000))"
+        )
+        assert self._fresh(code) == "104729"
 
 
     def test_prime_factors_splits_a_composite_cofactor(self):
